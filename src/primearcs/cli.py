@@ -241,8 +241,8 @@ def _cmd_search(args) -> int:
     rep = search.find_solutions(inst, table, X, threshold,
                                 cap=args.emit_solutions, window=args.window)
     meta = _meta("solution_search", X=X, threshold=threshold,
-                 count=rep.count, truncated=rep.truncated,
-                 window=args.window)
+                 count=rep.count, truncated=rep.truncated, pairs=rep.pairs,
+                 candidates=rep.candidates, window=args.window)
     rows = [(r.p1, r.p2, r.p3, r.residual) for r in rep.records]
     _write_csv(args.out, meta, ["p1", "p2", "p3", "residual"], rows)
     return 0

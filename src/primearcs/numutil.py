@@ -16,13 +16,29 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import PrecisionError
+
 TWO_PI = 2.0 * math.pi
 _LD = np.longdouble
 
 
+def require_extended_longdouble() -> None:
+    """Fail loudly where numpy's longdouble lacks the 64-bit mantissa of the
+    80-bit extended format: every phase guarantee rests on it."""
+    nmant = np.finfo(_LD).nmant
+    if nmant < 63:
+        raise PrecisionError(
+            f"numpy longdouble has a {nmant}-bit mantissa; primearcs needs "
+            "at least 63 (80-bit extended, as on x86-64 Linux)")
+
+
+require_extended_longdouble()
+
+
 # ----------------------------- double-double --------------------------------
-# Dekker / Knuth error-free transforms on float64.  Used where a scalar
-# residual must be exact to ~2^-100 (search-module near-threshold tests).
+# Dekker / Knuth error-free transforms on float64 scalars or arrays.  The
+# search module's residuals use them to stay exact to ~2^-100 near the
+# threshold.
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -60,10 +76,10 @@ def dd_mul_scalar(x: tuple[float, float], c: float) -> tuple[float, float]:
     return p, e
 
 
-def dd_from_longdouble(x) -> tuple[float, float]:
-    hi = float(x)
-    lo = float(x - _LD(hi))
-    return hi, lo
+def dd_from_longdouble(x) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 high and low parts of extended-precision values."""
+    hi = np.asarray(x).astype(np.float64)
+    return hi, (x - hi.astype(_LD)).astype(np.float64)
 
 
 # ------------------------------- powers -------------------------------------

@@ -1,10 +1,13 @@
 """Enumeration of prime triples satisfying the target inequality.
 
-find_solutions walks (p1, p2) pairs and inverts for the third variable,
-testing only the handful of integers whose k-th power can land within the
-threshold; brute_force_solutions is the exhaustive triple loop used as
-the completeness oracle.  Residuals are evaluated in double-double
-arithmetic so near-threshold classifications are stable.
+find_solutions is a blocked band join: the window's primes p3 are taken
+once with p3^k in extended precision, ascending, and each block of
+(p1, p2) pairs finds by binary search the p3 whose k-th power lies within
+the threshold band of the value that solves the equation for it.  The
+join's candidates are re-checked with a double-double residual, so
+near-threshold classifications are stable and completeness follows from
+the band, not from a guard.  brute_force_solutions is the exhaustive
+triple loop used as the completeness oracle.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import numpy as np
 
 from .circle import ProblemInstance, eta_exponent
 from .errors import ValidationError
-from .numutil import powk_extended
+from .numutil import dd_from_longdouble, powk_extended, two_prod, two_sum
 from .primes import PrimeTable
 
-_GUARD = 1  # extra integers tested on each side of the root interval
+_BLOCK = 1 << 12  # (p1, p2) pairs joined at a time: bounds the working set
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,8 @@ class SolutionRecord:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """count: triples within the threshold (the join's hits); pairs: (p1, p2)
+    pairs joined; candidates: triples whose residual was re-checked."""
     X: float
     threshold: float
     count: int
@@ -41,6 +46,8 @@ class SearchReport:
     truncated: bool = False
     elapsed: float = 0.0
     diagnostics: str = ""
+    pairs: int = 0
+    candidates: int = 0
 
 
 def _window_bounds(inst: ProblemInstance, X: float,
@@ -52,40 +59,23 @@ def _window_bounds(inst: ProblemInstance, X: float,
     raise ValidationError(f"unknown window {window!r}")
 
 
-def _residual_arrays(l1: float, p1: float, l2: float, p2sq: np.ndarray,
+def _residual_arrays(l1: float, p1, l2: float, p2sq: np.ndarray,
                      l3: float, nk_hi: np.ndarray, nk_lo: np.ndarray,
                      varpi: float) -> np.ndarray:
     """lambda1 p1 + lambda2 p2^2 + lambda3 n^k + varpi in double-double."""
-    def tsum(a, b):
-        s = a + b
-        v = s - a
-        return s, (a - (s - v)) + (b - v)
-
-    def tprod(a, b):
-        p = a * b
-        sa = 134217729.0 * a
-        ahi = sa - (sa - a)
-        alo = a - ahi
-        sb = 134217729.0 * b
-        bhi = sb - (sb - b)
-        blo = b - bhi
-        return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-    s, e = tprod(l2, p2sq)
-    t, te = tprod(np.full_like(p2sq, l3), nk_hi)
+    s, e = two_prod(l2, p2sq)
+    t, te = two_prod(l3, nk_hi)
     te = te + l3 * nk_lo
-    hi, lo = tsum(s, t)
+    hi, lo = two_sum(s, t)
     lo = lo + e + te
     c = l1 * p1 + varpi  # exact to 0.5 ulp; p1, varpi small against 2^53
-    hi2, lo2 = tsum(hi, c)
+    hi2, lo2 = two_sum(hi, c)
     return hi2 + (lo + lo2)
 
 
 def residual(inst: ProblemInstance, p1: int, p2: int, p3: int) -> float:
     """Double-double residual of one triple."""
-    nk = powk_extended(np.asarray([p3]), inst.k)
-    nk_hi = nk.astype(np.float64)
-    nk_lo = (nk - nk_hi.astype(np.longdouble)).astype(np.float64)
+    nk_hi, nk_lo = dd_from_longdouble(powk_extended(np.asarray([p3]), inst.k))
     out = _residual_arrays(inst.lambda1, float(p1), inst.lambda2,
                            np.asarray([float(p2) ** 2]), inst.lambda3,
                            nk_hi, nk_lo, inst.varpi)
@@ -107,84 +97,74 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
     """Complete enumeration of triples with |residual| <= threshold.
 
     p1 runs over primes with p1 in the window, p2 over primes with p2^2
-    in it; the third variable is solved for and only integers whose k-th
-    power can reach the threshold band are tested for primality.  Ties at
-    the threshold count as solutions.
+    in it, p3 over primes with p3^k in it.  Each (p1, p2) pair is joined
+    to the sorted values p3^k that lie within threshold/|lambda3|, widened
+    by a rounding slack, of -(lambda1 p1 + lambda2 p2^2 + varpi)/lambda3;
+    only those candidates get the double-double residual.  Ties at the
+    threshold count as solutions.  Records come in ascending (p1, p2, p3)
+    order, so a capped report keeps the cap smallest triples.
     """
-    if threshold < 0:
-        raise ValidationError("threshold must be nonnegative")
+    if threshold < 0 or cap < 0:
+        raise ValidationError("threshold and cap must be nonnegative")
     t0 = time.perf_counter()
     lo, hi = _window_bounds(inst, X, window)
     k = inst.k
     l1, l2, l3, varpi = inst.lambda1, inst.lambda2, inst.lambda3, inst.varpi
-    if hi > table.limit:
+    if hi > table.limit or powk_extended(table.limit + 1, k) <= hi:
         raise ValidationError(
-            f"table limit {table.limit} below window top {hi:.0f}")
+            f"table limit {table.limit} below window top {hi:.0f} "
+            f"or p3 range top {hi ** (1.0 / k):.0f}")
     p1s = table.primes_in_range(max(2.0, lo), hi)
     p2s = table.primes_in_range(max(2.0, math.sqrt(lo)), math.sqrt(hi))
-    p3_min = max(2.0, lo ** (1.0 / k))
-    p3_max = hi ** (1.0 / k) + 1
-    if len(p1s) == 0 or len(p2s) == 0 or p3_min > p3_max:
+    p3s = table.primes_in_range(2.0, min(hi ** (1.0 / k) + 1, table.limit))
+    p3k = powk_extended(p3s, k)
+    inside = (p3k >= lo) & (p3k <= hi)
+    p3s, p3k = p3s[inside], p3k[inside]
+    if len(p1s) == 0 or len(p2s) == 0 or len(p3s) == 0:
         return SearchReport(X, threshold, 0, (), elapsed=time.perf_counter() - t0,
                             diagnostics="empty variable window")
+    p3k_hi, p3k_lo = dd_from_longdouble(p3k)
+    p1f = p1s.astype(np.float64)
     p2sq = p2s.astype(np.float64) ** 2
-    band = threshold / abs(l3)
-    prime_set_limit = float(table.limit)
-    records: list[SolutionRecord] = []
-    count = 0
-    truncated = False
+    # the float t and p3k_hi are off by a few ulps of the terms' size;
+    # 1e-12 of it keeps every triple within the threshold a candidate
+    slack = 1e-12 * ((abs(l1) + abs(l2) + abs(l3)) * hi + abs(varpi)
+                     + threshold) / abs(l3)
+    width = threshold / abs(l3) + slack
     thr_exp = eta_exponent(k, inst.eps)
-    for p1 in p1s.tolist():
-        t = (-l1 * p1 - varpi - l2 * p2sq) / l3
-        tk_lo = np.maximum(t - band, lo)
-        tk_hi = np.minimum(t + band, hi)
-        ok = tk_lo <= tk_hi
-        if not np.any(ok):
+    n2 = len(p2s)
+    n_pairs = len(p1s) * n2
+    records: list[SolutionRecord] = []
+    count = candidates = 0
+    start = 0
+    while start < n_pairs:
+        i1, i2 = np.divmod(np.arange(start, min(start + _BLOCK, n_pairs)), n2)
+        t = -(l1 * p1f[i1] + l2 * p2sq[i2] + varpi) / l3
+        first = np.searchsorted(p3k_hi, t - width, side="left")
+        n = np.searchsorted(p3k_hi, t + width, side="right") - first
+        # at a wide threshold, cut the block to bound its candidate count
+        m = max(1, int(np.searchsorted(np.cumsum(n), 16 * _BLOCK,
+                                       side="right")))
+        start += m
+        i1, i2, first, n = i1[:m], i2[:m], first[:m], n[:m]
+        pair = np.repeat(np.arange(len(n)), n)
+        if len(pair) == 0:
             continue
-        idx = np.nonzero(ok)[0]
-        n_lo = np.ceil(tk_lo[idx] ** (1.0 / k)).astype(np.int64) - _GUARD
-        n_hi = np.floor(tk_hi[idx] ** (1.0 / k)).astype(np.int64) + _GUARD
-        n_lo = np.maximum(n_lo, 2)
-        width = int(np.max(n_hi - n_lo)) if len(idx) else -1
-        for off in range(width + 1):
-            n = n_lo + off
-            live = n <= n_hi
-            if not np.any(live):
-                continue
-            sel = idx[live]
-            ns = n[live]
-            nk = powk_extended(ns, k)
-            nk_hi_f = nk.astype(np.float64)
-            nk_lo_f = (nk - nk_hi_f.astype(np.longdouble)).astype(np.float64)
-            in_window = (nk >= lo) & (nk <= hi)
-            res = _residual_arrays(l1, float(p1), l2, p2sq[sel], l3,
-                                   nk_hi_f, nk_lo_f, varpi)
-            good = in_window & (np.abs(res) <= threshold)
-            for j in np.nonzero(good)[0]:
-                p3 = int(ns[j])
-                if p3 <= prime_set_limit:
-                    if not _table_is_prime(table, p3):
-                        continue
-                else:
-                    from .primes import is_prime
-                    if not is_prime(p3):
-                        continue
-                count += 1
-                if len(records) < cap:
-                    mx = max(p1, int(p2s[sel[j]]), p3)
-                    records.append(SolutionRecord(
-                        p1, int(p2s[sel[j]]), p3, float(res[j]),
-                        bool(abs(res[j]) <= mx ** thr_exp)))
-                else:
-                    truncated = True
-    records.sort(key=lambda r: (r.p1, r.p2, r.p3))
-    return SearchReport(X, threshold, count, tuple(records), truncated,
-                        time.perf_counter() - t0)
-
-
-def _table_is_prime(table: PrimeTable, n: int) -> bool:
-    i = int(np.searchsorted(table.primes, n))
-    return i < len(table.primes) and int(table.primes[i]) == n
+        j3 = first[pair] + np.arange(len(pair)) - (np.cumsum(n) - n)[pair]
+        i1, i2 = i1[pair], i2[pair]
+        res = _residual_arrays(l1, p1f[i1], l2, p2sq[i2], l3,
+                               p3k_hi[j3], p3k_lo[j3], varpi)
+        good = np.nonzero(np.abs(res) <= threshold)[0]
+        candidates += len(pair)
+        count += len(good)
+        good = good[:cap - len(records)]
+        for a, b, c, r in zip(p1s[i1[good]].tolist(), p2s[i2[good]].tolist(),
+                              p3s[j3[good]].tolist(), res[good].tolist()):
+            records.append(SolutionRecord(
+                a, b, c, r, abs(r) <= max(a, b, c) ** thr_exp))
+    return SearchReport(X, threshold, count, tuple(records), count > cap,
+                        time.perf_counter() - t0, pairs=n_pairs,
+                        candidates=candidates)
 
 
 def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
@@ -221,6 +201,16 @@ def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
                         elapsed=time.perf_counter() - t0)
 
 
+def _weighted_sum(inst: ProblemInstance, table: PrimeTable, X: float,
+                  eta: float, window: str) -> tuple[float, SearchReport]:
+    rep = find_solutions(inst, table, X, eta, cap=1 << 24, window=window)
+    total = 0.0
+    for r in rep.records:
+        total += (math.log(r.p1) * math.log(r.p2) * math.log(r.p3)
+                  * max(0.0, eta - abs(r.residual)))
+    return total, rep
+
+
 def weighted_solution_sum(inst: ProblemInstance, table: PrimeTable, X: float,
                           eta: float, window: str = "delta") -> float:
     """sum over triples of log p1 log p2 log p3 * max(0, eta - |residual|).
@@ -228,12 +218,7 @@ def weighted_solution_sum(inst: ProblemInstance, table: PrimeTable, X: float,
     This is the exact value the counting integral converges to as its
     truncation grows; the enumeration side of that identity.
     """
-    rep = find_solutions(inst, table, X, eta, cap=1 << 24, window=window)
-    total = 0.0
-    for r in rep.records:
-        total += (math.log(r.p1) * math.log(r.p2) * math.log(r.p3)
-                  * max(0.0, eta - abs(r.residual)))
-    return total
+    return _weighted_sum(inst, table, X, eta, window)[0]
 
 
 def count_bound_report(inst: ProblemInstance, table: PrimeTable, X: float,
@@ -244,10 +229,6 @@ def count_bound_report(inst: ProblemInstance, table: PrimeTable, X: float,
     integral); rhs: eta (log X)^3 N(X) with N(X) the plain solution count
     at width eta.
     """
-    rep = find_solutions(inst, table, X, eta, cap=1 << 24, window=window)
-    lhs = 0.0
-    for r in rep.records:
-        lhs += (math.log(r.p1) * math.log(r.p2) * math.log(r.p3)
-                * max(0.0, eta - abs(r.residual)))
+    lhs, rep = _weighted_sum(inst, table, X, eta, window)
     rhs = eta * math.log(X) ** 3 * rep.count
     return {"weighted_sum": lhs, "majorant": rhs, "count": rep.count}

@@ -6,7 +6,7 @@ import pytest
 
 from primearcs.cli import load_instance, main
 from primearcs.errors import ValidationError
-from primearcs.primes import build_table, save_table
+from primearcs.primes import build_table, load_table, save_table
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,20 @@ class TestSubcommands:
                 if not l.startswith("#")]
         assert rows[0] == "p1,p2,p3,residual"
         assert len(rows) > 1
+
+    def test_search_meta_reports_join(self, tmp_path, table_file):
+        inst = write_instance(tmp_path, GOOD_INSTANCE)
+        out = tmp_path / "sol.csv"
+        assert main(["search", "--instance", inst, "--table", table_file,
+                     "--X", "500", "--threshold", "0.5", "--out", str(out)]) == 0
+        meta = dict(l[2:].split("=", 1) for l in Path(out).read_text().splitlines()
+                    if l.startswith("# "))
+        table = load_table(table_file)
+        n1 = len(table.primes_in_range(50, 500))
+        n2 = len(table.primes_in_range(math.sqrt(50), math.sqrt(500)))
+        assert int(meta["pairs"]) == n1 * n2
+        assert 0 < int(meta["count"]) <= int(meta["candidates"])
+        assert meta["truncated"] == "False"
 
     def test_arcs_json(self, tmp_path, table_file):
         inst = write_instance(tmp_path, GOOD_INSTANCE)

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primearcs.circle import ProblemInstance
 from primearcs.errors import ValidationError
@@ -18,6 +19,10 @@ def exact_inst():
 
 def triples(report):
     return [(r.p1, r.p2, r.p3) for r in report.records]
+
+
+def rows(report):
+    return [(r.p1, r.p2, r.p3, r.residual) for r in report.records]
 
 
 class TestFindSolutions:
@@ -56,6 +61,23 @@ class TestFindSolutions:
         assert full.count > 3
         assert capped.count == full.count
         assert len(capped.records) == 3 and capped.truncated
+        # the cap keeps the lexicographically smallest triples
+        assert capped.records == full.records[:3]
+
+    def test_wide_threshold_matches_brute(self, table):
+        # ~40 candidates for each of ~2000 pairs: one block of pairs
+        # holds them all and is cut to bound its candidate count
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.3)
+        fast = find_solutions(inst, table, 2000.0, 600.0)
+        brute = brute_force_solutions(inst, table, 2000.0, 600.0)
+        assert fast.pairs < 4096 and fast.candidates > 16 * 4096
+        assert rows(fast) == rows(brute)
+
+    def test_p3_range_beyond_table_rejected(self, table):
+        inst = ProblemInstance(1.0, -1.0, 1.0, k=0.5, varpi=0.0)
+        # p1 and p2^2 fit the table, p3 up to 2000^2 does not
+        with pytest.raises(ValidationError, match="p3"):
+            find_solutions(inst, table, 2000.0, 0.5)
 
     def test_threshold_monotonicity(self, table):
         inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.3)
@@ -91,6 +113,8 @@ class TestFindSolutions:
     def test_threshold_negative_rejected(self, exact_inst, table):
         with pytest.raises(ValidationError):
             find_solutions(exact_inst, table, 40.0, -0.1)
+        with pytest.raises(ValidationError):
+            find_solutions(exact_inst, table, 40.0, 0.1, cap=-1)
 
 
 class TestBruteForce:
@@ -109,6 +133,28 @@ class TestBruteForce:
             fast = find_solutions(inst, table, X, thr)
             brute = brute_force_solutions(inst, table, X, thr)
             assert triples(fast) == triples(brute)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(mag=st.tuples(*[st.floats(0.4, 3.0)] * 3),
+           signs=st.tuples(*[st.sampled_from([-1, 1])] * 3),
+           k=st.floats(1.0, 1.3), varpi=st.floats(-2.0, 2.0),
+           thr=st.floats(0.0, 0.5), X=st.floats(200.0, 1e4),
+           window=st.sampled_from(["delta", "dyadic"]))
+    def test_property_matches_brute(self, table, mag, signs, k, varpi, thr,
+                                    X, window):
+        lam = [s * m for s, m in zip(signs, mag)]
+        if all(l > 0 for l in lam) or all(l < 0 for l in lam):
+            lam[2] = -lam[2]
+        inst = ProblemInstance(*lam, k=k, varpi=varpi)
+        fast = find_solutions(inst, table, X, thr, window=window)
+        brute = brute_force_solutions(inst, table, X, thr, window=window)
+        assert fast.count == brute.count
+        assert rows(fast) == rows(brute)
+        if fast.records:
+            # a threshold equal to a record's |residual| still reports it
+            r = fast.records[len(fast.records) // 2]
+            tie = find_solutions(inst, table, X, abs(r.residual), window=window)
+            assert r in tie.records
 
     def test_guard(self, exact_inst, table):
         with pytest.raises(ValidationError):
