@@ -7,14 +7,13 @@ exponential sums in this module run over the window delta*X <= p^k <= X
 (the window the counting identity and the T integrals live on; the
 verbatim dyadic sums stay in expsums).
 
-Quadrature strategy: panels of two cycles of the fastest phase with
-Gauss-Legendre nodes, the expensive per-panel phase factors shared
-between the base and refined rules, so the error estimate is nearly
-free.
+The bounded arcs are integrated by one Gauss-Legendre panel driver,
+_gauss_panels.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -22,12 +21,13 @@ from scipy.special import polygamma
 
 from .errors import ConvergenceError, ValidationError
 from .expsums import WindowSpec, eval_S_range, eval_T_grid, fejer_K, prime_window
-from .numutil import (KahanAccumulator, exp_pair_integral, expand_square,
-                      gl_rule, powk_extended)
+from .numutil import (TWO_PI, KahanAccumulator, exp_pair_integral,
+                      expand_square, frac_phase, gl_rule, powk_extended)
 from .primes import PrimeTable
 from .rational import HiReal
 
 K_RANGE = (1.0, 33.0 / 29.0)
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ class ExpSumFactor:
         out = np.empty(len(alphas), dtype=complex)
         chunk = max(1, (1 << 21) // max(1, len(self.freqs)))
         for i in range(0, len(alphas), chunk):
-            ph = TWO_PI_MOD(self.freqs[None, :], alphas[i:i + chunk, None])
-            out[i:i + chunk] = _cis(ph) @ self.weights.astype(complex)
+            ph = frac_phase(self.freqs[None, :], alphas[i:i + chunk, None])
+            out[i:i + chunk] = _cis(ph * TWO_PI) @ self.weights.astype(complex)
         return out
 
     def eval_panels(self, centers: np.ndarray, offs_cat: np.ndarray) -> np.ndarray:
@@ -164,16 +164,12 @@ class ExpSumFactor:
         The phase splits as e(f c) * e(f o); the (panels x freqs) factor is
         the expensive part and is shared by every offset column.
         """
+        # f*c is not reduced in extended precision (ROADMAP item 2)
         a_phase = np.multiply.outer(centers, self.freqs) * (2.0 * math.pi)
         amat = _cis(a_phase)
         amat *= self.weights[None, :]
         bmat = _cis(np.multiply.outer(self.freqs, offs_cat) * (2.0 * math.pi))
         return amat @ bmat
-
-
-def TWO_PI_MOD(freqs, alphas):
-    prod = np.asarray(freqs, dtype=np.longdouble) * np.asarray(alphas, dtype=np.longdouble)
-    return (np.mod(prod, 1.0).astype(np.float64)) * (2.0 * math.pi)
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -209,53 +205,63 @@ def integrand(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     return s1 * s2 * sk * kern * ph
 
 
-# ------------------------------ product quadrature ---------------------------
+# ------------------------------ panel quadrature -----------------------------
+
+def _gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
+                  max_nodes: float):
+    """Composite Gauss-Legendre quadrature of named integrands over [a, b].
+
+    parts(centers, offs) returns {name: values} on the nodes
+    centers[:, None] + offs[None, :]; offs holds the 8-point offsets, then
+    the 12-point ones, so both rules share the per-panel factors and the
+    error estimate is nearly free.  Panels start at two cycles of the
+    fastest phase f_max and double until the largest GL8-GL12 difference
+    is within tol, or raise ConvergenceError past max_nodes nodes.
+    Returns ({name: GL12 value}, est_error).
+    """
+    x8, w8 = gl_rule(8)
+    x12, w12 = gl_rule(12)
+    n_panels = max(8, int(math.ceil(max(f_max * (b - a), 1.0) / 2.0)))
+    chunk = 2048
+    while True:
+        hw = (b - a) / (2.0 * n_panels)
+        offs = np.concatenate((x8, x12)) * hw
+        sums = {}  # name -> (GL8 sum, GL12 sum)
+        for i in range(0, n_panels, chunk):
+            centers = a + (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
+            for name, vals in parts(centers, offs).items():
+                accs = sums.setdefault(name, (KahanAccumulator(), KahanAccumulator()))
+                for acc, p in zip(accs, (vals[:, :8] @ (w8 * hw),
+                                         vals[:, 8:] @ (w12 * hw))):
+                    acc.add(complex(float(np.sum(p.real)), float(np.sum(p.imag))))
+        v12 = {name: acc12.value for name, (_, acc12) in sums.items()}
+        err = max(abs(acc12.value - acc8.value) for acc8, acc12 in sums.values())
+        _log.debug("gauss panels on [%g, %g]: %d panels, GL8 vs GL12, "
+                   "est error %.3e", a, b, n_panels, err)
+        if err <= tol:
+            return v12, err
+        if n_panels * 40 > max_nodes:
+            raise ConvergenceError(
+                f"arc quadrature stalled at {n_panels} panels "
+                f"(est error {err:.3e} > tol {tol:.3e})", best=v12, est_error=err)
+        n_panels *= 2
+
 
 def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,
                          tol: float, max_node_budget: float = 6e8):
     """Quadrature of prod(factors) * kernel over [a, b] with 0 <= a < b.
 
-    Returns (value, est_error).  Panels hold two cycles of the fastest
-    phase; the base/refined Gauss orders share the per-panel factors.
+    Returns (value, est_error).
     """
     if b <= a:
         return 0j, 0.0
-    x8, w8 = gl_rule(8)
-    x12, w12 = gl_rule(12)
-    cycles = max(f_max * (b - a), 1.0)
-    n_panels = max(8, int(math.ceil(cycles / 2.0)))
-    while True:
-        hw = (b - a) / (2.0 * n_panels)
-        offs_cat = np.concatenate((x8, x12)) * hw
-        val8 = KahanAccumulator()
-        vim8 = KahanAccumulator()
-        val12 = KahanAccumulator()
-        vim12 = KahanAccumulator()
-        chunk = 4096
-        for i in range(0, n_panels, chunk):
-            centers = a + (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
-            prod = None
-            for f in factors:
-                vals = f.eval_panels(centers, offs_cat)
-                prod = vals if prod is None else prod * vals
-            nodes = centers[:, None] + offs_cat[None, :]
-            prod *= kernel(nodes)
-            p8 = prod[:, :8] @ (w8 * hw)
-            p12 = prod[:, 8:] @ (w12 * hw)
-            val8.add(float(np.sum(p8.real)))
-            vim8.add(float(np.sum(p8.imag)))
-            val12.add(float(np.sum(p12.real)))
-            vim12.add(float(np.sum(p12.imag)))
-        v8 = complex(val8.value, vim8.value)
-        v12 = complex(val12.value, vim12.value)
-        err = abs(v12 - v8)
-        if err <= tol:
-            return v12, err
-        if n_panels * 40 > max_node_budget:
-            raise ConvergenceError(
-                f"arc quadrature stalled at {n_panels} panels "
-                f"(est error {err:.3e} > tol {tol:.3e})", best=v12, est_error=err)
-        n_panels *= 2
+
+    def parts(centers, offs):
+        prod = math.prod(f.eval_panels(centers, offs) for f in factors)
+        return {"I": prod * kernel(centers[:, None] + offs[None, :])}
+
+    vals, err = _gauss_panels(parts, a, b, f_max, tol, max_node_budget)
+    return vals["I"], err
 
 
 def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
@@ -273,7 +279,7 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
 
     def kernel(alpha):
         kern = fejer_K(eta, alpha)
-        return kern * _cis(TWO_PI_MOD(varpi, alpha))
+        return kern * _cis(frac_phase(varpi, alpha) * TWO_PI)
 
     pieces = []
     for (a, b) in intervals:
@@ -290,8 +296,6 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     total = 0j
     per_piece_tol = tol / max(1, len(pieces))
     for kind, a, b in pieces:
-        if b <= a:
-            continue
         val, _ = _product_on_interval(factors, kernel, a, b, f_max, per_piece_tol)
         total += val.conjugate() if kind == "conj" else val
     return total
@@ -316,52 +320,31 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     factors = window_factors(inst, table, w)
     f_max = sum(f.max_freq for f in factors) + abs(inst.varpi) + eta
     lo, hi = w.delta * w.X, w.X
-    lambdas = inst.lambdas
     ks = (1.0, 2.0, inst.k)
-    x8, w8 = gl_rule(8)
-    x12, w12 = gl_rule(12)
-    cycles = max(f_max * cut, 1.0)
-    n_panels = max(8, int(math.ceil(cycles / 2.0)))
     varpi = inst.varpi
 
-    while True:
-        hw = cut / (2.0 * n_panels)
-        offs_cat = np.concatenate((x8, x12)) * hw
-        sums8 = {name: KahanAccumulator() for name in ("J1", "J2", "J3", "J4", "I_M")}
-        sums12 = {name: KahanAccumulator() for name in ("J1", "J2", "J3", "J4", "I_M")}
-        chunk = 2048
-        for i in range(0, n_panels, chunk):
-            centers = (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
-            nodes = centers[:, None] + offs_cat[None, :]
-            flat = nodes.ravel()
-            svals = [f.eval_panels(centers, offs_cat) for f in factors]
-            tvals = [eval_T_grid(kj, lo, hi, lam * flat).reshape(nodes.shape)
-                     for kj, lam in zip(ks, lambdas)]
-            kern = fejer_K(eta, nodes) * _cis(TWO_PI_MOD(varpi, nodes))
-            parts = {
-                "J1": tvals[0] * tvals[1] * tvals[2],
-                "J2": (svals[0] - tvals[0]) * tvals[1] * tvals[2],
-                "J3": svals[0] * (svals[1] - tvals[1]) * tvals[2],
-                "J4": svals[0] * svals[1] * (svals[2] - tvals[2]),
-                "I_M": svals[0] * svals[1] * svals[2],
-            }
-            for name, vals in parts.items():
-                vk = vals * kern
-                sums8[name].add(float(np.sum((vk[:, :8] @ (w8 * hw)).real)))
-                sums12[name].add(float(np.sum((vk[:, 8:] @ (w12 * hw)).real)))
+    def parts(centers, offs):
+        nodes = centers[:, None] + offs[None, :]
+        flat = nodes.ravel()
+        svals = [f.eval_panels(centers, offs) for f in factors]
+        tvals = [eval_T_grid(kj, lo, hi, lam * flat).reshape(nodes.shape)
+                 for kj, lam in zip(ks, inst.lambdas)]
+        kern = fejer_K(eta, nodes) * _cis(frac_phase(varpi, nodes) * TWO_PI)
+        terms = {
+            "J1": tvals[0] * tvals[1] * tvals[2],
+            "J2": (svals[0] - tvals[0]) * tvals[1] * tvals[2],
+            "J3": svals[0] * (svals[1] - tvals[1]) * tvals[2],
+            "J4": svals[0] * svals[1] * (svals[2] - tvals[2]),
+            "I_M": svals[0] * svals[1] * svals[2],
+        }
         # Hermitian symmetry: the full major arc is twice the real part.
-        out8 = {n: 2.0 * acc.value for n, acc in sums8.items()}
-        out12 = {n: 2.0 * acc.value for n, acc in sums12.items()}
-        err = max(abs(out12[n] - out8[n]) for n in out12)
-        if err <= tol:
-            out12["est_error"] = err
-            out12["arc"] = arc
-            return out12
-        if n_panels * 40 > 2e8:
-            raise ConvergenceError(
-                f"major-arc quadrature stalled at {n_panels} panels",
-                best=out12, est_error=err)
-        n_panels *= 2
+        return {name: 2.0 * (vals * kern).real for name, vals in terms.items()}
+
+    vals, err = _gauss_panels(parts, 0.0, cut, f_max, tol, 2e8)
+    out = {name: v.real for name, v in vals.items()}
+    out["est_error"] = err
+    out["arc"] = arc
+    return out
 
 
 # ------------------------------ minor-arc pieces -----------------------------
@@ -378,7 +361,6 @@ def V(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
 def classify_minor(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
                    alphas: np.ndarray) -> np.ndarray:
     """True where |S_1|^(1/2) <= |S_2| (first piece of the minor-arc split)."""
-    lo, hi = w.delta * w.X, w.X
     factors = window_factors(inst, table, w)
     s1 = np.abs(factors[0].eval(alphas))
     s2 = np.abs(factors[1].eval(alphas))
@@ -524,19 +506,15 @@ def minor_arc_l2(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
         arc = arc_params(inst, w.X)
     a0 = arc.major[1]
     R = arc.R
-    lo, hi = w.delta * w.X, w.X
     X, k = w.X, inst.k
     rows = []
-    for lam, kj, fourth, comp in (
-            (inst.lambda1, 1.0, False, eta * X * math.log(X)),
-            (inst.lambda2, 2.0, True, eta * X * math.log(X) ** 2),
-            (inst.lambda3, k, False, eta * X ** (1.0 / k) * math.log(X) ** 3)):
-        ps, logs = prime_window(table, kj, lo, hi)
-        freqs = np.asarray(powk_extended(ps, kj), dtype=np.float64) * lam
+    for f, fourth, comp in zip(
+            window_factors(inst, table, w), (False, True, False),
+            (eta * X * math.log(X), eta * X * math.log(X) ** 2,
+             eta * X ** (1.0 / k) * math.log(X) ** 3)):
+        freqs, coeffs = f.freqs, f.weights
         if fourth:
-            freqs, coeffs = expand_square(freqs, logs)
-        else:
-            coeffs = logs
+            freqs, coeffs = expand_square(freqs, coeffs)
         cut = min(R, max(a0, 1.0 / eta))
         value = eta * eta * exp_pair_integral(freqs, coeffs, a0, cut)
         a = cut

@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,17 +18,6 @@ from . import __version__, circle, expsums, meansquare, optimizer, rational, sea
 from .errors import (ConvergenceError, PrimeArcsError, ResourceLimitError,
                      ValidationError)
 from .primes import build_table, load_table, save_table
-
-
-@dataclass
-class RunConfig:
-    command: str
-    instance_path: str | None = None
-    table_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "csv"
-    tol_scale: float = 1.0
-    threads: int = 1
 
 
 def load_instance(path: str) -> circle.ProblemInstance:

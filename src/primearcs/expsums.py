@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .numutil import (TWO_PI, e_of, fsum_complex, fsum_real, gl_rule,
-                      powk_extended)
+from .numutil import (TWO_PI, e_of, frac_phase, fsum_complex, fsum_real,
+                      gl_rule, powk_extended)
 from .primes import PrimeTable
 
 
@@ -207,10 +207,7 @@ def _t_grid_pass(k: float, u_lo: float, u_hi: float, alphas: np.ndarray,
     for i in range(0, len(alphas), chunk):
         al = alphas[i:i + chunk, None]
         mu0, mu1 = _filon_moments(TWO_PI * al * hw[None, :])
-        phase = np.exp(2j * math.pi *
-                       np.mod(np.asarray(centers, dtype=np.longdouble)[None, :]
-                              * np.asarray(al, dtype=np.longdouble),
-                              1.0).astype(np.float64))
+        phase = np.exp(2j * math.pi * frac_phase(centers[None, :], al))
         vals = hw * phase * (0.5 * (wa + wb) * mu0 + 0.5 * (wb - wa) * mu1)
         exact = np.abs(al[:, 0]) < 1e-300
         out[i:i + chunk] = np.where(
@@ -287,11 +284,20 @@ def fourth_moment_S2(table: PrimeTable, w: WindowSpec, lo: float,
     return exp_pair_integral(f2, c2, lo, hi)
 
 
-def s_minus_u_l1_bound(table: PrimeTable, w: WindowSpec) -> float:
-    """sum over the window of |l(n) - 1|: pointwise bound for |S_k - U_k|."""
+def s_minus_u_weights(table: PrimeTable, w: WindowSpec):
+    """Integers n with X <= n^k <= 2X and the weights l(n) - 1 of S_k - U_k
+    (l(n) = log n at primes, 0 elsewhere)."""
     ns = integer_window(w.k, w.X, 2.0 * w.X)
     if len(ns) == 0:
-        return 0.0
+        return ns, np.array([])
+    if ns[-1] > table.limit:
+        raise ValidationError(
+            f"table limit {table.limit} below the window's largest integer {ns[-1]}")
     prime_mask = np.isin(ns, table.primes_in_range(2, float(ns[-1])))
     ell = np.where(prime_mask, np.log(ns.astype(np.float64)), 0.0)
-    return fsum_real(np.abs(ell - 1.0))
+    return ns, ell - 1.0
+
+
+def s_minus_u_l1_bound(table: PrimeTable, w: WindowSpec) -> float:
+    """sum over the window of |l(n) - 1|: pointwise bound for |S_k - U_k|."""
+    return fsum_real(np.abs(s_minus_u_weights(table, w)[1]))

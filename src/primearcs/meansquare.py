@@ -11,17 +11,19 @@ than uniform grids.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .expsums import WindowSpec, integer_window
-from .numutil import exp_pair_integral, gl_rule, powk_extended
+from .expsums import WindowSpec, s_minus_u_weights
+from .numutil import exp_pair_integral, frac_phase, gl_rule, powk_extended
 from .primes import PrimeTable
 
 PAIRWISE_CAP = 20_000  # max window size for the O(N^2) exact method
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,26 @@ def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
     return float(np.sum((vals @ w_gl) * (0.5 * widths)))
 
 
+def _increment_square(table: PrimeTable, k: float, fn, smooth,
+                      x_lo: float, x_hi: float, shift: float = 0.0,
+                      factor: float = 1.0, use_powers: bool = False,
+                      proper_only: bool = False) -> float:
+    """int_{x_lo}^{x_hi} (fn((x*factor+shift)^(1/k)) - fn(x^(1/k)) - smooth(x))^2 dx
+    for a counting function fn over primes (prime powers if use_powers)."""
+    rt = 1.0 / k
+
+    def step(x):
+        return fn((x * factor + shift) ** rt) - fn(x ** rt)
+
+    bk = np.concatenate([
+        _breakpoints(table, k, x_lo, x_hi, use_powers=use_powers,
+                     proper_only=proper_only),
+        _breakpoints(table, k, x_lo, x_hi, shift=shift, factor=factor,
+                     use_powers=use_powers, proper_only=proper_only),
+    ])
+    return _piecewise_square(step, smooth, bk, x_lo, x_hi)
+
+
 def _count_fn(table: PrimeTable, use_psi: bool):
     if use_psi:
         def fn(y):
@@ -150,22 +172,14 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery,
     if h == 0.0:
         value = 0.0
     else:
-        fn = _count_fn(table, q.use_psi)
         rt = 1.0 / k
-
-        def step(x):
-            return fn((x + h) ** rt) - fn(x ** rt)
 
         def smooth(x):
             return (x + h) ** rt - x ** rt
 
-        bk = np.concatenate([
-            _breakpoints(table, k, x_lo, x_hi, shift=0.0,
-                         use_powers=q.use_psi),
-            _breakpoints(table, k, x_lo, x_hi, shift=h,
-                         use_powers=q.use_psi),
-        ])
-        value = _piecewise_square(step, smooth, bk, x_lo, x_hi)
+        value = _increment_square(table, k, _count_fn(table, q.use_psi),
+                                  smooth, x_lo, x_hi, shift=h,
+                                  use_powers=q.use_psi)
     comparator, note = _short_interval_comparator(q)
     return MeanSquareReport(q, value, comparator,
                             value / comparator if comparator > 0 else math.inf,
@@ -206,21 +220,10 @@ def theta_psi_discrepancy(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRe
     if h == 0.0:
         value = 0.0
     else:
-        rt = 1.0 / k
-        pm = table.psi_minus_theta_many
-
-        def step(x):
-            return pm((x * factor + shift) ** rt) - pm(x ** rt)
-
-        def smooth(x):
-            return np.zeros_like(x)
-
-        bk = np.concatenate([
-            _breakpoints(table, k, X, 2 * X, use_powers=True, proper_only=True),
-            _breakpoints(table, k, X, 2 * X, shift=shift, factor=factor,
-                         use_powers=True, proper_only=True),
-        ])
-        value = _piecewise_square(step, smooth, bk, X, 2.0 * X)
+        value = _increment_square(table, k, table.psi_minus_theta_many,
+                                  np.zeros_like, X, 2.0 * X, shift=shift,
+                                  factor=factor, use_powers=True,
+                                  proper_only=True)
     comparator = (h * X ** (1.0 / k + 1.0)) if relative else (h * X ** (1.0 / k))
     return MeanSquareReport(q, value, comparator,
                             value / comparator if comparator > 0 else math.inf,
@@ -246,25 +249,9 @@ def selberg_J_relative(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRepor
         substituted = 0.0
     else:
         rt = 1.0 / k
-        fac = 1.0 + delta
-        big_delta = fac ** rt - 1.0
-        fn = _count_fn(table, q.use_psi)
-
-        def step(x):
-            return fn((x * fac) ** rt) - fn(x ** rt)
-
-        def smooth(x):
-            return big_delta * x ** rt
-
-        bk = np.concatenate([
-            _breakpoints(table, k, X, 2 * X, use_powers=q.use_psi),
-            _breakpoints(table, k, X, 2 * X, factor=fac,
-                         use_powers=q.use_psi),
-        ])
-        value = _piecewise_square(step, smooth, bk, X, 2.0 * X)
-        sub_q = MeanSquareQuery(X=X ** rt, k=1.0, rel_delta=big_delta,
-                                use_psi=q.use_psi, C_density=q.C_density,
-                                rh_mode=q.rh_mode)
+        big_delta = (1.0 + delta) ** rt - 1.0
+        value = _relative_value(table, q)
+        sub_q = replace(q, X=X ** rt, k=1.0, rel_delta=big_delta)
         inner = _relative_value(table, sub_q)
         substituted = X ** (1.0 - rt) * inner
     comparator, note = _relative_increment_comparator(q)
@@ -279,19 +266,12 @@ def _relative_value(table: PrimeTable, q: MeanSquareQuery) -> float:
     rt = 1.0 / k
     fac = 1.0 + delta
     big_delta = fac ** rt - 1.0
-    fn = _count_fn(table, q.use_psi)
-
-    def step(x):
-        return fn((x * fac) ** rt) - fn(x ** rt)
 
     def smooth(x):
         return big_delta * x ** rt
 
-    bk = np.concatenate([
-        _breakpoints(table, k, X, 2 * X, use_powers=q.use_psi),
-        _breakpoints(table, k, X, 2 * X, factor=fac, use_powers=q.use_psi),
-    ])
-    return _piecewise_square(step, smooth, bk, X, 2.0 * X)
+    return _increment_square(table, k, _count_fn(table, q.use_psi), smooth,
+                             X, 2.0 * X, factor=fac, use_powers=q.use_psi)
 
 
 def _relative_increment_comparator(q: MeanSquareQuery) -> tuple[float, str]:
@@ -311,17 +291,6 @@ def _relative_increment_comparator(q: MeanSquareQuery) -> tuple[float, str]:
 
 # ------------------------------ truncated L2 ---------------------------------
 
-def _window_weights(table: PrimeTable, w: WindowSpec):
-    """Integers of the dyadic window with weights l(n) - 1."""
-    ns = integer_window(w.k, w.X, 2.0 * w.X)
-    if len(ns) == 0:
-        return ns, np.array([])
-    _require_table(table, float(ns[-1]), "l2_diff")
-    prime_mask = np.isin(ns, table.primes_in_range(2, float(ns[-1])))
-    ell = np.where(prime_mask, np.log(ns.astype(np.float64)), 0.0)
-    return ns, ell - 1.0
-
-
 def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
             method: str = "auto") -> MeanSquareReport:
     """int_{-Y}^{Y} |S_k(alpha) - U_k(alpha)|^2 d alpha.
@@ -333,7 +302,7 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     """
     if not 0 < Y <= 0.5:
         raise ValidationError("Y must lie in (0, 1/2]")
-    ns, coeffs = _window_weights(table, w)
+    ns, coeffs = s_minus_u_weights(table, w)
     freqs = np.asarray(powk_extended(ns, w.k), dtype=np.float64)
     if method == "auto":
         method = "pairwise-exact" if len(ns) <= PAIRWISE_CAP else "grid"
@@ -359,45 +328,35 @@ def _l2_grid(freqs: np.ndarray, coeffs: np.ndarray, Y: float) -> float:
         return 0.0
     spread = float(freqs.max() - freqs.min())
     n_panels = max(16, int(math.ceil(1.5 * spread * Y)))
-    x8, w8 = gl_rule(8)
-    x12, w12 = gl_rule(12)
-    vals = []
-    for x_gl, w_gl in ((x8, w8), (x12, w12)):
-        hw = Y / (2.0 * n_panels)
-        centers = (2.0 * np.arange(n_panels) + 1.0) * hw
-        total = 0.0
-        chunk = max(1, (1 << 21) // len(freqs))
-        for i in range(0, n_panels, chunk):
-            nodes = (centers[i:i + chunk, None] + x_gl[None, :] * hw).ravel()
-            ph = np.exp(2j * math.pi * np.mod(
-                np.asarray(freqs, dtype=np.longdouble)[None, :]
-                * np.asarray(nodes, dtype=np.longdouble)[:, None], 1.0
-            ).astype(np.float64))
-            s = ph @ coeffs.astype(np.complex128)
-            mag = (s.real ** 2 + s.imag ** 2).reshape(-1, len(x_gl))
-            total += float(np.sum(mag @ w_gl))
-        vals.append(2.0 * total * hw)
+    v8 = _l2_panels(freqs, coeffs, Y, n_panels, 8)
+    v12 = _l2_panels(freqs, coeffs, Y, n_panels, 12)
+    err = abs(v12 - v8)
+    _log.debug("l2 grid: %d panels, GL8 vs GL12, est error %.3e",
+               n_panels, err)
     # refined value; panel doubling if the two orders disagree materially
-    if abs(vals[1] - vals[0]) > 1e-6 * max(1e-300, abs(vals[1])):
-        return _l2_grid_refined(freqs, coeffs, Y, n_panels * 2)
-    return vals[1]
+    if err > 1e-6 * max(1e-300, abs(v12)):
+        refined = _l2_panels(freqs, coeffs, Y, 2 * n_panels, 12)
+        _log.debug("l2 grid: %d panels, GL12 refined, est error %.3e",
+                   2 * n_panels, abs(refined - v12))
+        return refined
+    return v12
 
 
-def _l2_grid_refined(freqs, coeffs, Y, n_panels):
-    x12, w12 = gl_rule(12)
+def _l2_panels(freqs: np.ndarray, coeffs: np.ndarray, Y: float,
+               n_panels: int, n_gl: int) -> float:
+    """2 * int_0^Y |sum c_j e(f_j a)|^2 da with n_gl Gauss nodes on each
+    of n_panels equal panels, in chunks of about 2^21 phases."""
+    x_gl, w_gl = gl_rule(n_gl)
     hw = Y / (2.0 * n_panels)
     centers = (2.0 * np.arange(n_panels) + 1.0) * hw
     total = 0.0
-    chunk = max(1, (1 << 21) // len(freqs))
+    chunk = max(1, (1 << 21) // (len(freqs) * n_gl))
     for i in range(0, n_panels, chunk):
-        nodes = (centers[i:i + chunk, None] + x12[None, :] * hw).ravel()
-        ph = np.exp(2j * math.pi * np.mod(
-            np.asarray(freqs, dtype=np.longdouble)[None, :]
-            * np.asarray(nodes, dtype=np.longdouble)[:, None], 1.0
-        ).astype(np.float64))
+        nodes = (centers[i:i + chunk, None] + x_gl[None, :] * hw).ravel()
+        ph = np.exp(2j * math.pi * frac_phase(freqs[None, :], nodes[:, None]))
         s = ph @ coeffs.astype(np.complex128)
-        mag = (s.real ** 2 + s.imag ** 2).reshape(-1, 12)
-        total += float(np.sum(mag @ w12))
+        mag = (s.real ** 2 + s.imag ** 2).reshape(-1, n_gl)
+        total += float(np.sum(mag @ w_gl))
     return 2.0 * total * hw
 
 

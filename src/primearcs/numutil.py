@@ -1,12 +1,12 @@
 """Shared numerical kernels: extended-precision phases, compensated sums,
-double-double arithmetic, Gauss-Legendre panel quadrature, and exact
-pairwise integrals of squared exponential sums.
+double-double error-free transforms, cached Gauss-Legendre rules, and
+exact pairwise integrals of squared exponential sums.
 
 Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
-destroys the phase.  All e(x) = exp(2*pi*i*x) evaluations therefore go
-through 80-bit extended arithmetic (numpy longdouble) with reduction
-performed *before* the multiplication by 2*pi.
+destroys the phase.  frac_phase therefore reduces in 80-bit extended
+arithmetic (numpy longdouble) *before* the multiplication by 2*pi; all
+phase sums but circle.ExpSumFactor.eval_panels take their phase from it.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-def dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    s, e = two_sum(s, e)
-    return s, e
-
-
-def dd_mul_scalar(x: tuple[float, float], c: float) -> tuple[float, float]:
-    p, e = two_prod(x[0], c)
-    e += x[1] * c
-    p, e = two_sum(p, e)
-    return p, e
-
-
 def dd_from_longdouble(x) -> tuple[np.ndarray, np.ndarray]:
     """Float64 high and low parts of extended-precision values."""
     hi = np.asarray(x).astype(np.float64)
@@ -96,21 +82,19 @@ def powk_extended(n, k: float):
     return np.power(arr, _LD(k))
 
 
-def frac_phase(values, alpha: float):
-    """frac(values * alpha) computed in extended precision, as float64."""
-    prod = np.asarray(values, dtype=_LD) * _LD(alpha)
+def frac_phase(values, alpha):
+    """frac(values * alpha) computed in extended precision, as float64.
+
+    Both arguments broadcast.  The error is about 2^-64 |values * alpha|
+    plus the final rounding to float64.
+    """
+    prod = np.asarray(values, dtype=_LD) * np.asarray(alpha, dtype=_LD)
     return np.mod(prod, _LD(1.0)).astype(np.float64)
 
 
 def e_of(values, alpha: float):
     """e(values * alpha) = exp(2*pi*i*values*alpha) with safe reduction."""
     return np.exp((2j * math.pi) * frac_phase(values, alpha))
-
-
-def e_scalar(x: float) -> complex:
-    """e(x) for a plain float64 argument (no extended carry needed)."""
-    return complex(math.cos(TWO_PI * math.fmod(x, 1.0)),
-                   math.sin(TWO_PI * math.fmod(x, 1.0)))
 
 
 # ----------------------------- summation ------------------------------------
@@ -126,7 +110,8 @@ def fsum_real(values) -> float:
 
 
 class KahanAccumulator:
-    """Sequential compensated accumulator for chunked reductions."""
+    """Sequential compensated accumulator for chunked reductions (float
+    terms, or complex ones summed part by part)."""
 
     __slots__ = ("s", "c")
 
@@ -154,7 +139,7 @@ def compensated_cumsum(values) -> np.ndarray:
     return np.cumsum(np.asarray(values, dtype=_LD)).astype(np.float64)
 
 
-# ----------------------- Gauss-Legendre panel quadrature ---------------------
+# --------------------------- Gauss-Legendre rules ----------------------------
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -163,69 +148,6 @@ def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _GL_CACHE:
         _GL_CACHE[n] = leggauss(n)
     return _GL_CACHE[n]
-
-
-def panel_nodes(a: float, b: float, n_panels: int, n_gl: int):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
-
-    Returns (centers, offsets, weights, halfwidth): the physical nodes are
-    centers[:, None] + offsets[None, :] and the weight of each node is
-    weights * halfwidth.
-    """
-    x, w = gl_rule(n_gl)
-    hw = (b - a) / (2.0 * n_panels)
-    centers = a + (2.0 * np.arange(n_panels) + 1.0) * hw
-    return centers, x * hw, w, hw
-
-
-def integrate_panels(f, a: float, b: float, n_panels: int, n_gl: int) -> complex:
-    """Composite GL quadrature of a vectorized integrand f(alpha_array)."""
-    centers, offs, w, hw = panel_nodes(a, b, n_panels, n_gl)
-    total = KahanAccumulator()
-    total_im = KahanAccumulator()
-    chunk = max(1, (1 << 22) // max(1, n_gl))
-    for i in range(0, n_panels, chunk):
-        nodes = (centers[i:i + chunk, None] + offs[None, :]).ravel()
-        vals = np.asarray(f(nodes)).reshape(-1, n_gl)
-        part = vals @ (w * hw)
-        total.add(float(np.sum(part.real)))
-        total_im.add(float(np.sum(part.imag)) if np.iscomplexobj(part) else 0.0)
-    return complex(total.value, total_im.value)
-
-
-def adaptive_oscillatory(f, a: float, b: float, max_freq: float, tol: float,
-                         base_gl: int = 8, refine_gl: int = 12,
-                         max_nodes: float = 2e8):
-    """Integrate an oscillatory integrand with frequencies up to max_freq.
-
-    Panels are sized to one cycle of the fastest phase; the error estimate
-    is the difference between the base and refined Gauss orders on the same
-    panels.  Panel count doubles until the estimate meets tol.
-
-    Returns (value, est_error).  Raises ConvergenceError past the node
-    budget.
-    """
-    from .errors import ConvergenceError
-
-    if b <= a:
-        return 0.0 + 0.0j, 0.0
-    cycles = max_freq * (b - a)
-    n_panels = max(8, int(math.ceil(cycles)))
-    best = None
-    err = math.inf
-    while True:
-        lo = integrate_panels(f, a, b, n_panels, base_gl)
-        hi = integrate_panels(f, a, b, n_panels, refine_gl)
-        err = abs(hi - lo)
-        best = hi
-        if err <= tol:
-            return best, err
-        if n_panels * (base_gl + refine_gl) * 2 > max_nodes:
-            raise ConvergenceError(
-                f"oscillatory quadrature stalled at {n_panels} panels "
-                f"(est error {err:.3e} > tol {tol:.3e})",
-                best=best, est_error=err)
-        n_panels *= 2
 
 
 # ------------------- exact integrals of products of e(f a) ------------------

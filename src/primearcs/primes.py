@@ -133,9 +133,6 @@ class PrimeTable:
         j = int(np.searchsorted(self.primes, math.floor(hi), side="right"))
         return self.primes[i:j]
 
-    def log_weights(self, prime_slice: np.ndarray) -> np.ndarray:
-        return np.log(prime_slice.astype(np.float64))
-
     def prime_powers_up_to(self, bound: float, proper_only: bool = False) -> np.ndarray:
         """Ascending prime powers p^m <= bound (m >= 2 if proper_only)."""
         if bound > self.limit:

@@ -1,5 +1,7 @@
 import cmath
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +131,17 @@ class TestIntegrateI:
         parts = (integrate_I(inst, table, w500, 0.5, [(-1.0, 0.5)], tol=5e-7)
                  + integrate_I(inst, table, w500, 0.5, [(0.5, 2.0)], tol=5e-7))
         assert parts == pytest.approx(whole, abs=5e-5)
+
+    def test_logs_panels_and_error(self, inst, table, w500, caplog):
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=1e-9)
+        passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)",
+                            r.getMessage()) for r in caplog.records]
+        assert len(passes) >= 2 and all(passes)
+        panels = [int(m.group(1)) for m in passes]
+        errors = [float(m.group(2)) for m in passes]
+        assert panels == [panels[0] * 2 ** i for i in range(len(panels))]
+        assert errors[-1] <= 1e-9 < errors[-2]
 
     def test_unbounded_interval_rejected(self, inst, table, w500):
         with pytest.raises(ValidationError):

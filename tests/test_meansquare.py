@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec
-from primearcs.meansquare import (MeanSquareQuery,
+from primearcs.meansquare import (MeanSquareQuery, _l2_grid,
                                   double_integral_bound_check, l2_diff,
                                   selberg_J, selberg_J_relative,
                                   theta_psi_discrepancy)
+from primearcs.numutil import exp_pair_integral
 from primearcs.primes import is_prime
 
 
@@ -197,6 +199,30 @@ class TestL2Diff:
         assert l2_diff(table, w, 0.25).method == "pairwise-exact"
         w_big = WindowSpec(X=10**5, k=1.05, delta=0.1)
         assert l2_diff(table, w_big, 1e-4).method == "grid"
+
+    def test_table_limit_refused(self, table):
+        from primearcs.expsums import s_minus_u_l1_bound
+        w = WindowSpec(X=2e5, k=1.0, delta=0.1)  # window reaches 4e5 > limit
+        with pytest.raises(ValidationError, match="table limit"):
+            l2_diff(table, w, 0.01)
+        with pytest.raises(ValidationError, match="table limit"):
+            s_minus_u_l1_bound(table, w)
+
+    def test_grid_memory_bounded(self):
+        # one block holds about 2^21 phases (~112 MiB of temporaries here)
+        # whatever the rule or window size; this grid has 20M phases, over
+        # 800 MiB if they were formed at once
+        freqs = np.arange(1000.0, 2500.0)
+        coeffs = np.cos(freqs)
+        tracemalloc.start()
+        try:
+            value = _l2_grid(freqs, coeffs, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2 ** 21
+        assert value == pytest.approx(
+            exp_pair_integral(freqs, coeffs, -0.5, 0.5), rel=1e-9)
 
     def test_comparator_positive(self, table):
         w = WindowSpec(X=1000.0, k=1.05, delta=0.1)
