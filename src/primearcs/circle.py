@@ -8,7 +8,7 @@ exponential sums in this module run over the window delta*X <= p^k <= X
 verbatim dyadic sums stay in expsums).
 
 The bounded arcs are integrated by one Gauss-Legendre panel driver,
-_gauss_panels.
+gauss_panels, which meansquare's truncated-L2 grid shares.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.special import polygamma
 
 from .errors import ConvergenceError, ValidationError
 from .expsums import WindowSpec, eval_S_range, eval_T_grid, fejer_K, prime_window
-from .numutil import (TWO_PI, KahanAccumulator, exp_pair_integral,
+from .numutil import (TWO_PI, KahanAccumulator, e_of, exp_pair_integral,
                       expand_square, frac_phase, gl_rule, powk_extended)
 from .primes import PrimeTable
 from .rational import HiReal
@@ -162,14 +162,23 @@ class ExpSumFactor:
         """Values on nodes centers[:, None] + offs_cat[None, :].
 
         The phase splits as e(f c) * e(f o); the (panels x freqs) factor is
-        the expensive part and is shared by every offset column.
+        the expensive part and is shared by every offset column.  Each block
+        of about 2^21 phases reduces f*c0 at its first centre c0 in extended
+        precision and adds f*(c - c0) in float64, so the phase error is
+        bounded by the block's width in cycles, not by the size of alpha.
         """
-        # f*c is not reduced in extended precision (ROADMAP item 2)
-        a_phase = np.multiply.outer(centers, self.freqs) * (2.0 * math.pi)
-        amat = _cis(a_phase)
-        amat *= self.weights[None, :]
-        bmat = _cis(np.multiply.outer(self.freqs, offs_cat) * (2.0 * math.pi))
-        return amat @ bmat
+        tf = TWO_PI * self.freqs
+        bmat = _cis(np.multiply.outer(tf, offs_cat))
+        out = np.empty((len(centers), len(offs_cat)), dtype=complex)
+        chunk = max(1, (1 << 21) // max(1, len(self.freqs)))
+        for i in range(0, len(centers), chunk):
+            c = centers[i:i + chunk]
+            a_phase = np.multiply.outer(c - c[0], tf)
+            a_phase += frac_phase(self.freqs, c[0]) * TWO_PI
+            amat = _cis(a_phase)
+            amat *= self.weights[None, :]
+            out[i:i + chunk] = amat @ bmat
+        return out
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -200,15 +209,18 @@ def integrand(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     s2 = eval_S_range(table, 2.0, lo, hi, inst.lambda2 * alpha)
     sk = eval_S_range(table, k, lo, hi, inst.lambda3 * alpha)
     kern = fejer_K(eta, alpha)
-    ph = complex(math.cos(2 * math.pi * inst.varpi * alpha),
-                 math.sin(2 * math.pi * inst.varpi * alpha))
-    return s1 * s2 * sk * kern * ph
+    return s1 * s2 * sk * kern * complex(e_of(inst.varpi, alpha))
 
 
 # ------------------------------ panel quadrature -----------------------------
 
-def _gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
-                  max_nodes: float):
+def start_panels(f_max: float, a: float, b: float) -> int:
+    """Panel count of gauss_panels' first pass: two cycles of f_max each."""
+    return max(8, int(math.ceil(max(f_max * (b - a), 1.0) / 2.0)))
+
+
+def gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
+                 max_nodes: float):
     """Composite Gauss-Legendre quadrature of named integrands over [a, b].
 
     parts(centers, offs) returns {name: values} on the nodes
@@ -221,7 +233,7 @@ def _gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
     """
     x8, w8 = gl_rule(8)
     x12, w12 = gl_rule(12)
-    n_panels = max(8, int(math.ceil(max(f_max * (b - a), 1.0) / 2.0)))
+    n_panels = start_panels(f_max, a, b)
     chunk = 2048
     while True:
         hw = (b - a) / (2.0 * n_panels)
@@ -242,7 +254,7 @@ def _gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
             return v12, err
         if n_panels * 40 > max_nodes:
             raise ConvergenceError(
-                f"arc quadrature stalled at {n_panels} panels "
+                f"panel quadrature stalled at {n_panels} panels "
                 f"(est error {err:.3e} > tol {tol:.3e})", best=v12, est_error=err)
         n_panels *= 2
 
@@ -260,7 +272,7 @@ def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,
         prod = math.prod(f.eval_panels(centers, offs) for f in factors)
         return {"I": prod * kernel(centers[:, None] + offs[None, :])}
 
-    vals, err = _gauss_panels(parts, a, b, f_max, tol, max_node_budget)
+    vals, err = gauss_panels(parts, a, b, f_max, tol, max_node_budget)
     return vals["I"], err
 
 
@@ -340,7 +352,7 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
         # Hermitian symmetry: the full major arc is twice the real part.
         return {name: 2.0 * (vals * kern).real for name, vals in terms.items()}
 
-    vals, err = _gauss_panels(parts, 0.0, cut, f_max, tol, 2e8)
+    vals, err = gauss_panels(parts, 0.0, cut, f_max, tol, 2e8)
     out = {name: v.real for name, v in vals.items()}
     out["est_error"] = err
     out["arc"] = arc
@@ -444,8 +456,10 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
                 est_error=remaining)
         ns = np.arange(n, n + block, dtype=np.float64)
         if len(d):
-            vals = m_diag + np.cos(
-                2.0 * math.pi * np.multiply.outer(ns - 0.5, d)) @ kpair
+            # d (n - 1/2) reduced at the block's first slice, as in eval_panels
+            phase = np.multiply.outer(ns - n, TWO_PI * d)
+            phase += frac_phase(d, n - 0.5) * TWO_PI
+            vals = m_diag + np.cos(phase) @ kpair
         else:
             vals = np.full(len(ns), m_diag)
         total.add(float(np.sum(vals / (ns - 1.0) ** 2)))

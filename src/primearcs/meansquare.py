@@ -11,19 +11,18 @@ than uniform grids.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .circle import ExpSumFactor, gauss_panels, start_panels
 from .errors import ValidationError
 from .expsums import WindowSpec, s_minus_u_weights
-from .numutil import exp_pair_integral, frac_phase, gl_rule, powk_extended
+from .numutil import exp_pair_integral, gl_rule, powk_extended
 from .primes import PrimeTable
 
 PAIRWISE_CAP = 20_000  # max window size for the O(N^2) exact method
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -296,7 +295,10 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     """int_{-Y}^{Y} |S_k(alpha) - U_k(alpha)|^2 d alpha.
 
     pairwise-exact expands the square into closed-form pair terms (refused
-    above PAIRWISE_CAP window integers); grid uses panelled quadrature.
+    above PAIRWISE_CAP window integers); grid runs the Gauss panel driver
+    shared with the arc integrals (circle.gauss_panels).  auto takes the
+    method with less work: pairwise costs N(N-1)/2 pair terms, the grid's
+    first pass 20 nodes per start panel for each of the N frequencies.
     The comparator is the three-term truncated-L2 bound with unit
     constants, its short-interval integral computed by selberg_J.
     """
@@ -305,7 +307,10 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     ns, coeffs = s_minus_u_weights(table, w)
     freqs = np.asarray(powk_extended(ns, w.k), dtype=np.float64)
     if method == "auto":
-        method = "pairwise-exact" if len(ns) <= PAIRWISE_CAP else "grid"
+        n = len(ns)
+        spread = float(freqs[-1] - freqs[0]) if n else 0.0
+        cheaper = (n - 1) / 2.0 <= 20 * start_panels(spread, 0.0, Y)
+        method = "pairwise-exact" if n <= PAIRWISE_CAP and cheaper else "grid"
     if method == "pairwise-exact":
         if len(ns) > PAIRWISE_CAP:
             raise ValidationError(
@@ -323,41 +328,26 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
 
 
 def _l2_grid(freqs: np.ndarray, coeffs: np.ndarray, Y: float) -> float:
-    """2 * int_0^Y |sum c_j e(f_j a)|^2 da by per-cycle Gauss panels."""
+    """2 * int_0^Y |sum c_j e(f_j a)|^2 da on the shared Gauss panel driver.
+
+    |S|^2 oscillates at the pair differences, so the panels are sized by the
+    frequency spread.  The tolerance is 1e-9 of the diagonal (Parseval) term
+    2Y sum c_j^2, and the node budget allows four doublings of the start
+    panel count before ConvergenceError.
+    """
     if len(freqs) == 0:
         return 0.0
+    factor = ExpSumFactor(freqs, coeffs)
     spread = float(freqs.max() - freqs.min())
-    n_panels = max(16, int(math.ceil(1.5 * spread * Y)))
-    v8 = _l2_panels(freqs, coeffs, Y, n_panels, 8)
-    v12 = _l2_panels(freqs, coeffs, Y, n_panels, 12)
-    err = abs(v12 - v8)
-    _log.debug("l2 grid: %d panels, GL8 vs GL12, est error %.3e",
-               n_panels, err)
-    # refined value; panel doubling if the two orders disagree materially
-    if err > 1e-6 * max(1e-300, abs(v12)):
-        refined = _l2_panels(freqs, coeffs, Y, 2 * n_panels, 12)
-        _log.debug("l2 grid: %d panels, GL12 refined, est error %.3e",
-                   2 * n_panels, abs(refined - v12))
-        return refined
-    return v12
 
+    def parts(centers, offs):
+        s = factor.eval_panels(centers, offs)
+        return {"L2": s.real ** 2 + s.imag ** 2}
 
-def _l2_panels(freqs: np.ndarray, coeffs: np.ndarray, Y: float,
-               n_panels: int, n_gl: int) -> float:
-    """2 * int_0^Y |sum c_j e(f_j a)|^2 da with n_gl Gauss nodes on each
-    of n_panels equal panels, in chunks of about 2^21 phases."""
-    x_gl, w_gl = gl_rule(n_gl)
-    hw = Y / (2.0 * n_panels)
-    centers = (2.0 * np.arange(n_panels) + 1.0) * hw
-    total = 0.0
-    chunk = max(1, (1 << 21) // (len(freqs) * n_gl))
-    for i in range(0, n_panels, chunk):
-        nodes = (centers[i:i + chunk, None] + x_gl[None, :] * hw).ravel()
-        ph = np.exp(2j * math.pi * frac_phase(freqs[None, :], nodes[:, None]))
-        s = ph @ coeffs.astype(np.complex128)
-        mag = (s.real ** 2 + s.imag ** 2).reshape(-1, n_gl)
-        total += float(np.sum(mag @ w_gl))
-    return 2.0 * total * hw
+    tol = 1e-9 * 2.0 * Y * float(np.dot(coeffs, coeffs))
+    budget = 20 * 16 * start_panels(spread, 0.0, Y)
+    vals, _ = gauss_panels(parts, 0.0, Y, spread, tol, budget)
+    return 2.0 * vals["L2"].real
 
 
 def _truncated_l2_comparator(table: PrimeTable, w: WindowSpec, Y: float) -> float:

@@ -5,8 +5,11 @@ exact pairwise integrals of squared exponential sums.
 Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
 destroys the phase.  frac_phase therefore reduces in 80-bit extended
-arithmetic (numpy longdouble) *before* the multiplication by 2*pi; all
-phase sums but circle.ExpSumFactor.eval_panels take their phase from it.
+arithmetic (numpy longdouble) *before* the multiplication by 2*pi; every
+phase sum takes its phase from it (circle.ExpSumFactor.eval_panels and
+the tail slices of circle.trivial_tails once per block, adding the short
+in-block offsets in float64), and exp_pair_integral forms each pair's
+phase as the difference of two reduced phases.
 """
 
 from __future__ import annotations
@@ -170,16 +173,18 @@ def exp_pair_integral(freqs: np.ndarray, coeffs: np.ndarray,
     total = KahanAccumulator()
     total.add(diag)
     # int_a^b e(d alpha) = e(d (a+b)/2) * sin(pi d L) / (pi d); pairs (j<l)
-    # combine with their conjugates into a purely real contribution.
-    mid = 0.5 * (a + b)
+    # combine with their conjugates into a purely real contribution.  The
+    # phase d*mid is the difference of the per-frequency reductions.
+    mid_phase = frac_phase(freqs, 0.5 * (a + b))
     chunk = max(1, (1 << 22) // n)
     for i in range(0, n - 1, chunk):
         hiidx = min(i + chunk, n - 1)
-        fi = freqs[i:hiidx, None]
-        d = fi - freqs[None, :]
+        d = freqs[i:hiidx, None] - freqs[None, :]
+        ph = mid_phase[i:hiidx, None] - mid_phase[None, :]
         c = coeffs[i:hiidx, None] * coeffs[None, :]
         mask = np.triu(np.ones(d.shape, dtype=bool), k=i + 1)
         d = d[mask]
+        ph = ph[mask]
         c = c[mask]
         if len(d) == 0:
             continue
@@ -187,7 +192,7 @@ def exp_pair_integral(freqs: np.ndarray, coeffs: np.ndarray,
         d_safe = np.where(small, 1.0, d)
         kern = np.where(small, length,
                         np.sin(math.pi * d_safe * length) / (math.pi * d_safe))
-        vals = 2.0 * c * np.cos(TWO_PI * d * mid) * kern
+        vals = 2.0 * c * np.cos(TWO_PI * ph) * kern
         total.add(float(np.sum(vals)))
     return total.value
 

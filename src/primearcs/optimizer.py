@@ -113,15 +113,12 @@ def _feasible_vertices(rows):
     return uniq
 
 
-def solve(k, objective: str = "max_c") -> LPSolution:
+def solve(k) -> LPSolution:
     """Exact vertex-enumeration solve, maximizing (c, b, u) lexicographically.
 
-    ``default`` is an alias for max_c; the boundary k where the
-    optimum has c = 0 is degenerate and the lexicographic tie-break keeps
-    the solution continuous there.
+    The boundary k where the optimum has c = 0 is degenerate and the
+    lexicographic tie-break keeps the solution continuous there.
     """
-    if objective not in ("max_c", "default"):
-        raise ValidationError(f"unknown objective {objective!r}")
     k = _f(k)
     constraints = build_constraints(k)
     rows = _halfplane_rows(constraints)

@@ -36,10 +36,10 @@ class HiReal:
     arithmetic needed to combine coefficient ratios: +, -, *, /, negation.
     """
 
-    __slots__ = ("p", "q", "d", "r", "uncertainty", "provenance")
+    __slots__ = ("p", "q", "d", "r", "uncertainty")
 
     def __init__(self, p: int, q: int = 0, d: int = 1, r: int = 1,
-                 uncertainty: Fraction = Fraction(0), provenance: str = "exact-rational"):
+                 uncertainty: Fraction = Fraction(0)):
         if r == 0:
             raise ZeroDivisionError("HiReal with zero denominator")
         if d < 1:
@@ -51,7 +51,6 @@ class HiReal:
         g = math.gcd(math.gcd(abs(p), abs(q)), r)
         self.p, self.q, self.d, self.r = p // g, q // g, d, r // g
         self.uncertainty = uncertainty
-        self.provenance = provenance
 
     # ---- constructors ----
     @classmethod
@@ -80,7 +79,7 @@ class HiReal:
                 exp10 = 1 - next(i for i in range(1, 10**6) if mag * 10**i >= 1)
             scale = Fraction(10) ** (exp10 - digits)
         out = cls(exact.numerator, 0, 1, exact.denominator,
-                  uncertainty=scale / 2, provenance="decimal-literal")
+                  uncertainty=scale / 2)
         return out
 
     @classmethod
@@ -90,7 +89,7 @@ class HiReal:
         root = math.isqrt(d)
         if root * root == d:
             return cls(root)
-        return cls(0, 1, d, 1, provenance="symbolic")
+        return cls(0, 1, d, 1)
 
     # ---- predicates / views ----
     @property
@@ -150,15 +149,14 @@ class HiReal:
         return self.uncertainty + other.uncertainty
 
     def __neg__(self):
-        return HiReal(-self.p, -self.q, self.d, self.r, self.uncertainty,
-                      self.provenance)
+        return HiReal(-self.p, -self.q, self.d, self.r, self.uncertainty)
 
     def __add__(self, other):
         o = self._coerce(other)
         d = self._common_d(o)
         p = self.p * o.r + o.p * self.r
         q = self.q * o.r + o.q * self.r
-        return HiReal(p, q, d, self.r * o.r, self._unc_add(o), "derived")
+        return HiReal(p, q, d, self.r * o.r, self._unc_add(o))
 
     __radd__ = __add__
 
@@ -176,7 +174,7 @@ class HiReal:
         q = self.p * o.q + self.q * o.p
         unc = (self.uncertainty * abs(o) + o.uncertainty * abs(self)
                + self.uncertainty * o.uncertainty)
-        return HiReal(p, q, d, self.r * o.r, unc, "derived")
+        return HiReal(p, q, d, self.r * o.r, unc)
 
     __rmul__ = __mul__
 
@@ -196,7 +194,7 @@ class HiReal:
                 raise PrecisionError("inverse of an interval containing zero")
             bound = min(abs(lo), abs(hi))
             inv = HiReal(inv.p, inv.q, inv.d, inv.r,
-                         self.uncertainty / (bound * bound), "derived")
+                         self.uncertainty / (bound * bound))
         return inv
 
     def __truediv__(self, other):

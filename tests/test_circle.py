@@ -118,6 +118,20 @@ class TestIntegrand:
         assert val == pytest.approx(total, rel=1e-9)
 
 
+class TestExpSumFactor:
+    def test_panels_match_extended_eval(self, inst, table_large):
+        # criterion-6 lambda1 factor at X = 1e6: f*alpha reaches 5e9 cycles.
+        # Dyadic centres and offsets make every node c + o exact in float64;
+        # 100 centres span four blocks of 2^21 phases.
+        fac = window_factors(inst, table_large, WindowSpec(X=1e6, k=1.05))[0]
+        offs = np.array([-2.0 ** -12, 0.0, 2.0 ** -11])
+        for alpha in (100.0, 5000.0):
+            centers = alpha + 2.0 ** -10 * np.arange(100)
+            got = fac.eval_panels(centers, offs)
+            want = fac.eval((centers[:, None] + offs[None, :]).ravel())
+            assert np.max(np.abs(got.ravel() - want)) <= 1e-9 * fac.mass
+
+
 class TestIntegrateI:
     def test_empty_set(self, inst, table, w500):
         assert integrate_I(inst, table, w500, 0.5, []) == 0j

@@ -102,6 +102,21 @@ class TestT:
             oracle = brute_T(k, delta * X, float(X), alpha)
             assert abs(val - oracle) < 1e-8
 
+    def test_oscillation_sized_start(self):
+        # thousands of cycles on u in [1e4, 1e5]: the oracle is Gauss-Legendre
+        # in u, 16 nodes on each quarter cycle, on e(u a) u^(1/k-1)/k
+        k, u_lo, u_hi = 1.05, 1e4, 1e5
+        x, wgt = np.polynomial.legendre.leggauss(16)
+        for alpha in (0.04, 0.07, 0.10):
+            n = int(math.ceil(4 * alpha * (u_hi - u_lo)))
+            hw = (u_hi - u_lo) / (2 * n)
+            u = (u_lo + (2 * np.arange(n) + 1)[:, None] * hw
+                 + x[None, :] * hw)
+            vals = np.exp(2j * math.pi * alpha * u) * u ** (1 / k - 1) / k
+            oracle = complex(np.sum(vals @ wgt) * hw)
+            val = eval_T(WindowSpec(X=u_hi, k=k, delta=0.1), alpha, tol=1e-9)
+            assert abs(val - oracle) < 1e-9
+
     def test_conjugate(self):
         w = WindowSpec(X=100, k=1.5, delta=0.1)
         a = eval_T(w, 0.4, tol=1e-11)

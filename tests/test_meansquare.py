@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,6 +201,26 @@ class TestL2Diff:
         assert l2_diff(table, w, 0.25).method == "pairwise-exact"
         w_big = WindowSpec(X=10**5, k=1.05, delta=0.1)
         assert l2_diff(table, w_big, 1e-4).method == "grid"
+        # 6031 integers: under PAIRWISE_CAP, but 18M pair terms against
+        # 20 nodes on each of 50 start panels per frequency
+        w_mid = WindowSpec(X=1e4, k=1.05, delta=0.1)
+        assert l2_diff(table, w_mid, 1e4 ** -0.5).method == "grid"
+
+    def test_grid_logs_doublings_and_error(self, table, caplog):
+        from primearcs.expsums import s_minus_u_weights
+        w = WindowSpec(X=36200.0, k=1.05, delta=0.1)
+        Y = 36200.0 ** -0.65
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            l2_diff(table, w, Y, method="grid")
+        passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)",
+                            r.getMessage()) for r in caplog.records]
+        assert len(passes) >= 2 and all(passes)
+        panels = [int(m.group(1)) for m in passes]
+        errors = [float(m.group(2)) for m in passes]
+        assert panels == [panels[0] * 2 ** i for i in range(len(panels))]
+        coeffs = s_minus_u_weights(table, w)[1]
+        tol = 1e-9 * 2.0 * Y * float(np.dot(coeffs, coeffs))
+        assert errors[-1] <= tol < errors[-2]
 
     def test_table_limit_refused(self, table):
         from primearcs.expsums import s_minus_u_l1_bound

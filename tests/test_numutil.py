@@ -45,3 +45,15 @@ def test_frac_phase_matches_exact_reduction(case):
         bound = 2.0 ** -60 * abs(float(v) * float(a)) + 2.0 ** -52
         worst = max(worst, float(gap) / bound)
     assert worst <= 1.0
+
+
+def test_pair_integral_periodic_far_out():
+    # quarter-integer frequencies make |S|^2 4-periodic; 2^30 periods out
+    # (exact in float64) the pair phases d * mid reach 2e11 cycles, where a
+    # float64 product keeps only ~1e-5 of a cycle
+    freqs = np.arange(200) / 4.0
+    coeffs = np.cos(np.arange(200.0))
+    near = numutil.exp_pair_integral(freqs, coeffs, 0.25, 0.75)
+    far = numutil.exp_pair_integral(freqs, coeffs, 0.25 + 2.0 ** 32,
+                                    0.75 + 2.0 ** 32)
+    assert far == pytest.approx(near, rel=1e-12)

@@ -54,12 +54,6 @@ def test_solve_k11_10():
                                          Fraction(11, 792))
 
 
-def test_objective_alias():
-    assert solve(1, "default") == solve(1, "max_c")
-    with pytest.raises(ValidationError):
-        solve(1, "min_b")
-
-
 def test_fifty_random_k_exact():
     rng = random.Random(20240817)
     lo, hi = Fraction(1), Fraction(33, 29)
