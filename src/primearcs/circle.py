@@ -307,9 +307,17 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
             pieces.append(("plain", max(a, 0.0), b))
     total = 0j
     per_piece_tol = tol / max(1, len(pieces))
+    done = {}  # (a, b) -> (value, est_error): a symmetric range is one pass
+    est_error = 0.0
     for kind, a, b in pieces:
-        val, _ = _product_on_interval(factors, kernel, a, b, f_max, per_piece_tol)
+        if (a, b) not in done:
+            done[(a, b)] = _product_on_interval(factors, kernel, a, b, f_max,
+                                                per_piece_tol)
+        val, err = done[(a, b)]
+        est_error += err
         total += val.conjugate() if kind == "conj" else val
+    _log.debug("integrate_I: %d pieces, %d reused by symmetry, summed est "
+               "error %.3e", len(pieces), len(pieces) - len(done), est_error)
     return total
 
 
@@ -441,6 +449,7 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
     keep = np.abs(kpair) > 1e-17 * max(m_diag, 1e-300)
     d, kpair = d[keep], kpair[keep]
     osc_bound = float(np.sum(np.abs(kpair)))
+    td = TWO_PI * d
     total = KahanAccumulator()
     n = max(n0, 2)
     used = 0
@@ -455,13 +464,16 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
                 f"(remaining bound {remaining:.3e})", best=total.value,
                 est_error=remaining)
         ns = np.arange(n, n + block, dtype=np.float64)
+        vals = np.full(len(ns), m_diag)
         if len(d):
-            # d (n - 1/2) reduced at the block's first slice, as in eval_panels
-            phase = np.multiply.outer(ns - n, TWO_PI * d)
-            phase += frac_phase(d, n - 0.5) * TWO_PI
-            vals = m_diag + np.cos(phase) @ kpair
-        else:
-            vals = np.full(len(ns), m_diag)
+            # d (n - 1/2) reduced at the block's first slice, as in
+            # eval_panels; the block's rows go in slices of about 2^20 phases
+            anchor = frac_phase(d, n - 0.5) * TWO_PI
+            rows = max(1, (1 << 20) // len(d))
+            for j in range(0, block, rows):
+                phase = np.multiply.outer(ns[j:j + rows] - n, td)
+                phase += anchor
+                vals[j:j + rows] += np.cos(phase, out=phase) @ kpair
         total.add(float(np.sum(vals / (ns - 1.0) ** 2)))
         n += block
         used += block

@@ -11,6 +11,7 @@ three objects on one common window.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .errors import ConvergenceError, ValidationError
 from .numutil import (TWO_PI, e_of, frac_phase, fsum_complex, fsum_real,
                       gl_rule, powk_extended)
 from .primes import PrimeTable
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -166,9 +169,11 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, alphas: np.ndarray,
                 n_panels: int | None = None) -> np.ndarray:
     """Vectorized Filon evaluation of T on a grid of alpha values.
 
-    One panel layout (sized for max |alpha|) serves the whole grid, which
-    lets the per-panel moments broadcast across alpha; one Richardson step
-    removes the leading amplitude-interpolation error.
+    One uniform panel layout (sized for max |alpha|) serves the whole grid,
+    so the Filon moments depend on alpha alone and are taken once per
+    alpha; the centre phases are reduced once per block of centres (see
+    _t_grid_pass).  One Richardson step removes the leading
+    amplitude-interpolation error; its largest correction is logged.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if u_hi <= u_lo:
@@ -178,28 +183,58 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, alphas: np.ndarray,
         n_panels = max(128, int(math.ceil(16.0 * amax * (u_hi - u_lo))))
     coarse = _t_grid_pass(k, u_lo, u_hi, alphas, n_panels)
     fine = _t_grid_pass(k, u_lo, u_hi, alphas, 2 * n_panels)
-    return fine + (fine - coarse) / 3.0
+    corr = (fine - coarse) / 3.0
+    if _log.isEnabledFor(logging.DEBUG) and len(alphas):
+        _log.debug("T grid on [%g, %g]: %d alphas, %d panels, max Richardson "
+                   "correction %.3e", u_lo, u_hi, len(alphas), 2 * n_panels,
+                   float(np.max(np.abs(corr))))
+    return fine + corr
 
 
 def _t_grid_pass(k: float, u_lo: float, u_hi: float, alphas: np.ndarray,
                  n_panels: int) -> np.ndarray:
+    """One Filon pass with n_panels equal panels for every alpha.
+
+    Every panel has the half-width hw, so a panel with centre c and end
+    amplitudes wa, wb contributes e(c alpha) (mu0 g0 + mu1 g1) with the
+    moments mu(2 pi alpha hw) of alpha alone and g0 = h (wa + wb)/2,
+    g1 = h (wb - wa)/2 of the panel alone: two matrix-vector products of
+    the phase matrix e(c alpha).  h is the panel's own half-width, hw up
+    to the rounding of the edges, so the panels tile [u_lo, u_hi] exactly.
+    The phases are anchored per block of s centres, about one cycle of the
+    fastest alpha wide: frac(c0 alpha) at the block's first centre c0 in
+    extended precision (1/s of the entries), plus (c - c0) alpha in
+    float64, which stays below a cycle.  Wider blocks lose accuracy:
+    blocks of 2^20 centres moved eval_T at X = 1e5, k = 1.05 by up to
+    7e-11, against 3e-12 with these.
+    """
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
     amp = np.ones_like(edges) if k == 1.0 else edges ** (1.0 / k - 1.0) / k
-    a, b = edges[:-1], edges[1:]
-    wa, wb = amp[:-1], amp[1:]
-    hw = 0.5 * (b - a)
-    centers = 0.5 * (a + b)
-    out = np.empty(len(alphas), dtype=complex)
-    chunk = max(1, (1 << 22) // max(1, n_panels))
-    for i in range(0, len(alphas), chunk):
-        al = alphas[i:i + chunk, None]
-        mu0, mu1 = _filon_moments(TWO_PI * al * hw[None, :])
-        phase = np.exp(2j * math.pi * frac_phase(centers[None, :], al))
-        vals = hw * phase * (0.5 * (wa + wb) * mu0 + 0.5 * (wb - wa) * mu1)
-        exact = np.abs(al[:, 0]) < 1e-300
-        out[i:i + chunk] = np.where(
-            exact, _kth_root(u_hi, k) - _kth_root(u_lo, k), vals.sum(axis=1))
-    return out
+    hw = 0.5 * (u_hi - u_lo) / n_panels
+    h = 0.5 * np.diff(edges)
+    g = np.stack((h * 0.5 * (amp[:-1] + amp[1:]),
+                  h * 0.5 * (amp[1:] - amp[:-1])), axis=1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    n_al = max(1, len(alphas))
+    cycles = 2.0 * hw * float(np.max(np.abs(alphas), initial=0.0))  # per panel
+    s = max(1, min(n_panels, (1 << 20) // n_al))
+    if cycles * s > 1.0:
+        s = max(1, int(1.0 / cycles))
+    off = centers - np.repeat(centers[::s], s)[:n_panels]
+    ta = TWO_PI * alphas
+    re = np.zeros((len(alphas), 2))
+    im = np.zeros((len(alphas), 2))
+    chunk = s * max(1, (1 << 20) // (n_al * s))
+    for i in range(0, n_panels, chunk):
+        phase = np.multiply.outer(ta, off[i:i + chunk])
+        anchor = frac_phase(centers[i:i + chunk:s], alphas[:, None]) * TWO_PI
+        phase += np.repeat(anchor, s, axis=1)[:, :phase.shape[1]]
+        im += np.sin(phase) @ g[i:i + chunk]
+        re += np.cos(phase, out=phase) @ g[i:i + chunk]
+    mu0, mu1 = _filon_moments(ta * hw)
+    vals = mu0 * (re[:, 0] + 1j * im[:, 0]) + mu1 * (re[:, 1] + 1j * im[:, 1])
+    exact = np.abs(alphas) < 1e-300
+    return np.where(exact, _kth_root(u_hi, k) - _kth_root(u_lo, k), vals)
 
 
 # ------------------------------ Fejér kernel ---------------------------------

@@ -6,10 +6,11 @@ Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
 destroys the phase.  frac_phase therefore reduces in 80-bit extended
 arithmetic (numpy longdouble) *before* the multiplication by 2*pi; every
-phase sum takes its phase from it (circle.ExpSumFactor.eval_panels and
-the tail slices of circle.trivial_tails once per block, adding the short
-in-block offsets in float64), and exp_pair_integral forms each pair's
-phase as the difference of two reduced phases.
+phase sum takes its phase from it (circle.ExpSumFactor.eval_panels,
+the tail slices of circle.trivial_tails and the panel centres of
+expsums._t_grid_pass once per block, adding the short in-block offsets in
+float64), and exp_pair_integral forms each pair's phase as the
+difference of two reduced phases.
 """
 
 from __future__ import annotations

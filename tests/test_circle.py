@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,13 +150,46 @@ class TestIntegrateI:
     def test_logs_panels_and_error(self, inst, table, w500, caplog):
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=1e-9)
-        passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)",
-                            r.getMessage()) for r in caplog.records]
+        msgs = [r.getMessage() for r in caplog.records]
+        # one line per pass, then integrate_I's summary
+        assert msgs[-1].startswith("integrate_I: 1 pieces")
+        passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)", m)
+                  for m in msgs[:-1]]
         assert len(passes) >= 2 and all(passes)
         panels = [int(m.group(1)) for m in passes]
         errors = [float(m.group(2)) for m in passes]
         assert panels == [panels[0] * 2 ** i for i in range(len(panels))]
         assert errors[-1] <= 1e-9 < errors[-2]
+
+    def test_symmetric_range_one_pass(self, inst, table, w500, caplog):
+        # (-2, 2) folds onto two copies of (0, 2): one doubling sequence,
+        # and the value is exactly 2 Re of the half range at half the tol
+        tol = 2e-9
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            whole = integrate_I(inst, table, w500, 0.5, [(-2.0, 2.0)], tol=tol)
+        panels = [int(m.group(1)) for m in
+                  (re.search(r"(\d+) panels, GL8", r.getMessage())
+                   for r in caplog.records) if m]
+        assert len(panels) >= 2
+        assert panels == [panels[0] * 2 ** i for i in range(len(panels))]
+        half = integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=tol / 2)
+        assert whole == complex(2.0 * half.real, 0.0)
+
+    def test_logs_summed_error(self, inst, table, w500, caplog):
+        tol = 1e-6
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            integrate_I(inst, table, w500, 0.5, [(-1.0, 1.0), (1.0, 2.0)],
+                        tol=tol)
+        errors = [float(m.group(1)) for m in
+                  (re.search(r"GL12, est error (\S+)", r.getMessage())
+                   for r in caplog.records) if m]
+        (m,) = [m for m in (re.search(
+            r"integrate_I: (\d+) pieces, (\d+) reused by symmetry, summed "
+            r"est error (\S+)", r.getMessage()) for r in caplog.records) if m]
+        assert (int(m.group(1)), int(m.group(2))) == (3, 1)
+        # (0, 1) integrated once and counted twice, (1, 2) once: within
+        # tol, and at least the last pass's own estimate
+        assert errors[-1] <= float(m.group(3)) <= tol
 
     def test_unbounded_interval_rejected(self, inst, table, w500):
         with pytest.raises(ValidationError):
@@ -277,6 +311,21 @@ class TestTrivialTails:
             rep = trivial_tails(inst, table, w, arc.R, tol=3.0)
             a_ratio = rep.values[0] * abs(inst.lambda1) * arc.R / (X * math.log(X))
             assert 0 < a_ratio < 50.0
+
+    def test_block_memory_bounded(self, table):
+        # 4096 slices by ~8000 pair frequencies per tail at X = 900: the
+        # block's phases go in row slices, not as one 270 MB matrix
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.3)
+        w = WindowSpec(X=900.0, k=1.05, delta=0.1)
+        arc = arc_params(inst, 900.0)
+        tracemalloc.start()
+        try:
+            rep = trivial_tails(inst, table, w, arc.R, tol=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
+        assert rep.slices == (8192, 8192, 4096)
 
     def test_requires_R(self, inst, table, w500):
         with pytest.raises(ValidationError):

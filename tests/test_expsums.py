@@ -1,15 +1,17 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from primearcs.errors import ValidationError
-from primearcs.expsums import (WindowSpec, eval_S, eval_T,
+from primearcs.expsums import (WindowSpec, _t_grid_pass, eval_S, eval_T,
                                eval_T_grid, eval_T_range, eval_U,
                                eval_U_range, fejer_K, fejer_hat,
                                fourth_moment_S2, integer_window, prime_window,
                                s_minus_u_l1_bound, verify_fourier_pair)
-from primearcs.numutil import exp_pair_integral
+from primearcs.numutil import exp_pair_integral, frac_phase
 
 # |T - U| <= C (1 + |alpha| X) on matched windows; fitted once on the grid
 # below and frozen.
@@ -140,6 +142,46 @@ class TestT:
         for a, g in zip(alphas, grid):
             assert g == pytest.approx(eval_T(w, float(a), tol=1e-11),
                                       rel=1e-8, abs=1e-8)
+
+    def test_grid_against_quadrature_oracle(self):
+        # independent of the Filon kernel: Gauss-Legendre in u with 16 nodes
+        # on panels of a dyadic half-width under 1/16 cycle and at most 1, so
+        # every centre is exact and its phase is reduced per panel.
+        # |alpha| = 0.1 makes 9000 cycles, so the grid spans many anchor
+        # blocks; 4e-4 takes the moments' series branch (2 pi alpha hw <
+        # 1e-3 in both passes) and 0 the exact path.
+        k, u_lo, u_hi = 1.05, 1e4, 1e5
+        x, wgt = np.polynomial.legendre.leggauss(16)
+        alphas = np.array([-0.1, -0.0371, -4e-4, 0.0, 4e-4, 0.013, 0.0707, 0.1])
+        assert 2 * math.pi * 4e-4 / 3.2 < 1e-3  # coarse hw: 16 panels a cycle
+        grid = eval_T_grid(k, u_lo, u_hi, alphas)
+        for alpha, val in zip(alphas, grid):
+            if alpha == 0.0:
+                assert val == u_hi ** (1 / k) - u_lo ** (1 / k)
+                continue
+            hw = 2.0 ** min(0, math.floor(math.log2(1 / (16 * abs(alpha)))))
+            n = round((u_hi - u_lo) / (2 * hw))
+            c = u_lo + (2 * np.arange(n) + 1) * hw
+            phase = frac_phase(c, alpha)[:, None] + (alpha * hw) * x[None, :]
+            amp = (c[:, None] + hw * x[None, :]) ** (1 / k - 1) / k
+            vals = np.exp(2j * math.pi * phase) * amp
+            oracle = complex(np.sum(vals @ wgt) * hw)
+            assert abs(val - oracle) < 1e-11, alpha
+
+    def test_grid_logs_richardson_correction(self, caplog):
+        k, u_lo, u_hi = 1.05, 50.0, 500.0
+        alphas = np.array([0.0, 0.02, -0.3])
+        with caplog.at_level(logging.DEBUG, logger="primearcs.expsums"):
+            eval_T_grid(k, u_lo, u_hi, alphas, n_panels=256)
+        (msg,) = [r.getMessage() for r in caplog.records
+                  if "Richardson" in r.getMessage()]
+        m = re.search(r"3 alphas, 512 panels, max Richardson correction (\S+)",
+                      msg)
+        coarse = _t_grid_pass(k, u_lo, u_hi, alphas, 256)
+        fine = _t_grid_pass(k, u_lo, u_hi, alphas, 512)
+        want = float(np.max(np.abs(fine - coarse))) / 3.0
+        assert m and float(m.group(1)) == pytest.approx(want, rel=1e-3)
+        assert want > 0
 
     def test_tu_comparator_matched_windows(self, table):
         """Euler-summation comparator |T - U| <= C (1 + |alpha| X) with the
