@@ -20,9 +20,9 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import ConvergenceError, ValidationError
-from .expsums import WindowSpec, eval_S_range, eval_T_grid, fejer_K, prime_window
+from .expsums import WindowSpec, eval_S_range, eval_T_grid, fejer_K, window
 from .numutil import (TWO_PI, KahanAccumulator, e_of, exp_pair_integral,
-                      expand_square, frac_phase, gl_rule, powk_extended)
+                      expand_square, frac_phase, gl_rule)
 from .primes import PrimeTable
 from .rational import HiReal
 
@@ -194,9 +194,9 @@ def window_factors(inst: ProblemInstance, table: PrimeTable,
     lo, hi = w.delta * w.X, w.X
     out = []
     for lam, kj in zip(inst.lambdas, (1.0, 2.0, inst.k)):
-        ps, logs = prime_window(table, kj, lo, hi)
-        freqs = np.asarray(powk_extended(ps, kj), dtype=np.float64) * lam
-        out.append(ExpSumFactor(freqs, logs))
+        win = window(kj, lo, hi, table)
+        freqs = np.asarray(win.powers, dtype=np.float64) * lam
+        out.append(ExpSumFactor(freqs, win.weights))
     return out
 
 
@@ -496,12 +496,12 @@ def trivial_tails(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     for lam, kj, fourth in ((inst.lambda1, 1.0, False),
                             (inst.lambda2, 2.0, True),
                             (inst.lambda3, k, False)):
-        ps, logs = prime_window(table, kj, lo, hi)
-        freqs = np.asarray(powk_extended(ps, kj), dtype=np.float64)
+        win = window(kj, lo, hi, table)
+        freqs = np.asarray(win.powers, dtype=np.float64)
         if fourth:
-            freqs, coeffs = expand_square(freqs, logs)
+            freqs, coeffs = expand_square(freqs, win.weights)
         else:
-            coeffs = logs
+            coeffs = win.weights
         specs.append((abs(lam), freqs, coeffs))
     values, starts, slices = [], [], []
     for lam, freqs, coeffs in specs:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,26 +122,18 @@ def _parse_grid(spec: str):
 
 
 def _cmd_expsum(args) -> int:
-    table = load_table(args.table) if args.which.upper() != "U" else None
+    which = args.which.upper()
+    if which == "S" and not args.table:
+        raise ValidationError("--which S needs --table")
+    table = load_table(args.table) if which == "S" else None
     w = expsums.WindowSpec(X=float(args.X), k=float(args.k), delta=args.delta)
     grid = _parse_grid(args.alpha_grid)
-    which = args.which.upper()
-
-    def evaluate(chunk):
-        if which == "S":
-            return [expsums.eval_S(table, w, a) for a in chunk]
-        if which == "U":
-            return [expsums.eval_U(w, a) for a in chunk]
-        if which == "T":
-            return [expsums.eval_T(w, a, args.tol) for a in chunk]
-        raise ValidationError(f"--which must be S, U or T, got {args.which}")
-
-    if args.threads > 1:
-        chunks = np.array_split(grid, args.threads * 4)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            vals = [v for part in pool.map(evaluate, chunks) for v in part]
+    if which == "S":
+        vals = [expsums.eval_S(table, w, a) for a in grid]
+    elif which == "U":
+        vals = [expsums.eval_U(w, a) for a in grid]
     else:
-        vals = evaluate(grid)
+        vals = [expsums.eval_T(w, a, args.tol) for a in grid]
     meta = _meta(f"exp_sum_{which}", X=args.X, k=args.k, delta=args.delta)
     rows = [(a, v.real, v.imag, abs(v)) for a, v in zip(grid, vals)]
     _write_csv(args.out, meta, ["alpha", "re", "im", "abs"], rows)
@@ -292,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--alpha-grid", required=True)
-    p.add_argument("--which", required=True, choices="SUTsut")
+    p.add_argument("--which", required=True, choices=list("SUTsut"))
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_expsum)
 

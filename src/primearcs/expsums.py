@@ -7,20 +7,32 @@ oscillatory integral T runs over t in [(delta X)^(1/k), X^(1/k)].  The
 range-parameterized variants (suffix ``_range``) accept an explicit
 window for n^k and serve the arc-decomposition module, which needs all
 three objects on one common window.
+
+A window (the primes or integers n with lo <= n^k <= hi, their k-th
+powers in extended precision and their weights) has one builder,
+``window``.  Each distinct window is built once and reused: prime windows
+are kept on their PrimeTable, integer windows in a module cache, each
+holding the WINDOW_CACHE_SIZE most recently used, with read-only arrays.
+So S and U on many alpha pay only for the phases and the exact sum.
+Errors (table too small, inverted bounds, an integer window over the
+memory budget) are raised on every call; nothing is cached for them.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
+import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .numutil import (TWO_PI, e_of, frac_phase, fsum_complex, fsum_real,
                       gl_rule, powk_extended)
-from .primes import PrimeTable
+from .primes import MEMORY_BUDGET, PrimeTable
 
 _log = logging.getLogger(__name__)
 
@@ -46,47 +58,109 @@ def _kth_root(v: float, k: float) -> float:
     return v ** (1.0 / k)
 
 
+# Windows kept per prime table, and integer windows kept by the module.
+WINDOW_CACHE_SIZE = 4
+# An integer window's build holds each candidate as int64 with its 16-byte
+# extended power, and then the kept copies of both.
+_BYTES_PER_CANDIDATE = 48
+
+_integer_windows: dict = {}
+_cache_lock = threading.Lock()
+
+
+class Window(NamedTuple):
+    """Ascending n with lo <= n^k <= hi, the powers n^k in extended
+    precision, and the weights: log p on a prime window, None (unit
+    weights) on an integer window.  The arrays are read-only because the
+    cache hands the same ones to every caller."""
+
+    values: np.ndarray
+    powers: np.ndarray
+    weights: np.ndarray | None
+
+
+def window(k: float, lo: float, hi: float,
+           table: PrimeTable | None = None) -> Window:
+    """The prime window of table (integer window without one), built on
+    first use and then taken from the cache."""
+    cache = _integer_windows if table is None else table.windows
+    key = (float(k), float(lo), float(hi))
+    with _cache_lock:
+        win = cache.pop(key, None)
+        if win is not None:
+            cache[key] = win        # most recently used last
+            return win
+    win = _build_window(k, lo, hi, table)
+    with _cache_lock:
+        cache.pop(key, None)
+        while len(cache) >= WINDOW_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = win
+    return win
+
+
+def _build_window(k: float, lo: float, hi: float,
+                  table: PrimeTable | None) -> Window:
+    t0 = time.perf_counter()
+    if table is None:
+        n_lo = max(1, math.floor(_kth_root(max(lo, 0.0), k)) - 1)
+        n_hi = math.ceil(_kth_root(hi, k)) + 1
+        count = n_hi - n_lo + 1
+        if count * _BYTES_PER_CANDIDATE > MEMORY_BUDGET:
+            raise ResourceLimitError(
+                f"integer window {lo:g} <= n^{k:g} <= {hi:g}: {count} "
+                f"candidates exceed the {MEMORY_BUDGET}-byte budget")
+        cand = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    else:
+        if hi < lo:
+            raise ValidationError("prime_window: inverted bounds")
+        p_lo = _kth_root(lo, k)
+        p_hi = _kth_root(hi, k)
+        if p_hi > table.limit * (1 + 1e-12):
+            raise ValidationError(
+                f"prime table limit {table.limit} too small; need primes up "
+                f"to {p_hi:.0f}")
+        cand = table.primes_in_range(max(2.0, math.floor(p_lo) - 1),
+                                     min(table.limit, math.ceil(p_hi) + 1))
+    pk = powk_extended(cand, k)
+    mask = np.asarray((pk >= lo) & (pk <= hi))
+    values = cand[mask]
+    weights = None if table is None else np.log(values.astype(np.float64))
+    win = Window(values, pk[mask], weights)
+    for arr in win:
+        if arr is not None:
+            arr.flags.writeable = False
+    _log.debug("%s window %g <= n^%g <= %g: %d terms in %.4f s",
+               "integer" if table is None else "prime", lo, k, hi,
+               len(win.values), time.perf_counter() - t0)
+    return win
+
+
 def prime_window(table: PrimeTable, k: float, lo: float, hi: float):
     """Primes p with lo <= p^k <= hi plus their log weights."""
-    if hi < lo:
-        raise ValidationError("prime_window: inverted bounds")
-    p_lo = _kth_root(lo, k)
-    p_hi = _kth_root(hi, k)
-    if p_hi > table.limit * (1 + 1e-12):
-        raise ValidationError(
-            f"prime table limit {table.limit} too small; need primes up to "
-            f"{p_hi:.0f}")
-    cand = table.primes_in_range(max(2.0, math.floor(p_lo) - 1),
-                                 min(table.limit, math.ceil(p_hi) + 1))
-    pk = powk_extended(cand, k)
-    mask = (pk >= lo) & (pk <= hi)
-    sel = cand[np.asarray(mask)]
-    return sel, np.log(sel.astype(np.float64))
+    win = window(k, lo, hi, table)
+    return win.values, win.weights
 
 
 def integer_window(k: float, lo: float, hi: float) -> np.ndarray:
     """Integers n >= 1 with lo <= n^k <= hi."""
-    n_lo = max(1, math.floor(_kth_root(max(lo, 0.0), k)) - 1)
-    n_hi = math.ceil(_kth_root(hi, k)) + 1
-    cand = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    nk = powk_extended(cand, k)
-    return cand[np.asarray((nk >= lo) & (nk <= hi))]
+    return window(k, lo, hi).values
 
 
 def eval_S_range(table: PrimeTable, k: float, lo: float, hi: float,
                  alpha: float) -> complex:
     """sum over lo <= p^k <= hi of log p * e(p^k alpha)."""
-    ps, logs = prime_window(table, k, lo, hi)
-    if len(ps) == 0:
+    win = window(k, lo, hi, table)
+    if len(win.values) == 0:
         return 0j
-    return fsum_complex(logs * e_of(powk_extended(ps, k), alpha))
+    return fsum_complex(win.weights * e_of(win.powers, alpha))
 
 
 def eval_U_range(k: float, lo: float, hi: float, alpha: float) -> complex:
-    ns = integer_window(k, lo, hi)
-    if len(ns) == 0:
+    win = window(k, lo, hi)
+    if len(win.values) == 0:
         return 0j
-    return fsum_complex(e_of(powk_extended(ns, k), alpha))
+    return fsum_complex(e_of(win.powers, alpha))
 
 
 def eval_S(table: PrimeTable, w: WindowSpec, alpha: float) -> complex:
@@ -307,17 +381,18 @@ def fourth_moment_S2(table: PrimeTable, w: WindowSpec, lo: float,
 
 
 def s_minus_u_weights(table: PrimeTable, w: WindowSpec):
-    """Integers n with X <= n^k <= 2X and the weights l(n) - 1 of S_k - U_k
-    (l(n) = log n at primes, 0 elsewhere)."""
-    ns = integer_window(w.k, w.X, 2.0 * w.X)
+    """The integer window X <= n^k <= 2X and the weights l(n) - 1 of
+    S_k - U_k (l(n) = log n at primes, 0 elsewhere)."""
+    win = window(w.k, w.X, 2.0 * w.X)
+    ns = win.values
     if len(ns) == 0:
-        return ns, np.array([])
+        return win, np.array([])
     if ns[-1] > table.limit:
         raise ValidationError(
             f"table limit {table.limit} below the window's largest integer {ns[-1]}")
     prime_mask = np.isin(ns, table.primes_in_range(2, float(ns[-1])))
     ell = np.where(prime_mask, np.log(ns.astype(np.float64)), 0.0)
-    return ns, ell - 1.0
+    return win, ell - 1.0
 
 
 def s_minus_u_l1_bound(table: PrimeTable, w: WindowSpec) -> float:

@@ -304,8 +304,8 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     """
     if not 0 < Y <= 0.5:
         raise ValidationError("Y must lie in (0, 1/2]")
-    ns, coeffs = s_minus_u_weights(table, w)
-    freqs = np.asarray(powk_extended(ns, w.k), dtype=np.float64)
+    win, coeffs = s_minus_u_weights(table, w)
+    ns, freqs = win.values, np.asarray(win.powers, dtype=np.float64)
     if method == "auto":
         n = len(ns)
         spread = float(freqs[-1] - freqs[0]) if n else 0.0

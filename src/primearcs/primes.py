@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .errors import ResourceLimitError, TableIntegrityError, ValidationError
 from .numutil import compensated_cumsum
 
 DEFAULT_SEGMENT = 1 << 20
+# Bytes an up-front size estimate may reach before a build is refused
+# with ResourceLimitError (prime tables, integer windows of expsums).
+MEMORY_BUDGET = 8 << 30
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3e24
 # (covers the full 64-bit range).
@@ -61,11 +64,20 @@ def _small_primes(limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Immutable sieve output; safe for concurrent readers."""
+    """Immutable sieve output; safe for concurrent readers.
+
+    The sieve data (limit, primes, theta_prefix) never changes after
+    construction.  ``windows`` is derived data: expsums.window keeps the
+    prime windows it builds from this table there (a few, read-only), so
+    they live and die with the table.  It takes no part in comparison or
+    repr.
+    """
 
     limit: int
     primes: np.ndarray          # int64, strictly increasing
     theta_prefix: np.ndarray    # float64, theta_prefix[i] = sum_{j<=i} log p_j
+    windows: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         if len(self.primes) != len(self.theta_prefix):
@@ -166,7 +178,7 @@ def _iroot(n: int, m: int) -> int:
 
 
 def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
-                max_bytes: int = 8 << 30) -> PrimeTable:
+                max_bytes: int = MEMORY_BUDGET) -> PrimeTable:
     """Segmented sieve of Eratosthenes up to limit (inclusive).
 
     Memory stays near segment_size bytes plus the output arrays; an
@@ -254,8 +266,12 @@ def save_table(table: PrimeTable, path: str) -> None:
 
 
 def load_table(path: str) -> PrimeTable:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read prime table {path}: "
+                              f"{exc.strerror or exc}") from exc
     stream = io.BytesIO(data)
     if stream.read(4) != _MAGIC:
         raise TableIntegrityError(f"{path}: bad magic bytes")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -83,19 +84,23 @@ class TestSubcommands:
 
     def test_expsum_deterministic(self, tmp_path, table_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["expsum", "--table", table_file, "--X", "200", "--k", "1.05",
-                "--alpha-grid", "0:2:17", "--which", "S"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for k, grid, which in (("1.05", "0:2:17", "S"), ("1", "0:1:40", "S"),
+                               ("1.05", "0:2:17", "U")):
+            args = ["expsum", "--table", table_file, "--X", "200", "--k", k,
+                    "--alpha-grid", grid, "--which", which]
+            assert main(args + ["--out", str(a)]) == 0
+            assert main(args + ["--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
-    def test_expsum_threads_deterministic(self, tmp_path, table_file):
-        a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
-        args = ["expsum", "--table", table_file, "--X", "200", "--k", "1",
-                "--alpha-grid", "0:1:40", "--which", "S"]
-        assert main(args + ["--threads", "1", "--out", str(a)]) == 0
-        assert main(args + ["--threads", "4", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_expsum_table_only_for_S(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["expsum", "--X", "100", "--k", "1.05", "--alpha-grid",
+                     "0:0.1:3", "--which", "T", "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 1 + 3
+        assert main(["expsum", "--X", "100", "--k", "1", "--alpha-grid",
+                     "0:1:3", "--which", "S"]) == 2
+        assert "--table" in capsys.readouterr().err
 
     def test_meansquare_csv(self, tmp_path, table_file):
         out = tmp_path / "m.csv"
@@ -171,6 +176,25 @@ class TestExitCodes:
     def test_missing_instance_is_2(self):
         assert main(["search", "--instance", "/no/such/file",
                      "--table", "/none", "--X", "100"]) == 2
+
+    def test_unreadable_table_is_2(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read prime table"):
+            load_table(str(tmp_path / "missing.bin"))
+        for path in (tmp_path / "missing.bin", tmp_path):
+            assert main(["expsum", "--table", str(path), "--X", "100",
+                         "--k", "1", "--alpha-grid", "0:1:3", "--which", "S"]) == 2
+
+    def test_oversized_integer_window_is_4(self, capsys):
+        tracemalloc.start()
+        try:
+            rc = main(["expsum", "--X", "1e15", "--k", "1", "--which", "U",
+                       "--alpha-grid", "0:1:2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 4
+        assert "budget" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",

@@ -5,13 +5,16 @@ import re
 import numpy as np
 import pytest
 
+from primearcs import circle, expsums
 from primearcs.errors import ValidationError
-from primearcs.expsums import (WindowSpec, _t_grid_pass, eval_S, eval_T,
-                               eval_T_grid, eval_T_range, eval_U,
-                               eval_U_range, fejer_K, fejer_hat,
+from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec, _t_grid_pass,
+                               eval_S, eval_T, eval_T_grid, eval_T_range,
+                               eval_U, eval_U_range, fejer_K, fejer_hat,
                                fourth_moment_S2, integer_window, prime_window,
-                               s_minus_u_l1_bound, verify_fourier_pair)
-from primearcs.numutil import exp_pair_integral, frac_phase
+                               s_minus_u_l1_bound, verify_fourier_pair, window)
+from primearcs.numutil import (e_of, exp_pair_integral, frac_phase,
+                               fsum_complex, powk_extended)
+from primearcs.primes import build_table
 
 # |T - U| <= C (1 + |alpha| X) on matched windows; fitted once on the grid
 # below and frozen.
@@ -64,8 +67,10 @@ class TestS:
 
     def test_table_too_small(self, table):
         w = WindowSpec(X=float(table.limit) ** 2, k=1, delta=0.1)
-        with pytest.raises(ValidationError):
-            eval_S(table, w, 0.0)
+        for _ in range(3):      # refused on every call: errors are not cached
+            with pytest.raises(ValidationError):
+                eval_S(table, w, 0.0)
+        assert (1.0, w.X, 2.0 * w.X) not in table.windows
 
 
 class TestU:
@@ -84,6 +89,77 @@ class TestU:
         for alpha in (0.0, 0.31, 2.7, 15.1):
             diff = abs(eval_S(table, w, alpha) - eval_U(w, alpha))
             assert diff <= bound + 1e-9
+
+
+def cold_S(table, k, lo, hi, alpha):
+    """S on lo <= p^k <= hi from the table's primes, without the cache."""
+    ps = table.primes_in_range(2, min(table.limit, hi ** (1.0 / k) + 2))
+    pk = powk_extended(ps, k)
+    keep = (pk >= lo) & (pk <= hi)
+    return fsum_complex(np.log(ps[keep].astype(np.float64)) * e_of(pk[keep], alpha))
+
+
+def cold_U(k, lo, hi, alpha):
+    ns = np.arange(1, math.ceil(hi ** (1.0 / k)) + 2, dtype=np.int64)
+    nk = powk_extended(ns, k)
+    return fsum_complex(e_of(nk[(nk >= lo) & (nk <= hi)], alpha))
+
+
+class TestWindowCache:
+    def test_cached_sums_equal_cold_oracle(self, table):
+        # more distinct windows than the cache holds, visited in turn, so
+        # entries are evicted and rebuilt; then two windows interleaved
+        s_wins = [(1.0 + 0.05 * i, 300.0 * (i + 1)) for i in range(WINDOW_CACHE_SIZE + 2)]
+        u_wins = [(1.1 + 0.05 * i, 211.0 * (i + 1)) for i in range(WINDOW_CACHE_SIZE + 2)]
+        for alpha in (0.0, 0.37, 1.9):
+            for (k, X), (ku, Xu) in zip(s_wins, u_wins):
+                assert eval_S(table, WindowSpec(X, k), alpha) == \
+                    cold_S(table, k, X, 2.0 * X, alpha)
+                assert eval_U(WindowSpec(Xu, ku), alpha) == \
+                    cold_U(ku, Xu, 2.0 * Xu, alpha)
+        X = 1e4
+        rhs = (X / math.sqrt(3) + math.sqrt(X * 3) + X ** 0.8) * math.log(X) ** 4
+        for alpha in np.linspace(1 / 3 - 0.04, 1 / 3 + 0.04, 9):
+            assert circle.bound_vaughan(table, X, alpha, 1, 3) == \
+                abs(cold_S(table, 1.0, X, 2.0 * X, alpha)) / rhs
+            assert eval_S(table, WindowSpec(X, 1.05), alpha) == \
+                cold_S(table, 1.05, X, 2.0 * X, alpha)
+        assert len(table.windows) <= WINDOW_CACHE_SIZE
+        assert len(expsums._integer_windows) <= WINDOW_CACHE_SIZE
+
+    def test_window_arrays_read_only(self, table):
+        win = window(1.05, 1e3, 2e3, table)
+        for arr in (win.values, win.powers, win.weights,
+                    prime_window(table, 1.05, 1e3, 2e3)[1],
+                    integer_window(1.05, 1e3, 2e3)):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_one_build_per_window(self, monkeypatch):
+        calls = []
+
+        def counting(n, k):
+            calls.append(k)
+            return powk_extended(n, k)
+
+        monkeypatch.setattr(expsums, "powk_extended", counting)
+        fresh = build_table(10_000)
+        w = WindowSpec(X=2718.5, k=1.07)
+        for alpha in np.linspace(0.0, 3.0, 50):
+            eval_S(fresh, w, alpha)
+            eval_U(w, alpha)
+        assert calls == [1.07, 1.07]
+
+    def test_build_logged_once(self, caplog):
+        w = WindowSpec(X=3141.5, k=1.09)
+        with caplog.at_level(logging.DEBUG, logger="primearcs.expsums"):
+            for alpha in np.linspace(0.0, 1.0, 20):
+                eval_U(w, alpha)
+        builds = [re.search(r"integer window 3141.5 <= n\^1.09 <= 6283: "
+                            r"(\d+) terms in (\S+) s", r.getMessage())
+                  for r in caplog.records]
+        assert len(builds) == 1 and builds[0]
+        assert int(builds[0].group(1)) == round(eval_U(w, 0.0).real)
 
 
 class TestT:
