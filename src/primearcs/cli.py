@@ -89,8 +89,9 @@ def _write_csv(path: str | None, meta: dict, header: list[str], rows):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    # numpy 2 scalars repr as np.float64(...); float() gives the plain form
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -158,7 +159,8 @@ def _cmd_meansquare(args) -> int:
     else:
         rep = meansquare.selberg_J(table, q)
         param = q.h
-    meta = _meta("mean_square", psi=args.psi, rh=args.rh)
+    meta = _meta("mean_square", psi=args.psi, rh=args.rh,
+                 est_error=rep.est_error)
     _write_csv(args.out, meta,
                ["X", "k", "param", "value", "comparator", "ratio", "method"],
                [(q.X, q.k, param, rep.value, rep.comparator, rep.ratio,

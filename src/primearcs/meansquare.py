@@ -6,7 +6,10 @@ where the step part only changes at k-th powers of primes (or prime
 powers).  Between consecutive breakpoints the integrand is a low-order
 smooth function, so splitting at the breakpoints and applying short
 Gauss rules is exact to rounding and several orders of magnitude cheaper
-than uniform grids.
+than uniform grids.  The step part is evaluated once, at the midpoints of
+all pieces; for psi, each point is floored first and the prime powers
+counted exactly (p^m <= floor(y), no float roots).  Only the primes whose
+k-th powers can fall inside the x-range are powered.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ class MeanSquareReport:
     method: str
     note: str = ""
     substituted: float | None = None
+    est_error: float | None = None  # the L2 grid's estimate; None if exact
 
 
 # --------------------------- piecewise machinery -----------------------------
@@ -70,14 +74,18 @@ def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
     """x-values in (x_lo, x_hi) where F(((x*factor)+shift)^(1/k)) jumps.
 
     F jumps at integers q from the relevant set (primes, or prime powers);
-    the crossing is at x = (q^k - shift)/factor.
+    the crossing is at x = (q^k - shift)/factor.  Only the q from one below
+    floor((x_lo*factor + shift)^(1/k)) up are powered: every q under that
+    crosses at or below x_lo, which the strict mask drops anyway.
     """
     top = ((x_hi * factor + shift)) ** (1.0 / k) + 1
+    cut = math.floor((x_lo * factor + shift) ** (1.0 / k)) - 1
     if use_powers:
         qs = table.prime_powers_up_to(min(float(table.limit), top),
                                       proper_only=proper_only)
+        qs = qs[np.searchsorted(qs, cut):]
     else:
-        qs = table.primes_in_range(2, min(float(table.limit), top))
+        qs = table.primes_in_range(max(2, cut), min(float(table.limit), top))
     qk = np.asarray(powk_extended(qs, k), dtype=np.float64)
     x = (qk - shift) / factor
     return x[(x > x_lo) & (x < x_hi)]
@@ -104,7 +112,9 @@ def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
     nsub = np.maximum(1, np.ceil((b - a) / max_len).astype(int))
     starts = np.repeat(a, nsub)
     widths = np.repeat((b - a) / nsub, nsub)
-    offsets = np.concatenate([np.arange(n) for n in nsub]) * widths
+    # sub-panel i of its gap: position in the flat list minus the gap's first
+    runs = np.cumsum(nsub) - nsub
+    offsets = (np.arange(len(starts)) - np.repeat(runs, nsub)) * widths
     a_all = starts + offsets
     b_all = a_all + widths
     mids = 0.5 * (a_all + b_all)
@@ -315,28 +325,30 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
         if len(ns) > PAIRWISE_CAP:
             raise ValidationError(
                 f"pairwise method refused for {len(ns)} > {PAIRWISE_CAP} integers")
-        value = exp_pair_integral(freqs, coeffs, -Y, Y)
+        value, est_error = exp_pair_integral(freqs, coeffs, -Y, Y), None
     elif method == "grid":
-        value = _l2_grid(freqs, coeffs, Y)
+        value, est_error = _l2_grid(freqs, coeffs, Y)
     else:
         raise ValidationError(f"unknown method {method!r}")
     comparator = _truncated_l2_comparator(table, w, Y)
     q = MeanSquareQuery(X=w.X, k=w.k, Y=Y)
     return MeanSquareReport(q, value, comparator,
                             value / comparator if comparator > 0 else math.inf,
-                            method)
+                            method, est_error=est_error)
 
 
-def _l2_grid(freqs: np.ndarray, coeffs: np.ndarray, Y: float) -> float:
+def _l2_grid(freqs: np.ndarray, coeffs: np.ndarray,
+             Y: float) -> tuple[float, float]:
     """2 * int_0^Y |sum c_j e(f_j a)|^2 da on the shared Gauss panel driver.
 
     |S|^2 oscillates at the pair differences, so the panels are sized by the
-    frequency spread.  The tolerance is 1e-9 of the diagonal (Parseval) term
-    2Y sum c_j^2, and the node budget allows four doublings of the start
-    panel count before ConvergenceError.
+    frequency spread.  The tolerance on the half line [0, Y] is 1e-9 of the
+    diagonal (Parseval) term 2Y sum c_j^2, and the node budget allows four
+    doublings of the start panel count before ConvergenceError.  Returns
+    the value and the driver's error estimate, both doubled.
     """
     if len(freqs) == 0:
-        return 0.0
+        return 0.0, 0.0
     factor = ExpSumFactor(freqs, coeffs)
     spread = float(freqs.max() - freqs.min())
 
@@ -346,8 +358,8 @@ def _l2_grid(freqs: np.ndarray, coeffs: np.ndarray, Y: float) -> float:
 
     tol = 1e-9 * 2.0 * Y * float(np.dot(coeffs, coeffs))
     budget = 20 * 16 * start_panels(spread, 0.0, Y)
-    vals, _ = gauss_panels(parts, 0.0, Y, spread, tol, budget)
-    return 2.0 * vals["L2"].real
+    vals, err = gauss_panels(parts, 0.0, Y, spread, tol, budget)
+    return 2.0 * vals["L2"].real, 2.0 * err
 
 
 def _truncated_l2_comparator(table: PrimeTable, w: WindowSpec, Y: float) -> float:

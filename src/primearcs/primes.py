@@ -125,14 +125,23 @@ class PrimeTable:
         return total
 
     def psi_minus_theta_many(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized psi(x) - theta(x) (proper prime-power mass only)."""
+        """Vectorized psi(x) - theta(x) (proper prime-power mass only).
+
+        As in the scalar psi, x is floored first, and level m counts the
+        primes up to the exact integer m-th root of floor(x): p qualifies
+        when p^m <= floor(x), so floor(x) is searched among the exact int64
+        powers p^m of the table prefix up to floor(top)^(1/m).  No float
+        root is taken.
+        """
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
-        top = float(np.max(x)) if x.size else 0.0
+        n = np.floor(np.maximum(x, 0.0)).astype(np.int64)
+        top = int(np.max(n)) if x.size else 0
         m = 2
-        while top >= 2.0 ** m:
-            roots = np.power(x, 1.0 / m)
-            out += self.theta_many(roots + roots * 4e-15 + 1e-12)
+        while top >= 1 << m:
+            j = int(np.searchsorted(self.primes, _iroot(top, m), side="right"))
+            idx = np.searchsorted(self.primes[:j] ** m, n, side="right")
+            out += np.concatenate(([0.0], self.theta_prefix[:j]))[idx]
             m += 1
         return out
 
@@ -221,39 +230,42 @@ _MAGIC = b"DPT1"
 
 
 def _encode_varints(values: np.ndarray) -> bytes:
-    buf = bytearray()
-    for v in values.tolist():
-        while True:
-            b = v & 0x7F
-            v >>= 7
-            if v:
-                buf.append(b | 0x80)
-            else:
-                buf.append(b)
-                break
-    return bytes(buf)
+    """LEB128 bytes of nonnegative int64 values: 7-bit groups, low first,
+    the high bit set on every byte but a value's last."""
+    v = np.asarray(values, dtype=np.int64)
+    nbytes = np.ones(v.shape, dtype=np.int64)
+    rest = v >> 7
+    while np.any(rest):
+        nbytes += rest != 0
+        rest >>= 7
+    first = np.cumsum(nbytes) - nbytes
+    out = np.empty(int(nbytes.sum()), dtype=np.uint8)
+    for j in range(int(nbytes.max(initial=0))):
+        live = nbytes > j
+        more = (nbytes[live] > j + 1) << 7
+        out[first[live] + j] = ((v[live] >> 7 * j) & 0x7F) | more
+    return out.tobytes()
 
 
 def _decode_varints(data: bytes, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.int64)
-    val = 0
-    shift = 0
-    idx = 0
-    for byte in data:
-        val |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-        else:
-            if idx >= count:
-                raise TableIntegrityError("varint stream longer than declared count")
-            out[idx] = val
-            idx += 1
-            val = 0
-            shift = 0
-    if idx != count:
+    """Inverse of _encode_varints: each value ends at a byte with its high
+    bit clear; bytes after the last such terminator are ignored."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b < 0x80)
+    if len(ends) > count:
+        raise TableIntegrityError("varint stream longer than declared count")
+    if len(ends) != count:
         raise TableIntegrityError(
-            f"varint stream ended after {idx} of {count} primes")
-    return out
+            f"varint stream ended after {len(ends)} of {count} primes")
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # 9 groups of 7 bits are the most an int64 can hold
+    if np.any(ends - starts >= 9):
+        raise TableIntegrityError("varint value overflows 64 bits")
+    pos = np.arange(ends[-1] + 1) - np.repeat(starts, ends - starts + 1)
+    parts = (b[:ends[-1] + 1] & 0x7F).astype(np.int64) << (7 * pos)
+    return np.add.reduceat(parts, starts)
 
 
 def save_table(table: PrimeTable, path: str) -> None:

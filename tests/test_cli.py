@@ -102,6 +102,33 @@ class TestSubcommands:
                      "0:1:3", "--which", "S"]) == 2
         assert "--table" in capsys.readouterr().err
 
+    def test_expsum_rows_parse_as_floats(self, tmp_path, table_file):
+        out = tmp_path / "e.csv"
+        for which in "SUT":
+            assert main(["expsum", "--table", table_file, "--X", "100",
+                         "--k", "1.05", "--alpha-grid", "0:0.1:3",
+                         "--which", which, "--out", str(out)]) == 0
+            rows = [l for l in out.read_text().splitlines()
+                    if not l.startswith("#")][1:]
+            assert len(rows) == 3
+            for row in rows:
+                assert len([float(v) for v in row.split(",")]) == 4
+
+    def test_meansquare_meta_est_error(self, tmp_path, table_file):
+        out = tmp_path / "m.csv"
+        cases = ((["--h", "10"], "piecewise-exact"),
+                 (["--Y", "0.5"], "pairwise-exact"), (["--Y", "0.002"], "grid"))
+        for extra, method in cases:
+            assert main(["meansquare", "--table", table_file, "--X", "1000",
+                         "--k", "1.05", "--out", str(out)] + extra) == 0
+            lines = out.read_text().splitlines()
+            meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+            assert lines[-1].split(",")[-1] == method
+            if method == "grid":
+                assert 0.0 <= float(meta["est_error"]) < 1e-6
+            else:
+                assert meta["est_error"] == "None"
+
     def test_meansquare_csv(self, tmp_path, table_file):
         out = tmp_path / "m.csv"
         rc = main(["meansquare", "--table", table_file, "--X", "100", "--k",

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from primearcs.errors import ValidationError
-from primearcs.expsums import WindowSpec
-from primearcs.meansquare import (MeanSquareQuery, _l2_grid,
+from primearcs.expsums import WindowSpec, s_minus_u_weights
+from primearcs.meansquare import (MeanSquareQuery, _breakpoints, _l2_grid,
+                                  _piecewise_square,
                                   double_integral_bound_check, l2_diff,
                                   selberg_J, selberg_J_relative,
                                   theta_psi_discrepancy)
-from primearcs.numutil import exp_pair_integral
+from primearcs.numutil import exp_pair_integral, gl_rule, powk_extended
 from primearcs.primes import is_prime
 
 
@@ -28,6 +29,76 @@ def riemann_oracle(table, X, shift, k, step, relative=False, use_psi=False):
     upper = xs * (1 + shift) if relative else xs + shift
     vals = (fn(upper ** rt) - fn(xs ** rt) - (upper ** rt - xs ** rt)) ** 2
     return float(vals.sum() * step)
+
+
+def reference_breakpoints(table, k, x_lo, x_hi, shift=0.0, factor=1.0,
+                          use_powers=False, proper_only=False):
+    """Every prime (or prime power) from 2 up, powered, then masked."""
+    top = min(float(table.limit), (x_hi * factor + shift) ** (1.0 / k) + 1)
+    if use_powers:
+        qs = table.prime_powers_up_to(top, proper_only=proper_only)
+    else:
+        qs = table.primes_in_range(2, top)
+    x = (np.asarray(powk_extended(qs, k), dtype=np.float64) - shift) / factor
+    return x[(x > x_lo) & (x < x_hi)]
+
+
+class TestPiecewiseMachinery:
+    @pytest.mark.parametrize("k", [0.9, 1.0, 1.05, 2.0])
+    @pytest.mark.parametrize("shift,factor", [(0.0, 1.0), (7.5, 1.0),
+                                              (0.0, 1.03), (40.0, 1.2)])
+    @pytest.mark.parametrize("use_powers,proper_only",
+                             [(False, False), (True, False), (True, True)])
+    def test_breakpoints_match_unrestricted(self, table, k, shift, factor,
+                                            use_powers, proper_only):
+        x_los = [1.5, 40.0, 1000.0, 12345.0]
+        # put a prime's crossing one ulp above x_lo, right at the cut
+        for q in (3, 5, 31, 97, 101, 1009, 7919):
+            x_q = float((powk_extended(np.array([q]), k)[0] - shift) / factor)
+            if x_q > 1.0:
+                x_los.append(float(np.nextafter(x_q, -np.inf)))
+        for x_lo in x_los:
+            x_hi = 2.0 * x_lo + 50.0
+            args = (table, k, x_lo, x_hi, shift, factor, use_powers, proper_only)
+            got = _breakpoints(*args)
+            assert np.array_equal(got, reference_breakpoints(*args)), x_lo
+
+    @staticmethod
+    def _traced(x_lo, x_hi, bkpts):
+        seen = {}
+
+        def step(x):
+            seen["mids"] = np.array(x)
+            return np.zeros_like(x)
+
+        def smooth(x):
+            seen["nodes"] = np.array(x)
+            return x * x
+
+        value = _piecewise_square(step, smooth, np.asarray(bkpts, float),
+                                  x_lo, x_hi)
+        return value, seen["mids"], seen["nodes"].reshape(len(seen["mids"]), -1)
+
+    @pytest.mark.parametrize("bkpts,n_pieces", [
+        ([], 64), ([12.5], 16 + 48), ([12.5, 12.6, 19.0], 16 + 1 + 41 + 7),
+        ([10.0, 20.0, 15.0, 15.0], 32 + 32)])
+    def test_piecewise_square_long_gaps(self, bkpts, n_pieces):
+        x_lo, x_hi = 10.0, 20.0
+        value, mids, nodes = self._traced(x_lo, x_hi, bkpts)
+        # step 0, smooth x^2: the integrand x^4 is exact under 12-point Gauss
+        assert value == pytest.approx((x_hi ** 5 - x_lo ** 5) / 5.0, rel=1e-13)
+        assert len(mids) == n_pieces
+        # the sub-panels tile [x_lo, x_hi], each gap into equal parts
+        x_gl, _ = gl_rule(12)
+        widths = 2.0 * (nodes[:, -1] - nodes[:, 0]) / (x_gl[-1] - x_gl[0])
+        lo, hi = mids - widths / 2, mids + widths / 2
+        assert np.all(widths > 0)
+        assert np.all(widths <= (x_hi - x_lo) / 64 * (1 + 1e-12))
+        assert lo[0] == pytest.approx(x_lo, abs=1e-12)
+        assert hi[-1] == pytest.approx(x_hi, abs=1e-12)
+        np.testing.assert_allclose(lo[1:], hi[:-1], rtol=0, atol=1e-12)
+        for b in bkpts:
+            assert np.min(np.abs(np.concatenate(([x_lo], hi)) - b)) <= 1e-12
 
 
 class TestSelbergJ:
@@ -238,13 +309,26 @@ class TestL2Diff:
         coeffs = np.cos(freqs)
         tracemalloc.start()
         try:
-            value = _l2_grid(freqs, coeffs, 0.5)
+            value, _ = _l2_grid(freqs, coeffs, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 80 * 2 ** 21
         assert value == pytest.approx(
             exp_pair_integral(freqs, coeffs, -0.5, 0.5), rel=1e-9)
+
+    def test_grid_error_estimate_honest(self, table):
+        for X, Y in ((3000.0, 0.01), (20000.0, 20000.0 ** -0.65)):
+            w = WindowSpec(X=X, k=1.05)
+            grid = l2_diff(table, w, Y, method="grid")
+            exact = l2_diff(table, w, Y, method="pairwise-exact")
+            _, coeffs = s_minus_u_weights(table, w)
+            # the driver's tolerance on the half line [0, Y]; the value and
+            # its estimate are both twice the half-line integral's
+            tol = 1e-9 * 2.0 * Y * float(np.dot(coeffs, coeffs))
+            assert exact.est_error is None
+            assert abs(grid.value - exact.value) <= grid.est_error <= 2.0 * tol
+        assert selberg_J(table, MeanSquareQuery(X=100, k=1, h=5)).est_error is None
 
     def test_comparator_positive(self, table):
         w = WindowSpec(X=1000.0, k=1.05, delta=0.1)

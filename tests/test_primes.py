@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from primearcs.errors import (ResourceLimitError, TableIntegrityError,
                               ValidationError)
-from primearcs.primes import (build_table, is_prime, load_table,
-                              save_table)
+from primearcs.primes import (_decode_varints, _encode_varints, build_table,
+                              is_prime, load_table, save_table)
 
 
 def simple_sieve(limit):
@@ -80,6 +81,33 @@ def test_psi_minus_theta_is_prime_power_mass(table):
         assert table.psi(x) - table.theta(x) == pytest.approx(direct, abs=1e-9)
 
 
+# proper prime powers p^m (m >= 2) inside the shared 300 000 table
+_PRIME_POWERS = sorted(p ** m for p in range(2, 548) if is_prime(p)
+                       for m in range(2, 19) if p ** m <= 300_000)
+
+
+def exact_proper_mass(x):
+    """sum of log p over p^m <= floor(x), m >= 2, counted directly."""
+    n = math.floor(x)
+    return math.fsum(math.log(p) for p in range(2, math.isqrt(max(n, 0)) + 1)
+                     if is_prime(p) for m in range(2, 64) if p ** m <= n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(probes=st.lists(
+    st.tuples(st.sampled_from(_PRIME_POWERS),
+              st.sampled_from(["at", "minus_one", "just_below"])),
+    min_size=1, max_size=12))
+@example(probes=[(9, "just_below"), (961, "just_below")])
+def test_psi_minus_theta_many_exact_at_prime_powers(table, probes):
+    shifts = {"at": lambda q: float(q), "minus_one": lambda q: q - 1.0,
+              "just_below": lambda q: q * (1.0 - 1e-13)}
+    x = np.array([shifts[kind](q) for q, kind in probes])
+    got = table.psi_minus_theta_many(x)
+    for xi, gi in zip(x.tolist(), got.tolist()):
+        assert gi == pytest.approx(exact_proper_mass(xi), abs=1e-9), xi
+
+
 def test_chebyshev_sanity(table):
     for x in np.linspace(100, 2 * 10**5, 50):
         th, ps = table.theta(x), table.psi(x)
@@ -137,6 +165,35 @@ def test_table_corruption_detected(tmp_path, table):
     path.write_bytes(bytes(blob))
     with pytest.raises(TableIntegrityError):
         load_table(str(path))
+
+
+def test_varint_roundtrip():
+    rng = np.random.default_rng(5)
+    for values in (np.array([], dtype=np.int64), np.array([0, 1, 127, 128]),
+                   np.array([16383, 16384, 2 ** 62, 2 ** 63 - 1]),
+                   rng.integers(0, 2 ** 63 - 1, 500), rng.integers(0, 300, 500)):
+        data = _encode_varints(values)
+        assert np.array_equal(_decode_varints(data, len(values)), values)
+    # LEB128 layout: low group first, high bit on all but the last byte
+    assert _encode_varints(np.array([300, 5])) == bytes([0xAC, 0x02, 0x05])
+
+
+def test_varint_truncated_stream():
+    data = _encode_varints(np.array([3, 300, 70000]))
+    with pytest.raises(TableIntegrityError, match="ended after 2 of 3"):
+        _decode_varints(data[:-1], 3)
+    with pytest.raises(TableIntegrityError, match="ended after 3 of 4"):
+        _decode_varints(data, 4)
+
+
+def test_varint_overlong_stream():
+    data = _encode_varints(np.array([3, 300, 70000]))
+    with pytest.raises(TableIntegrityError, match="longer than declared count"):
+        _decode_varints(data, 2)
+    with pytest.raises(TableIntegrityError, match="longer than declared count"):
+        _decode_varints(data + b"\x01", 3)
+    with pytest.raises(TableIntegrityError, match="overflows"):
+        _decode_varints(b"\xff" * 10 + b"\x01", 1)
 
 
 def test_table_bad_magic(tmp_path):
