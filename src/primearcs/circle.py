@@ -161,30 +161,80 @@ class ExpSumFactor:
     def eval_panels(self, centers: np.ndarray, offs_cat: np.ndarray) -> np.ndarray:
         """Values on nodes centers[:, None] + offs_cat[None, :].
 
-        The phase splits as e(f c) * e(f o); the (panels x freqs) factor is
-        the expensive part and is shared by every offset column.  Each block
-        of about 2^21 phases reduces f*c0 at its first centre c0 in extended
-        precision and adds f*(c - c0) in float64, so the phase error is
-        bounded by the block's width in cycles, not by the size of alpha.
+        The centres must be evenly spaced (gauss_panels' are); grid_sum
+        shares the phase work between them.
         """
-        tf = TWO_PI * self.freqs
-        bmat = _cis(np.multiply.outer(tf, offs_cat))
-        out = np.empty((len(centers), len(offs_cat)), dtype=complex)
-        chunk = max(1, (1 << 21) // max(1, len(self.freqs)))
-        for i in range(0, len(centers), chunk):
-            c = centers[i:i + chunk]
-            a_phase = np.multiply.outer(c - c[0], tf)
-            a_phase += frac_phase(self.freqs, c[0]) * TWO_PI
-            amat = _cis(a_phase)
-            amat *= self.weights[None, :]
-            out[i:i + chunk] = amat @ bmat
-        return out
+        return grid_sum(self.freqs, self.weights, centers, offs_cat)
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
     out = np.empty(phase.shape, dtype=complex)
     out.real = np.cos(phase)
     out.imag = np.sin(phase)
+    return out
+
+
+def _grid_step(centers: np.ndarray) -> float:
+    """Spacing of evenly spaced centres; ValidationError if they are not."""
+    n = len(centers)
+    if n < 2:
+        return 0.0
+    h = (centers[-1] - centers[0]) / (n - 1)
+    dev = np.max(np.abs(centers - (centers[0] + h * np.arange(n))))
+    ulp = np.spacing(max(abs(centers[0]), abs(centers[-1])))
+    if not dev <= 8.0 * ulp:
+        raise ValidationError(
+            f"grid_sum needs evenly spaced centres: {n} centres stray "
+            f"{dev:.3e} from the line through the ends")
+    return h
+
+
+def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
+             offs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs_j e(freqs_j (centers_i + offs_o)) as an (n, m) array.
+
+    The n centres are evenly spaced, c_i = c_0 + i h.  Writing i = R q + r
+    splits each phase in two levels, f (c_{Rq} + r h + o), so the sum is
+    P @ Q with P[q, j] = coeffs_j e(f_j c_{Rq}) (n/R rows) and
+    Q[j, (r, o)] = e(f_j (r h + o)) (R m columns): (n/R + R m) N phases
+    for N frequencies in place of n N, and the product has the size of
+    the direct one.  R is the integer nearest sqrt(n/m), or 1 where that
+    saves no phases or Q would pass 2^21 entries.  P's rows go in blocks of
+    about 2^21 / N centres: f c at the block's first centre is reduced in
+    extended precision (numutil.frac_phase) and f (c - c0) added in
+    float64, so the phase error is bounded by the block's width in cycles,
+    not by the size of c.  Q's phases span at most R h + max|o|.  With
+    R > 1 the nodes are c_{Rq} + r h + o, which the spacing check keeps
+    within 8 ulps of c_i + o.
+    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    offs = np.asarray(offs, dtype=np.float64)
+    n, m, nf = len(centers), len(offs), max(1, len(freqs))
+    h = _grid_step(centers)
+    if n == 0 or m == 0:
+        return np.zeros((n, m), dtype=complex)
+    R = max(1, round(math.sqrt(n / m)))
+    if R > 1 and (-(-n // R) + R * m >= n + m or nf * R * m > 1 << 21):
+        R = 1
+    tf = TWO_PI * freqs
+    inner = (h * np.arange(R))[:, None] + offs[None, :]
+    qmat = _cis(np.multiply.outer(tf, inner.ravel()))
+    rows = max(1, ((1 << 21) // nf) // R)
+    chunk = R * rows
+    out = np.empty((n, m), dtype=complex)
+    for i in range(0, n, chunk):
+        c = centers[i:i + chunk:R]
+        phase = np.multiply.outer(c - c[0], tf)
+        phase += frac_phase(freqs, c[0]) * TWO_PI
+        pmat = _cis(phase)
+        pmat *= coeffs[None, :]
+        k = min(chunk, n - i)
+        out[i:i + k] = (pmat @ qmat).reshape(-1, m)[:k]
+    _log.debug("grid sum: %d centres x %d offsets x %d freqs, R = %d, "
+               "%d anchors, %d phases", n, m, len(freqs), R,
+               -(-n // chunk), (-(-n // R) + R * m) * len(freqs))
     return out
 
 
@@ -259,10 +309,19 @@ def gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
         n_panels *= 2
 
 
+def _kernel_panels(eta: float, varpi: float, centers: np.ndarray,
+                   offs: np.ndarray) -> np.ndarray:
+    """K_eta(a) e(varpi a) on the panel nodes, e(varpi a) as a
+    one-frequency grid_sum."""
+    nodes = centers[:, None] + offs[None, :]
+    return fejer_K(eta, nodes) * grid_sum([varpi], [1.0], centers, offs)
+
+
 def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,
                          tol: float, max_node_budget: float = 6e8):
     """Quadrature of prod(factors) * kernel over [a, b] with 0 <= a < b.
 
+    kernel(centers, offs) gives the kernel's values on the panel nodes.
     Returns (value, est_error).
     """
     if b <= a:
@@ -270,7 +329,7 @@ def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,
 
     def parts(centers, offs):
         prod = math.prod(f.eval_panels(centers, offs) for f in factors)
-        return {"I": prod * kernel(centers[:, None] + offs[None, :])}
+        return {"I": prod * kernel(centers, offs)}
 
     vals, err = gauss_panels(parts, a, b, f_max, tol, max_node_budget)
     return vals["I"], err
@@ -287,11 +346,9 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     """
     factors = window_factors(inst, table, w)
     f_max = sum(f.max_freq for f in factors) + abs(inst.varpi) + eta
-    varpi = inst.varpi
 
-    def kernel(alpha):
-        kern = fejer_K(eta, alpha)
-        return kern * _cis(frac_phase(varpi, alpha) * TWO_PI)
+    def kernel(centers, offs):
+        return _kernel_panels(eta, inst.varpi, centers, offs)
 
     pieces = []
     for (a, b) in intervals:
@@ -341,7 +398,6 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     f_max = sum(f.max_freq for f in factors) + abs(inst.varpi) + eta
     lo, hi = w.delta * w.X, w.X
     ks = (1.0, 2.0, inst.k)
-    varpi = inst.varpi
 
     def parts(centers, offs):
         nodes = centers[:, None] + offs[None, :]
@@ -349,7 +405,7 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
         svals = [f.eval_panels(centers, offs) for f in factors]
         tvals = [eval_T_grid(kj, lo, hi, lam * flat).reshape(nodes.shape)
                  for kj, lam in zip(ks, inst.lambdas)]
-        kern = fejer_K(eta, nodes) * _cis(frac_phase(varpi, nodes) * TWO_PI)
+        kern = _kernel_panels(eta, inst.varpi, centers, offs)
         terms = {
             "J1": tvals[0] * tvals[1] * tvals[2],
             "J2": (svals[0] - tvals[0]) * tvals[1] * tvals[2],
@@ -428,14 +484,14 @@ class TailReport:
     slices: tuple[int, int, int]
 
 
-def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
-                 max_slices: int) -> tuple[float, int]:
-    """sum_{n >= n0} (n-1)^-2 int_{n-1}^{n} |sum c e(f a)|^2 da.
+def _slice_pairs(freqs: np.ndarray, coeffs: np.ndarray):
+    """(M, d, kappa) of the unit-slice closed form
 
-    Each unit-interval integral has the closed form
-    M + sum_pairs 2 c_i c_j cos(2 pi d (n - 1/2)) sin(pi d)/(pi d),
-    so the whole tail is a cosine series over the pair differences;
-    the remainder past N is bounded by (M + sum|pair terms|) * psi1(N-1).
+        int_{mid-1/2}^{mid+1/2} |sum c e(f a)|^2 da
+            = M + sum_pairs kappa cos(2 pi d mid),
+
+    with M = sum c^2, d = f_i - f_j and kappa = 2 c_i c_j sin(pi d)/(pi d)
+    over the pairs i < j.  Pair terms below 1e-17 M are dropped.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -447,9 +503,35 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
     kern = np.where(small, 1.0, np.sin(math.pi * d_safe) / (math.pi * d_safe))
     kpair = 2.0 * coeffs[iu] * coeffs[ju] * kern
     keep = np.abs(kpair) > 1e-17 * max(m_diag, 1e-300)
-    d, kpair = d[keep], kpair[keep]
+    return m_diag, d[keep], kpair[keep]
+
+
+def _unit_slices(pairs, first_mid: float, count: int) -> np.ndarray:
+    """Unit-slice integrals of _slice_pairs' sum at the midpoints
+    first_mid + i, i < count: M plus the real part of one grid_sum over
+    the pair differences."""
+    m_diag, d, kpair = pairs
+    vals = np.full(count, m_diag)
+    if len(d) and count:
+        mids = first_mid + np.arange(count, dtype=np.float64)
+        vals += grid_sum(d, kpair, mids, [0.0])[:, 0].real
+    return vals
+
+
+def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
+                 max_slices: int) -> tuple[float, int]:
+    """sum_{n >= n0} (n-1)^-2 int_{n-1}^{n} |sum c e(f a)|^2 da.
+
+    Each unit-interval integral has the closed form of _slice_pairs,
+    M + sum_pairs 2 c_i c_j cos(2 pi d (n - 1/2)) sin(pi d)/(pi d),
+    so the whole tail is a cosine series over the pair differences,
+    evaluated 4096 slices at a time by _unit_slices (one grid_sum with
+    centres n - 1/2); the remainder past N is bounded by
+    (M + sum|pair terms|) * psi1(N-1).
+    """
+    pairs = _slice_pairs(freqs, coeffs)
+    m_diag, _, kpair = pairs
     osc_bound = float(np.sum(np.abs(kpair)))
-    td = TWO_PI * d
     total = KahanAccumulator()
     n = max(n0, 2)
     used = 0
@@ -464,16 +546,7 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
                 f"(remaining bound {remaining:.3e})", best=total.value,
                 est_error=remaining)
         ns = np.arange(n, n + block, dtype=np.float64)
-        vals = np.full(len(ns), m_diag)
-        if len(d):
-            # d (n - 1/2) reduced at the block's first slice, as in
-            # eval_panels; the block's rows go in slices of about 2^20 phases
-            anchor = frac_phase(d, n - 0.5) * TWO_PI
-            rows = max(1, (1 << 20) // len(d))
-            for j in range(0, block, rows):
-                phase = np.multiply.outer(ns[j:j + rows] - n, td)
-                phase += anchor
-                vals[j:j + rows] += np.cos(phase, out=phase) @ kpair
+        vals = _unit_slices(pairs, n - 0.5, block)
         total.add(float(np.sum(vals / (ns - 1.0) ** 2)))
         n += block
         used += block
@@ -525,8 +598,9 @@ def minor_arc_l2(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     For each of |S_1(l1 a)|^2, |S_2(l2 a)|^4, |S_k(l3 a)|^2 integrates the
     kernel majorant min(eta^2, 1/(pi a)^2) over the positive minor arc:
     exactly on [P/X, cut] with weight eta^2, then by unit slices with
-    weight 1/(pi floor(a))^2 up to R.  Comparators: eta X log^j X for
-    j = 1, 2 and eta X^(1/k) log^3 X.
+    weight 1/(pi a)^2 at each slice's left end a up to R.  Comparators:
+    eta X log^j X for j = 1, 2 and eta X^(1/k) log^3 X.  Each row also
+    counts the slices between cut and R.
     """
     if arc is None:
         arc = arc_params(inst, w.X)
@@ -543,13 +617,25 @@ def minor_arc_l2(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
             freqs, coeffs = expand_square(freqs, coeffs)
         cut = min(R, max(a0, 1.0 / eta))
         value = eta * eta * exp_pair_integral(freqs, coeffs, a0, cut)
-        a = cut
-        while a < R:
-            b = min(math.floor(a) + 1.0, R)
-            if b <= a:
-                b = min(a + 1.0, R)
-            value += exp_pair_integral(freqs, coeffs, a, b) / (math.pi * a) ** 2
-            a = b
+        slices = 0
+        if cut < R:
+            # the first slice [cut, floor(cut) + 1] and the last partial
+            # one [floor(R), R] exactly; the whole slices [n, n + 1]
+            # between them by _unit_slices
+            b = min(math.floor(cut) + 1.0, R)
+            value += exp_pair_integral(freqs, coeffs, cut, b) / (math.pi * cut) ** 2
+            slices = 1
+            if b < R:
+                last = float(math.floor(R))
+                ns = np.arange(b, last)
+                vals = _unit_slices(_slice_pairs(freqs, coeffs), b + 0.5, len(ns))
+                value += float(np.sum(vals / (math.pi * ns) ** 2))
+                slices += len(ns)
+                if last < R:
+                    value += (exp_pair_integral(freqs, coeffs, last, R)
+                              / (math.pi * last) ** 2)
+                    slices += 1
         rows.append({"value": value, "comparator": comp,
-                     "ratio": value / comp if comp > 0 else math.inf})
+                     "ratio": value / comp if comp > 0 else math.inf,
+                     "slices": slices})
     return rows

@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from primearcs.circle import (ProblemInstance, arc_params,
-                              bound_ghosh, bound_vaughan, classify_minor,
-                              eta_exponent, integrand, integrate_I,
-                              major_arc_split, minor_arc_l2, trivial_tails, V,
-                              window_factors)
+from primearcs.circle import (ProblemInstance, _slice_pairs, _unit_slices,
+                              arc_params, bound_ghosh, bound_vaughan,
+                              classify_minor, eta_exponent, integrand,
+                              integrate_I, major_arc_split, minor_arc_l2,
+                              trivial_tails, V, window_factors)
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, fejer_K, prime_window
-from primearcs.numutil import powk_extended
+from primearcs.numutil import (exp_pair_integral, expand_square, frac_phase,
+                               gl_rule, powk_extended)
 from primearcs.rational import parse_hireal
 
 
@@ -132,6 +133,57 @@ class TestExpSumFactor:
             want = fac.eval((centers[:, None] + offs[None, :]).ravel())
             assert np.max(np.abs(got.ravel() - want)) <= 1e-9 * fac.mass
 
+    def test_two_level_panels_match_extended_eval(self, inst, table, caplog):
+        # lambda1 and lambda3 factors at X = 1e4 (f*alpha reaches 5e7 cycles
+        # at alpha = 5000); centres a + (2i+1) hw as gauss_panels makes
+        # them, GL8 + GL12 offsets; n = 1, 2, fewer centres than offsets,
+        # and R both dividing n and not.  The oracle is eval's per-node
+        # extended reduction, with the nodes themselves in extended
+        # precision: rounding c + o to float64 alone moves the sum by up to
+        # 1e-8 of its mass here.  With R > 1 the nodes are c_{Rq} + r h + o,
+        # within 2 ulps of c_i + o on these centres.
+        facs = window_factors(inst, table, WindowSpec(X=1e4, k=1.05))
+        offs_unit = np.concatenate((gl_rule(8)[0], gl_rule(12)[0]))
+        m = len(offs_unit)
+        ld = np.longdouble
+        seen = set()
+        for fac in (facs[0], facs[2]):
+            hw = 0.37 / fac.max_freq
+            for alpha in (100.0, 5000.0):
+                for n in (1, 2, 7, 120, 121):
+                    centers = alpha + (2.0 * np.arange(n) + 1.0) * hw
+                    offs = offs_unit * hw
+                    caplog.clear()
+                    with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+                        got = fac.eval_panels(centers, offs)
+                    (log,) = [re.search(r"R = (\d+), (\d+) anchors, (\d+) phases",
+                                        r.getMessage()) for r in caplog.records]
+                    R, phases = int(log.group(1)), int(log.group(3))
+                    assert phases == (-(-n // R) + R * m) * len(fac.freqs)
+                    seen.add((n, R))
+                    h = (centers[-1] - centers[0]) / max(n - 1, 1)
+                    r = np.arange(n) % R
+                    base = centers[np.arange(n) - r].astype(ld) + r * ld(h)
+                    assert np.max(np.abs(base - centers)) <= 2 * np.spacing(alpha)
+                    nodes = (base[:, None] + offs.astype(ld)[None, :]).ravel()
+                    want = np.exp(2j * np.pi * frac_phase(fac.freqs[None, :],
+                                                          nodes[:, None])) @ fac.weights
+                    assert got.shape == (n, m)
+                    assert np.max(np.abs(got.ravel() - want)) <= 1e-9 * fac.mass
+        assert {(1, 1), (2, 1), (7, 1)} <= seen
+        assert any(R > 1 and n % R == 0 for n, R in seen)
+        assert any(R > 1 and n % R for n, R in seen)
+
+    def test_jittered_centres_rejected(self, inst, table, w500):
+        fac = window_factors(inst, table, w500)[2]
+        centers = 0.3 + 0.01 * np.arange(50)
+        offs = gl_rule(8)[0] * 0.005
+        assert fac.eval_panels(centers, offs).shape == (50, 8)
+        jittered = centers.copy()
+        jittered[17] += 1e-9
+        with pytest.raises(ValidationError, match="evenly spaced"):
+            fac.eval_panels(jittered, offs)
+
 
 class TestIntegrateI:
     def test_empty_set(self, inst, table, w500):
@@ -150,7 +202,8 @@ class TestIntegrateI:
     def test_logs_panels_and_error(self, inst, table, w500, caplog):
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=1e-9)
-        msgs = [r.getMessage() for r in caplog.records]
+        msgs = [r.getMessage() for r in caplog.records
+                if not r.getMessage().startswith("grid sum:")]
         # one line per pass, then integrate_I's summary
         assert msgs[-1].startswith("integrate_I: 1 pieces")
         passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)", m)
@@ -251,9 +304,48 @@ class TestMinorArc:
         arc = arc_params(inst, 500.0)
         rows = minor_arc_l2(inst, table, w500, 0.5, arc)
         assert len(rows) == 3
+        cut = min(arc.R, max(arc.major[1], 1.0 / 0.5))
         for row in rows:
             assert row["value"] > 0 and row["comparator"] > 0
             assert row["ratio"] == row["value"] / row["comparator"]
+            # [cut, floor(cut) + 1], the whole slices, then [floor(R), R]
+            assert row["slices"] == math.ceil(arc.R) - math.floor(cut)
+
+    def test_benchmark_instance_pinned(self, table):
+        # the arcs benchmark instance (its seeded varpi plays no part);
+        # values of the per-slice exp_pair_integral loop this replaced
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05)
+        w = WindowSpec(X=500.0, k=1.05, delta=0.1)
+        arc = arc_params(inst, 500.0)
+        rows = minor_arc_l2(inst, table, w, arc.eta, arc)
+        assert [r["value"] for r in rows] == pytest.approx(
+            [1952.5608605982263, 1220.9870932933206, 1378.117330992822],
+            rel=1e-12, abs=0)
+        rep = trivial_tails(inst, table, w, arc.R, tol=1.0)
+        assert rep.values == pytest.approx(
+            (6.3327097302039075, 2.680732735560773, 4.250999502305229),
+            rel=1e-12, abs=0)
+        assert rep.start == (348, 491, 348)
+
+
+class TestUnitSlices:
+    @pytest.mark.parametrize("which", ["lambda3", "square"])
+    def test_matches_pair_integral(self, inst, table, which):
+        # lambda3 p^1.05 (~17k pairs) and the expand_square list of the
+        # lambda2 factor at X = 2000, near the start of the minor arc and
+        # out in the tails; 300 slices take R > 1
+        facs = window_factors(inst, table, WindowSpec(X=2000.0, k=1.05))
+        if which == "lambda3":
+            freqs, coeffs = facs[2].freqs, facs[2].weights
+        else:
+            freqs, coeffs = expand_square(facs[1].freqs, facs[1].weights)
+        mass = float(np.sum(np.abs(coeffs))) ** 2
+        pairs = _slice_pairs(freqs, coeffs)
+        for first_mid in (2.5, 8000.5):
+            got = _unit_slices(pairs, first_mid, 300)
+            want = [exp_pair_integral(freqs, coeffs, mid - 0.5, mid + 0.5)
+                    for mid in first_mid + np.arange(300)]
+            assert np.max(np.abs(got - want)) <= 1e-12 * mass
 
 
 class TestBounds:

@@ -284,7 +284,8 @@ class TestL2Diff:
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             l2_diff(table, w, Y, method="grid")
         passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)",
-                            r.getMessage()) for r in caplog.records]
+                            r.getMessage()) for r in caplog.records
+                  if not r.getMessage().startswith("grid sum:")]
         assert len(passes) >= 2 and all(passes)
         panels = [int(m.group(1)) for m in passes]
         errors = [float(m.group(2)) for m in passes]

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from primearcs.errors import (ResourceLimitError, TableIntegrityError,
                               ValidationError)
-from primearcs.primes import (_decode_varints, _encode_varints, build_table,
-                              is_prime, load_table, save_table)
+from primearcs.primes import (PrimeTable, _decode_varints, _encode_varints,
+                              build_table, is_prime, load_table, save_table)
 
 
 def simple_sieve(limit):
@@ -164,6 +164,17 @@ def test_table_corruption_detected(tmp_path, table):
     blob[25] ^= 0xFF  # flip bits inside the gap stream
     path.write_bytes(bytes(blob))
     with pytest.raises(TableIntegrityError):
+        load_table(str(path))
+
+
+def test_table_prefix_corruption_detected(tmp_path, table):
+    # one interior prefix entry off by 1e-6: the gaps decode and the primes
+    # stay increasing, so only recomputing the whole prefix sees it
+    prefix = table.theta_prefix.copy()
+    prefix[len(prefix) // 3 + 1] += 1e-6
+    path = tmp_path / "t.bin"
+    save_table(PrimeTable(table.limit, table.primes, prefix), str(path))
+    with pytest.raises(TableIntegrityError, match=f"index {len(prefix) // 3 + 1}"):
         load_table(str(path))
 
 
