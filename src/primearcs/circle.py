@@ -511,11 +511,8 @@ def _unit_slices(pairs, first_mid: float, count: int) -> np.ndarray:
     first_mid + i, i < count: M plus the real part of one grid_sum over
     the pair differences."""
     m_diag, d, kpair = pairs
-    vals = np.full(count, m_diag)
-    if len(d) and count:
-        mids = first_mid + np.arange(count, dtype=np.float64)
-        vals += grid_sum(d, kpair, mids, [0.0])[:, 0].real
-    return vals
+    mids = first_mid + np.arange(count, dtype=np.float64)
+    return m_diag + grid_sum(d, kpair, mids, [0.0])[:, 0].real
 
 
 def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
