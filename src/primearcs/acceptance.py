@@ -107,7 +107,7 @@ def criterion_fourier_pair(tol_scale=1.0) -> CriterionResult:
     worst = 0.0
     for eta in (0.1, 1.0):
         for tval in (0.0, eta / 2.0, 2.0 * eta):
-            disc = expsums.verify_fourier_pair(eta, tval, 1e4)
+            disc = circle.verify_fourier_pair(eta, tval, 1e4)
             worst = max(worst, disc)
     ok = worst <= 3e-5 * tol_scale
     return _result("fourier-pair", ok,

@@ -8,7 +8,8 @@ exponential sums in this module run over the window delta*X <= p^k <= X
 verbatim dyadic sums stay in expsums).
 
 The bounded arcs are integrated by one Gauss-Legendre panel driver,
-gauss_panels, which meansquare's truncated-L2 grid shares.
+gauss_panels, which meansquare's truncated-L2 grid and the Fejér-pair
+check verify_fourier_pair share.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import ConvergenceError, ValidationError
-from .expsums import WindowSpec, eval_S_range, eval_T_grid, fejer_K, window
+from .expsums import (WindowSpec, eval_S_range, eval_T_grid, fejer_K,
+                      fejer_hat, window)
 from .numutil import (TWO_PI, KahanAccumulator, e_of, exp_pair_integral,
                       expand_square, frac_phase, gl_rule)
 from .primes import PrimeTable
@@ -315,6 +317,25 @@ def _kernel_panels(eta: float, varpi: float, centers: np.ndarray,
     one-frequency grid_sum."""
     nodes = centers[:, None] + offs[None, :]
     return fejer_K(eta, nodes) * grid_sum([varpi], [1.0], centers, offs)
+
+
+def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
+    """|int_{-A}^{A} K_eta(a) e(t a) da  -  max(0, eta - |t|)|.
+
+    K_eta is even, so the integral is twice the real part of one
+    gauss_panels pass over [0, A] of _kernel_panels (absolute tol 1e-9).
+    The truncation tail is at most 2/(pi^2 A) since K_eta(a) <= 1/(pi a)^2,
+    so the returned discrepancy is bounded by that plus quadrature error.
+    """
+    if truncation < 10.0 / eta:
+        raise ValidationError("truncation must be at least 10/eta")
+
+    def parts(centers, offs):
+        return {"K": _kernel_panels(eta, t, centers, offs)}
+
+    vals, _ = gauss_panels(parts, 0.0, float(truncation), eta + abs(t),
+                           1e-9, 1e8)
+    return abs(2.0 * vals["K"].real - fejer_hat(eta, t))
 
 
 def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,

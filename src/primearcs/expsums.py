@@ -1,5 +1,5 @@
 """Exponential sums over prime powers, their integral/integer-sum
-approximations, and the Fejér kernel pair.
+approximations, and the Fejér kernel with its transform.
 
 Window conventions, carried verbatim per operation: the prime sum S and
 the integer sum U run over the dyadic condition X <= n^k <= 2X, while the
@@ -10,7 +10,9 @@ three objects on one common window.
 
 A window (the primes or integers n with lo <= n^k <= hi, their k-th
 powers in extended precision and their weights) has one builder,
-``window``.  Each distinct window is built once and reused: prime windows
+``window``, which the sums here, the arc factors of circle and the triple
+search of search.find_solutions share.  Each distinct window is built
+once and reused: prime windows
 are kept on their PrimeTable, integer windows in a module cache, each
 holding the WINDOW_CACHE_SIZE most recently used, with read-only arrays.
 So S and U on many alpha pay only for the phases and the exact sum.
@@ -30,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .numutil import (TWO_PI, e_of, frac_phase, fsum_complex, fsum_real,
-                      gl_rule, powk_extended)
+from .numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
+                      frac_phase, fsum_complex, fsum_real, powk_extended)
 from .primes import MEMORY_BUDGET, PrimeTable
 
 _log = logging.getLogger(__name__)
@@ -113,7 +115,7 @@ def _build_window(k: float, lo: float, hi: float,
         cand = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     else:
         if hi < lo:
-            raise ValidationError("prime_window: inverted bounds")
+            raise ValidationError("window: inverted bounds")
         p_lo = _kth_root(lo, k)
         p_hi = _kth_root(hi, k)
         if p_hi > table.limit * (1 + 1e-12):
@@ -134,17 +136,6 @@ def _build_window(k: float, lo: float, hi: float,
                "integer" if table is None else "prime", lo, k, hi,
                len(win.values), time.perf_counter() - t0)
     return win
-
-
-def prime_window(table: PrimeTable, k: float, lo: float, hi: float):
-    """Primes p with lo <= p^k <= hi plus their log weights."""
-    win = window(k, lo, hi, table)
-    return win.values, win.weights
-
-
-def integer_window(k: float, lo: float, hi: float) -> np.ndarray:
-    """Integers n >= 1 with lo <= n^k <= hi."""
-    return window(k, lo, hi).values
 
 
 def eval_S_range(table: PrimeTable, k: float, lo: float, hi: float,
@@ -331,31 +322,6 @@ def fejer_hat(eta: float, t: float) -> float:
     return max(0.0, eta - abs(t))
 
 
-def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
-    """|int_{-A}^{A} K_eta(a) e(t a) da  -  max(0, eta - |t|)|.
-
-    The truncation tail is at most 2/(pi^2 A) since K_eta(a) <= 1/(pi a)^2,
-    so the returned discrepancy is bounded by that plus quadrature error.
-    """
-    if truncation < 10.0 / eta:
-        raise ValidationError("truncation must be at least 10/eta")
-    a_max = float(truncation)
-    # even integrand: 2 * int_0^A K_eta(a) cos(2 pi t a) da
-    freq = eta + abs(t) + 0.05
-    n_panels = int(math.ceil(8.0 * freq * a_max))
-    x, wgt = gl_rule(12)
-    hw = a_max / (2.0 * n_panels)
-    total = 0.0
-    chunk = 1 << 16
-    for i in range(0, n_panels, chunk):
-        centers = (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
-        nodes = (centers[:, None] + x[None, :] * hw).ravel()
-        vals = fejer_K(eta, nodes) * np.cos(TWO_PI * frac_phase(t, nodes))
-        total += float(np.sum(vals.reshape(-1, 12) @ wgt))
-    integral = 2.0 * total * hw
-    return abs(integral - fejer_hat(eta, t))
-
-
 # ------------------------------ fourth moment --------------------------------
 
 def fourth_moment_S2(table: PrimeTable, w: WindowSpec, lo: float,
@@ -371,12 +337,10 @@ def fourth_moment_S2(table: PrimeTable, w: WindowSpec, lo: float,
         raise ValidationError("inverted integration bounds")
     if hi == lo:
         return 0.0
-    from .numutil import exp_pair_integral, expand_square
-    ps, logs = prime_window(table, 2.0, w.X, 2.0 * w.X)
-    if len(ps) == 0:
+    win = window(2.0, w.X, 2.0 * w.X, table)
+    if len(win.values) == 0:
         return 0.0
-    freqs = (ps.astype(np.int64) ** 2).astype(np.float64)
-    f2, c2 = expand_square(freqs, logs)
+    f2, c2 = expand_square(win.powers.astype(np.float64), win.weights)
     return exp_pair_integral(f2, c2, lo, hi)
 
 

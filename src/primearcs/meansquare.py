@@ -71,15 +71,19 @@ class MeanSquareReport:
 def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
                  shift: float = 0.0, factor: float = 1.0,
                  use_powers: bool = False, proper_only: bool = False):
-    """x-values in (x_lo, x_hi) where F(((x*factor)+shift)^(1/k)) jumps.
+    """x-values in (x_lo, x_hi) where F(x^(1/k)) jumps, followed by those
+    where F(((x*factor)+shift)^(1/k)) jumps.
 
     F jumps at integers q from the relevant set (primes, or prime powers);
-    the crossing is at x = (q^k - shift)/factor.  Only the q from one below
-    floor((x_lo*factor + shift)^(1/k)) up are powered: every q under that
-    crosses at or below x_lo, which the strict mask drops anyway.
+    the crossings are at x = q^k and x = (q^k - shift)/factor, both taken
+    from one powering of the q that can cross inside either range.  Only
+    the q from one below floor(u^(1/k)) up are powered, u the lower end of
+    the smaller range: every q under that crosses at or below x_lo, which
+    the strict masks drop anyway.
     """
-    top = ((x_hi * factor + shift)) ** (1.0 / k) + 1
-    cut = math.floor((x_lo * factor + shift) ** (1.0 / k)) - 1
+    ends = (x_lo, x_lo * factor + shift, x_hi, x_hi * factor + shift)
+    top = max(ends[2:]) ** (1.0 / k) + 1
+    cut = math.floor(min(ends[:2]) ** (1.0 / k)) - 1
     if use_powers:
         qs = table.prime_powers_up_to(min(float(table.limit), top),
                                       proper_only=proper_only)
@@ -88,7 +92,8 @@ def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
         qs = table.primes_in_range(max(2, cut), min(float(table.limit), top))
     qk = np.asarray(powk_extended(qs, k), dtype=np.float64)
     x = (qk - shift) / factor
-    return x[(x > x_lo) & (x < x_hi)]
+    return np.concatenate((qk[(qk > x_lo) & (qk < x_hi)],
+                           x[(x > x_lo) & (x < x_hi)]))
 
 
 def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
@@ -137,12 +142,8 @@ def _increment_square(table: PrimeTable, k: float, fn, smooth,
     def step(x):
         return fn((x * factor + shift) ** rt) - fn(x ** rt)
 
-    bk = np.concatenate([
-        _breakpoints(table, k, x_lo, x_hi, use_powers=use_powers,
-                     proper_only=proper_only),
-        _breakpoints(table, k, x_lo, x_hi, shift=shift, factor=factor,
-                     use_powers=use_powers, proper_only=proper_only),
-    ])
+    bk = _breakpoints(table, k, x_lo, x_hi, shift, factor, use_powers,
+                      proper_only)
     return _piecewise_square(step, smooth, bk, x_lo, x_hi)
 
 

@@ -9,7 +9,8 @@ arithmetic (numpy longdouble) *before* the multiplication by 2*pi; every
 phase sum takes its phase from it.  Two kernels take it once per block and
 add the short in-block offsets in float64: circle.grid_sum (the panel
 factors of circle.ExpSumFactor.eval_panels, the e(varpi a) kernel phase of
-the arc integrals, and the unit slices of circle.trivial_tails and
+the arc integrals and of circle.verify_fourier_pair, both through
+circle._kernel_panels, and the unit slices of circle.trivial_tails and
 circle.minor_arc_l2) and the panel centres of expsums._t_grid_pass.
 exp_pair_integral forms each pair's phase as the difference of two
 reduced phases.

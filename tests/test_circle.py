@@ -13,7 +13,7 @@ from primearcs.circle import (ProblemInstance, _slice_pairs, _unit_slices,
                               integrate_I, major_arc_split, minor_arc_l2,
                               trivial_tails, V, window_factors)
 from primearcs.errors import ValidationError
-from primearcs.expsums import WindowSpec, fejer_K, prime_window
+from primearcs.expsums import WindowSpec, fejer_K, window
 from primearcs.numutil import (exp_pair_integral, expand_square, frac_phase,
                                gl_rule, powk_extended)
 from primearcs.rational import parse_hireal
@@ -106,9 +106,9 @@ class TestIntegrand:
         val = integrand(inst, table, w, eta, alpha)
         lo, hi = 10.0, 100.0
         total = 0j
-        p1s, lg1 = prime_window(table, 1.0, lo, hi)
-        p2s, lg2 = prime_window(table, 2.0, lo, hi)
-        p3s, lg3 = prime_window(table, 1.05, lo, hi)
+        p1s, _, lg1 = window(1.0, lo, hi, table)
+        p2s, _, lg2 = window(2.0, lo, hi, table)
+        p3s, _, lg3 = window(1.05, lo, hi, table)
         for p1, l1 in zip(p1s, lg1):
             for p2, l2 in zip(p2s, lg2):
                 for p3, l3 in zip(p3s, lg3):
@@ -388,7 +388,7 @@ class TestTrivialTails:
 
     def test_k1_unit_interval_parseval(self, table, w500, inst):
         # for the k=1 sum the unit-interval integral is exactly sum log^2 p
-        ps, logs = prime_window(table, 1.0, 50.0, 500.0)
+        ps, _, logs = window(1.0, 50.0, 500.0, table)
         want = float((logs ** 2).sum())
         from primearcs.numutil import exp_pair_integral
         for n in (400, 1000):

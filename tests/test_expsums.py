@@ -4,14 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from primearcs import circle, expsums
+from primearcs.circle import verify_fourier_pair
 from primearcs.errors import ValidationError
 from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec, _t_grid_pass,
                                eval_S, eval_T, eval_T_grid, eval_T_range,
                                eval_U, eval_U_range, fejer_K, fejer_hat,
-                               fourth_moment_S2, integer_window, prime_window,
-                               s_minus_u_l1_bound, verify_fourier_pair, window)
+                               fourth_moment_S2, s_minus_u_l1_bound, window)
 from primearcs.numutil import (e_of, exp_pair_integral, frac_phase,
                                fsum_complex, powk_extended)
 from primearcs.primes import build_table
@@ -130,8 +131,7 @@ class TestWindowCache:
     def test_window_arrays_read_only(self, table):
         win = window(1.05, 1e3, 2e3, table)
         for arr in (win.values, win.powers, win.weights,
-                    prime_window(table, 1.05, 1e3, 2e3)[1],
-                    integer_window(1.05, 1e3, 2e3)):
+                    window(1.05, 1e3, 2e3).values):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -303,6 +303,17 @@ class TestFejer:
         assert verify_fourier_pair(0.1, 0.2, 1e4) <= 3e-5
         assert verify_fourier_pair(1.0, 0.5, 1e4) <= 3e-5
 
+    @pytest.mark.parametrize("eta", [0.1, 0.37, 1.0])
+    @pytest.mark.parametrize("A", [1e3, 2500.3, 1e4])
+    def test_fourier_pair_tail_closed_form(self, eta, A):
+        # at t = 0 the discrepancy is the two-sided tail of K_eta past A:
+        # (2/pi^2) [sin^2(pi eta A)/A + pi eta (pi/2 - Si(2 pi eta A))]
+        si, _ = sici(2.0 * math.pi * eta * A)
+        tail = 2.0 / math.pi ** 2 * (math.sin(math.pi * eta * A) ** 2 / A
+                                     + math.pi * eta * (math.pi / 2.0 - si))
+        assert verify_fourier_pair(eta, 0.0, A) == pytest.approx(tail, rel=0,
+                                                                 abs=1e-14)
+
     def test_fourier_pair_precondition(self):
         with pytest.raises(ValidationError):
             verify_fourier_pair(0.1, 0.0, 50.0)
@@ -328,7 +339,7 @@ class TestFourthMoment:
         w = WindowSpec(X=60, k=2, delta=0.1)
         lo, hi = 0.2, 0.9
         val = fourth_moment_S2(table, w, lo, hi)
-        ps, logs = prime_window(table, 2.0, 60.0, 120.0)
+        ps, _, logs = window(2.0, 60.0, 120.0, table)
         alphas = np.linspace(lo, hi, 200001)
         s = np.zeros_like(alphas, dtype=complex)
         for p, lg in zip(ps, logs):
@@ -354,10 +365,9 @@ class TestFourthMoment:
 
 
 def test_window_selectors(table):
-    ps, _ = prime_window(table, 2.0, 100.0, 200.0)
-    assert ps.tolist() == [11, 13]
-    assert integer_window(2.0, 100.0, 200.0).tolist() == [10, 11, 12, 13, 14]
-    assert integer_window(1.5, 100.0, 200.0).tolist() == list(range(22, 35))
+    assert window(2.0, 100.0, 200.0, table).values.tolist() == [11, 13]
+    assert window(2.0, 100.0, 200.0).values.tolist() == [10, 11, 12, 13, 14]
+    assert window(1.5, 100.0, 200.0).values.tolist() == list(range(22, 35))
 
 
 def test_exp_pair_integral_against_quadrature():

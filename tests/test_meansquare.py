@@ -61,7 +61,11 @@ class TestPiecewiseMachinery:
             x_hi = 2.0 * x_lo + 50.0
             args = (table, k, x_lo, x_hi, shift, factor, use_powers, proper_only)
             got = _breakpoints(*args)
-            assert np.array_equal(got, reference_breakpoints(*args)), x_lo
+            want = np.concatenate((
+                reference_breakpoints(table, k, x_lo, x_hi, 0.0, 1.0,
+                                      use_powers, proper_only),
+                reference_breakpoints(*args)))
+            assert np.array_equal(got, want), x_lo
 
     @staticmethod
     def _traced(x_lo, x_hi, bkpts):

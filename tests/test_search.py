@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primearcs import expsums
 from primearcs.circle import ProblemInstance
 from primearcs.errors import ValidationError
 from primearcs.search import (brute_force_solutions, count_bound_report,
@@ -109,6 +110,25 @@ class TestFindSolutions:
         # must lie in [X, 2X]; at X=20 only p1=17... p2^2=4 < 20 excludes it
         rep = find_solutions(exact_inst, table, 20.0, 0.0, window="dyadic")
         assert (17, 2, 5) not in triples(rep)
+
+    def test_windows_built_once(self, table, monkeypatch):
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.3)
+        first = find_solutions(inst, table, 1700.0, 0.2)
+        lo, hi = inst.delta * 1700.0, 1700.0
+        for kj in (1.0, 2.0, 1.05):
+            assert (kj, lo, hi) in table.windows
+        build, builds = expsums._build_window, []
+
+        def counting(*args):
+            builds.append(args[:3])
+            return build(*args)
+
+        monkeypatch.setattr(expsums, "_build_window", counting)
+        second = find_solutions(inst, table, 1700.0, 0.2)
+        assert builds == []
+        assert second.records == first.records
+        assert (second.count, second.pairs, second.candidates) == \
+            (first.count, first.pairs, first.candidates)
 
     def test_threshold_negative_rejected(self, exact_inst, table):
         with pytest.raises(ValidationError):
