@@ -18,7 +18,6 @@ import logging
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import ConvergenceError, ValidationError
 from .expsums import (WindowSpec, eval_S_range, eval_T_grid, fejer_K,
@@ -171,8 +170,8 @@ class ExpSumFactor:
 
 def _cis(phase: np.ndarray) -> np.ndarray:
     out = np.empty(phase.shape, dtype=complex)
-    out.real = np.cos(phase)
-    out.imag = np.sin(phase)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
     return out
 
 
@@ -193,7 +192,8 @@ def _grid_step(centers: np.ndarray) -> float:
 
 def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
              offs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs_j e(freqs_j (centers_i + offs_o)) as an (n, m) array.
+    """sum_j coeffs_j e(freqs_j (centers_i + offs_o)) as an (n, m) array,
+    or an (n, m, c) one for c columns of coeffs (shape (N, c)).
 
     The n centres are evenly spaced, c_i = c_0 + i h.  Writing i = R q + r
     splits each phase in two levels, f (c_{Rq} + r h + o), so the sum is
@@ -201,43 +201,50 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     Q[j, (r, o)] = e(f_j (r h + o)) (R m columns): (n/R + R m) N phases
     for N frequencies in place of n N, and the product has the size of
     the direct one.  R is the integer nearest sqrt(n/m), or 1 where that
-    saves no phases or Q would pass 2^21 entries.  P's rows go in blocks of
-    about 2^21 / N centres: f c at the block's first centre is reduced in
-    extended precision (numutil.frac_phase) and f (c - c0) added in
-    float64, so the phase error is bounded by the block's width in cycles,
-    not by the size of c.  Q's phases span at most R h + max|o|.  With
+    saves no phases or Q would pass 2^21 entries; the frequencies go in
+    blocks of 2^21 / (R m), so Q stays that small with R = 1 too.  P's
+    rows go in blocks of about 2^21 / (N c) centres for the N frequencies
+    of a block: f c at the block's first centre is reduced in extended
+    precision (numutil.frac_phase) and f (c - c0) added in float64, so the
+    phase error is bounded by the block's width in cycles, not by the size
+    of c.  Q's phases span at most R h + max|o|.  With
     R > 1 the nodes are c_{Rq} + r h + o, which the spacing check keeps
     within 8 ulps of c_i + o.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    cols = coeffs.T if coeffs.ndim == 2 else coeffs[None, :]
     centers = np.asarray(centers, dtype=np.float64)
     offs = np.asarray(offs, dtype=np.float64)
     n, m, nf = len(centers), len(offs), max(1, len(freqs))
     h = _grid_step(centers)
     if n == 0 or m == 0:
-        return np.zeros((n, m), dtype=complex)
+        return np.zeros((n, m) + coeffs.shape[1:], dtype=complex)
     R = max(1, round(math.sqrt(n / m)))
     if R > 1 and (-(-n // R) + R * m >= n + m or nf * R * m > 1 << 21):
         R = 1
-    tf = TWO_PI * freqs
     inner = (h * np.arange(R))[:, None] + offs[None, :]
-    qmat = _cis(np.multiply.outer(tf, inner.ravel()))
-    rows = max(1, ((1 << 21) // nf) // R)
+    fb = max(1, (1 << 21) // (R * m))  # frequencies per block of Q
+    rows = max(1, ((1 << 21) // (min(nf, fb) * len(cols))) // R)
     chunk = R * rows
-    out = np.empty((n, m), dtype=complex)
-    for i in range(0, n, chunk):
-        c = centers[i:i + chunk:R]
-        phase = np.multiply.outer(c - c[0], tf)
-        phase += frac_phase(freqs, c[0]) * TWO_PI
-        pmat = _cis(phase)
-        pmat *= coeffs[None, :]
-        k = min(chunk, n - i)
-        out[i:i + k] = (pmat @ qmat).reshape(-1, m)[:k]
+    out = np.zeros((n, m, len(cols)), dtype=complex)
+    for f0 in range(0, nf, fb):
+        fs = freqs[f0:f0 + fb]
+        tf = TWO_PI * fs
+        qmat = _cis(np.multiply.outer(tf, inner.ravel()))
+        for i in range(0, n, chunk):
+            c = centers[i:i + chunk:R]
+            phase = np.multiply.outer(c - c[0], tf)
+            phase += frac_phase(fs, c[0]) * TWO_PI
+            pmat = _cis(phase)
+            k = min(chunk, n - i)
+            for j, col in enumerate(cols[:, f0:f0 + fb]):
+                out[i:i + k, :, j] += ((pmat * col) @ qmat).reshape(-1, m)[:k]
+        del qmat  # before the next block's Q is formed
     _log.debug("grid sum: %d centres x %d offsets x %d freqs, R = %d, "
                "%d anchors, %d phases", n, m, len(freqs), R,
-               -(-n // chunk), (-(-n // R) + R * m) * len(freqs))
-    return out
+               -(-n // chunk) * -(-nf // fb), (-(-n // R) + R * m) * len(freqs))
+    return out if coeffs.ndim == 2 else out[..., 0]
 
 
 def window_factors(inst: ProblemInstance, table: PrimeTable,
@@ -411,7 +418,8 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     plus the direct integral I_M of S1 S2 Sk K e(w a); the five values
     satisfy J1+J2+J3+J4 = I_M identically up to quadrature rounding.
 
-    Returns dict with J1..J4, I_M, and the error estimate.
+    Returns dict with J1..J4, I_M, the quadrature's est_error, and
+    t_est_error, the largest eval_T_grid estimate in the final pass.
     """
     arc = arc_params(inst, w.X)
     cut = arc.major[1]
@@ -420,12 +428,13 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     lo, hi = w.delta * w.X, w.X
     ks = (1.0, 2.0, inst.k)
 
+    t_est = {}  # first GL offset of a pass -> the T estimates in it
+
     def parts(centers, offs):
-        nodes = centers[:, None] + offs[None, :]
-        flat = nodes.ravel()
         svals = [f.eval_panels(centers, offs) for f in factors]
-        tvals = [eval_T_grid(kj, lo, hi, lam * flat).reshape(nodes.shape)
-                 for kj, lam in zip(ks, inst.lambdas)]
+        tvals, ests = zip(*(eval_T_grid(kj, lo, hi, lam * centers, lam * offs)
+                            for kj, lam in zip(ks, inst.lambdas)))
+        t_est.setdefault(offs[0], []).extend(ests)
         kern = _kernel_panels(eta, inst.varpi, centers, offs)
         terms = {
             "J1": tvals[0] * tvals[1] * tvals[2],
@@ -440,6 +449,7 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     vals, err = gauss_panels(parts, 0.0, cut, f_max, tol, 2e8)
     out = {name: v.real for name, v in vals.items()}
     out["est_error"] = err
+    out["t_est_error"] = max(list(t_est.values())[-1])
     out["arc"] = arc
     return out
 
@@ -536,6 +546,17 @@ def _unit_slices(pairs, first_mid: float, count: int) -> np.ndarray:
     return m_diag + grid_sum(d, kpair, mids, [0.0])[:, 0].real
 
 
+def _trigamma_upper(x: float) -> float:
+    """psi1(x), x > 0, rounded up by 1e-12: psi1(x) = x^-2 + psi1(x + 1) up
+    to x >= 20, then A&S 6.4.12 through z^-11 (over by < 1e-16 there)."""
+    head = 0.0
+    while x < 20.0:
+        head, x = head + 1.0 / (x * x), x + 1.0
+    z2 = 1.0 / (x * x)
+    bern = 1 / 6 - z2 * (1 / 30 - z2 * (1 / 42 - z2 * (1 / 30 - z2 * 5 / 66)))
+    return (head + (1.0 + 0.5 / x + z2 * bern) / x) * (1.0 + 1e-12)
+
+
 def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
                  max_slices: int) -> tuple[float, int]:
     """sum_{n >= n0} (n-1)^-2 int_{n-1}^{n} |sum c e(f a)|^2 da.
@@ -545,7 +566,7 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
     so the whole tail is a cosine series over the pair differences,
     evaluated 4096 slices at a time by _unit_slices (one grid_sum with
     centres n - 1/2); the remainder past N is bounded by
-    (M + sum|pair terms|) * psi1(N-1).
+    (M + sum|pair terms|) * psi1(N-1), psi1 rounded up by _trigamma_upper.
     """
     pairs = _slice_pairs(freqs, coeffs)
     m_diag, _, kpair = pairs
@@ -555,7 +576,7 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
     used = 0
     block = 4096
     while True:
-        remaining = (m_diag + osc_bound) * float(polygamma(1, n - 1))
+        remaining = (m_diag + osc_bound) * _trigamma_upper(n - 1.0)
         if remaining < tol:
             return total.value, used
         if used >= max_slices:

@@ -172,7 +172,6 @@ def _filon_moments(theta: np.ndarray):
     Series branch below |theta| = 1e-3 avoids the catastrophic cancellation
     of the closed forms.
     """
-    theta = np.asarray(theta, dtype=np.float64)
     small = np.abs(theta) < 1e-3
     ts = np.where(small, 1.0, theta)
     sin_t, cos_t = np.sin(ts), np.cos(ts)
@@ -186,41 +185,11 @@ def _filon_moments(theta: np.ndarray):
 
 
 def eval_T_range(k: float, u_lo: float, u_hi: float, alpha: float,
-                 tol: float = 1e-10, max_panels: int = 1 << 22) -> complex:
-    """int over u_lo <= t^k <= u_hi of e(t^k alpha) dt, adaptive Filon rule.
-
-    Substituting u = t^k gives a linear phase e(u alpha) with the smooth
-    amplitude u^(1/k-1)/k; each panel interpolates the amplitude linearly
-    and integrates the oscillation exactly.  The panel count starts at
-    eight per oscillation cycle and doubles until two Richardson values
-    agree: a start sized by the amplitude's curvature alone (64 panels)
-    agrees with itself falsely at X = 1e5, k = 1.05, tol 1e-9 for alpha
-    between 0.04 and 0.10, with errors up to 4e-6.
-    """
-    if u_hi <= u_lo:
-        return 0j
-    if alpha == 0.0:
-        return complex(_kth_root(u_hi, k) - _kth_root(u_lo, k))
-    cycles = abs(alpha) * (u_hi - u_lo)
-    n = max(64, int(math.ceil(8.0 * cycles)))
-    prev = None
-    rich_prev = None
-    while True:
-        val = _t_grid_pass(k, u_lo, u_hi, np.array([alpha]), n)[0]
-        if prev is not None:
-            # amplitude interpolation error is O(n^-2): one Richardson step
-            rich = val + (val - prev) / 3.0
-            if rich_prev is not None:
-                err = abs(rich - rich_prev)
-                if err <= tol:
-                    return rich
-                if 2 * n > max_panels:
-                    raise ConvergenceError(
-                        f"T quadrature stalled at {n} panels "
-                        f"(est error {err:.3e})", best=rich, est_error=err)
-            rich_prev = rich
-        prev = val
-        n *= 2
+                 tol: float = 1e-10) -> complex:
+    """int over u_lo <= t^k <= u_hi of e(t^k alpha) dt: eval_T_grid at the
+    one node alpha."""
+    vals, _ = eval_T_grid(k, u_lo, u_hi, [float(alpha)], [0.0], tol)
+    return complex(vals[0, 0])
 
 
 def eval_T(w: WindowSpec, alpha: float, tol: float = 1e-10) -> complex:
@@ -230,48 +199,60 @@ def eval_T(w: WindowSpec, alpha: float, tol: float = 1e-10) -> complex:
     return eval_T_range(w.k, w.delta * w.X, w.X, alpha, tol)
 
 
-def eval_T_grid(k: float, u_lo: float, u_hi: float, alphas: np.ndarray,
-                n_panels: int | None = None) -> np.ndarray:
-    """Vectorized Filon evaluation of T on a grid of alpha values.
+def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
+                offs: np.ndarray, tol: float = 1e-10):
+    """Adaptive Filon rule for T on the nodes centers[:, None] + offs[None, :]
+    (evenly spaced centres, as circle.gauss_panels makes them).
 
-    One uniform panel layout (sized for max |alpha|) serves the whole grid,
-    so the Filon moments depend on alpha alone and are taken once per
-    alpha; the centre phases are reduced once per block of centres (see
-    _t_grid_pass).  One Richardson step removes the leading
-    amplitude-interpolation error; its largest correction is logged.
+    u = t^k gives the phase e(u alpha) and the smooth amplitude
+    u^(1/k-1)/k.  The panels start at eight per cycle of the fastest node
+    (64 panels, sized by the amplitude alone, agree with themselves falsely
+    at X = 1e5, k = 1.05, tol 1e-9, alpha in [0.04, 0.10], 4e-6 off) and
+    double; one Richardson step removes the O(n^-2) interpolation error.
+    Returns (values, est_error) once two steps agree within tol at every
+    node, est_error the largest difference; ConvergenceError past 2^22
+    panels.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    offs = np.asarray(offs, dtype=np.float64)
     if u_hi <= u_lo:
-        return np.zeros(len(alphas), dtype=complex)
-    amax = float(np.max(np.abs(alphas))) if len(alphas) else 0.0
-    if n_panels is None:
-        n_panels = max(128, int(math.ceil(16.0 * amax * (u_hi - u_lo))))
-    coarse = _t_grid_pass(k, u_lo, u_hi, alphas, n_panels)
-    fine = _t_grid_pass(k, u_lo, u_hi, alphas, 2 * n_panels)
-    corr = (fine - coarse) / 3.0
-    if _log.isEnabledFor(logging.DEBUG) and len(alphas):
-        _log.debug("T grid on [%g, %g]: %d alphas, %d panels, max Richardson "
-                   "correction %.3e", u_lo, u_hi, len(alphas), 2 * n_panels,
-                   float(np.max(np.abs(corr))))
-    return fine + corr
+        return np.zeros((len(centers), len(offs)), dtype=complex), 0.0
+    amax = float(np.max(np.abs(centers[:, None] + offs[None, :]), initial=0.0))
+    n = max(64, int(math.ceil(8.0 * amax * (u_hi - u_lo))))
+    prev = rich_prev = None
+    while True:
+        val = _t_grid_pass(k, u_lo, u_hi, centers, n, offs)
+        if prev is not None:
+            rich = val + (val - prev) / 3.0
+            if rich_prev is not None:
+                err = float(np.max(np.abs(rich - rich_prev), initial=0.0))
+                if err <= tol:
+                    _log.debug("T on [%g, %g]: %d nodes, %d panels, est error "
+                               "%.3e", u_lo, u_hi, val.size, n, err)
+                    return rich, err
+                if 2 * n > 1 << 22:
+                    raise ConvergenceError(
+                        f"T quadrature stalled at {n} panels "
+                        f"(est error {err:.3e})", best=rich, est_error=err)
+            rich_prev = rich
+        prev = val
+        n *= 2
 
 
-def _t_grid_pass(k: float, u_lo: float, u_hi: float, alphas: np.ndarray,
-                 n_panels: int) -> np.ndarray:
-    """One Filon pass with n_panels equal panels for every alpha.
+def _t_grid_pass(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
+                 n_panels: int, offs: np.ndarray) -> np.ndarray:
+    """One Filon pass, n_panels equal panels, on the nodes
+    alpha = centers[:, None] + offs[None, :].
 
-    Every panel has the half-width hw, so a panel with centre c and end
-    amplitudes wa, wb contributes e(c alpha) (mu0 g0 + mu1 g1) with the
-    moments mu(2 pi alpha hw) of alpha alone and g0 = h (wa + wb)/2,
-    g1 = h (wb - wa)/2 of the panel alone: two matrix-vector products of
-    the phase matrix e(c alpha).  h is the panel's own half-width, hw up
-    to the rounding of the edges, so the panels tile [u_lo, u_hi] exactly.
-    The phases are anchored per block of s centres, about one cycle of the
-    fastest alpha wide: frac(c0 alpha) at the block's first centre c0 in
-    extended precision (1/s of the entries), plus (c - c0) alpha in
-    float64, which stays below a cycle.  Wider blocks lose accuracy:
-    blocks of 2^20 centres moved eval_T at X = 1e5, k = 1.05 by up to
-    7e-11, against 3e-12 with these.
+    A panel with centre c, half-width hw and end amplitudes wa, wb gives
+    e(c alpha) (mu0 g0 + mu1 g1): moments mu(2 pi alpha hw) of the node,
+    g0 = h (wa + wb)/2 and g1 = h (wb - wa)/2 of the panel (h is hw up to
+    the edges' rounding, so the panels tile [u_lo, u_hi] exactly).  On a
+    node grid the sums over c are one circle.grid_sum, the panel centres
+    as frequencies.  One node anchors its phases per block of centres
+    about a cycle wide: frac(c0 alpha) in extended precision plus
+    (c - c0) alpha in float64.  grid_sum would reduce every centre's phase
+    there, over twice as slow on the eval_T calls of the expsum benchmark.
     """
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
     amp = np.ones_like(edges) if k == 1.0 else edges ** (1.0 / k - 1.0) / k
@@ -279,26 +260,21 @@ def _t_grid_pass(k: float, u_lo: float, u_hi: float, alphas: np.ndarray,
     h = 0.5 * np.diff(edges)
     g = np.stack((h * 0.5 * (amp[:-1] + amp[1:]),
                   h * 0.5 * (amp[1:] - amp[:-1])), axis=1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    n_al = max(1, len(alphas))
-    cycles = 2.0 * hw * float(np.max(np.abs(alphas), initial=0.0))  # per panel
-    s = max(1, min(n_panels, (1 << 20) // n_al))
-    if cycles * s > 1.0:
-        s = max(1, int(1.0 / cycles))
-    off = centers - np.repeat(centers[::s], s)[:n_panels]
-    ta = TWO_PI * alphas
-    re = np.zeros((len(alphas), 2))
-    im = np.zeros((len(alphas), 2))
-    chunk = s * max(1, (1 << 20) // (n_al * s))
-    for i in range(0, n_panels, chunk):
-        phase = np.multiply.outer(ta, off[i:i + chunk])
-        anchor = frac_phase(centers[i:i + chunk:s], alphas[:, None]) * TWO_PI
-        phase += np.repeat(anchor, s, axis=1)[:, :phase.shape[1]]
-        im += np.sin(phase) @ g[i:i + chunk]
-        re += np.cos(phase, out=phase) @ g[i:i + chunk]
-    mu0, mu1 = _filon_moments(ta * hw)
-    vals = mu0 * (re[:, 0] + 1j * im[:, 0]) + mu1 * (re[:, 1] + 1j * im[:, 1])
-    exact = np.abs(alphas) < 1e-300
+    pc = 0.5 * (edges[:-1] + edges[1:])
+    nodes = centers[:, None] + offs[None, :]
+    if nodes.size == 1:
+        alpha = float(nodes[0, 0])
+        cycles = 2.0 * hw * abs(alpha)  # per panel
+        s = n_panels if cycles * n_panels <= 1 else max(1, int(1 / cycles))
+        phase = (TWO_PI * alpha) * (pc - np.repeat(pc[::s], s)[:n_panels])[None, :]
+        phase += np.repeat(frac_phase(pc[::s], alpha) * TWO_PI, s)[None, :n_panels]
+        sums = (np.cos(phase) @ g + 1j * (np.sin(phase) @ g))[None]
+    else:
+        from .circle import grid_sum  # circle imports this module
+        sums = grid_sum(pc, g, centers, offs)
+    mu0, mu1 = _filon_moments(TWO_PI * nodes * hw)
+    vals = mu0 * sums[..., 0] + mu1 * sums[..., 1]
+    exact = np.abs(nodes) < 1e-300
     return np.where(exact, _kth_root(u_hi, k) - _kth_root(u_lo, k), vals)
 
 

@@ -6,14 +6,14 @@ Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
 destroys the phase.  frac_phase therefore reduces in 80-bit extended
 arithmetic (numpy longdouble) *before* the multiplication by 2*pi; every
-phase sum takes its phase from it.  Two kernels take it once per block and
-add the short in-block offsets in float64: circle.grid_sum (the panel
-factors of circle.ExpSumFactor.eval_panels, the e(varpi a) kernel phase of
-the arc integrals and of circle.verify_fourier_pair, both through
-circle._kernel_panels, and the unit slices of circle.trivial_tails and
-circle.minor_arc_l2) and the panel centres of expsums._t_grid_pass.
-exp_pair_integral forms each pair's phase as the difference of two
-reduced phases.
+phase sum takes its phase from it.  circle.grid_sum takes it once per
+block of an evenly spaced grid and adds the in-block offsets in float64:
+the panel factors of circle.ExpSumFactor.eval_panels, the e(varpi a)
+kernel phase (circle._kernel_panels), T's Filon sums on a grid of alpha
+(expsums.eval_T_grid), and the unit slices of circle.trivial_tails and
+circle.minor_arc_l2.  T at one alpha anchors once per cycle of its panel
+centres (expsums._t_grid_pass).  exp_pair_integral forms each pair's
+phase as the difference of two reduced phases.
 """
 
 from __future__ import annotations

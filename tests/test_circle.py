@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from primearcs.circle import (ProblemInstance, _slice_pairs, _unit_slices,
-                              arc_params, bound_ghosh, bound_vaughan,
-                              classify_minor, eta_exponent, integrand,
+from primearcs.circle import (ProblemInstance, _slice_pairs, _trigamma_upper,
+                              _unit_slices, arc_params, bound_ghosh,
+                              bound_vaughan, classify_minor, eta_exponent,
+                              grid_sum, integrand,
                               integrate_I, major_arc_split, minor_arc_l2,
                               trivial_tails, V, window_factors)
 from primearcs.errors import ValidationError
@@ -174,6 +175,29 @@ class TestExpSumFactor:
         assert any(R > 1 and n % R == 0 for n, R in seen)
         assert any(R > 1 and n % R for n, R in seen)
 
+    def test_frequency_blocks_bounded(self):
+        # 2^18 frequencies on 20 offsets would make an 84 MB Q at R = 1; in
+        # blocks of 2^21 / 20 frequencies the call peaks near 56 MB, and
+        # the blocks' partial sums match the per-node extended oracle, for
+        # each of two coefficient columns
+        rng = np.random.default_rng(7)
+        freqs = rng.uniform(-500.0, 500.0, 1 << 18)
+        coeffs = rng.uniform(0.5, 1.5, (1 << 18, 2))
+        centers = 0.1 + 0.01 * np.arange(3)
+        offs = np.linspace(-0.004, 0.004, 20)
+        tracemalloc.start()
+        try:
+            got = grid_sum(freqs, coeffs, centers, offs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (3, 20, 2) and peak <= 64 * 2 ** 20
+        mass = float(np.sum(coeffs[:, 0]))
+        for i, j in ((0, 0), (1, 7), (2, 19)):
+            node = centers[i] + offs[j]
+            want = np.exp(2j * np.pi * frac_phase(freqs, node)) @ coeffs
+            assert np.max(np.abs(got[i, j] - want)) <= 1e-12 * mass
+
     def test_jittered_centres_rejected(self, inst, table, w500):
         fac = window_factors(inst, table, w500)[2]
         centers = 0.3 + 0.01 * np.arange(50)
@@ -270,6 +294,7 @@ class TestMajorArc:
         out = major_arc_split(inst, table, w, 0.5, tol=2e-3)
         gap = abs(out["J1"] + out["J2"] + out["J3"] + out["J4"] - out["I_M"])
         assert gap <= 4e-3
+        assert 0.0 < out["t_est_error"] <= 1e-10
         assert abs(out["J1"]) > max(abs(out["J2"]), abs(out["J3"]),
                                     abs(out["J4"]))
         lower = out["J1"] / (0.5 ** 2 * 300.0 ** (0.5 + 1 / 1.05))
@@ -418,6 +443,15 @@ class TestTrivialTails:
             tracemalloc.stop()
         assert peak <= 64 * 2 ** 20
         assert rep.slices == (8192, 8192, 4096)
+
+    def test_trigamma_is_an_upper_bound(self):
+        # the remainder bound of the slicing must not fall below the true
+        # one, so psi1 may round up but never down
+        from scipy.special import polygamma
+        for x in (0.5, 1.0, 2.0, 19.5, 20.0, 20.5, 399.0, 4095.0, 1e5, 3e5,
+                  1e7):
+            want = float(polygamma(1, x))
+            assert want <= _trigamma_upper(x) <= want * (1.0 + 2e-12), x
 
     def test_requires_R(self, inst, table, w500):
         with pytest.raises(ValidationError):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -226,3 +229,15 @@ class TestExitCodes:
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",
                      "--alpha-grid", "0:1", "--which", "S"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would cost every CLI
+    # call about 0.3 s
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, primearcs.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -9,7 +9,8 @@ from scipy.special import sici
 from primearcs import circle, expsums
 from primearcs.circle import verify_fourier_pair
 from primearcs.errors import ValidationError
-from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec, _t_grid_pass,
+from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec, _filon_moments,
+                               _t_grid_pass,
                                eval_S, eval_T, eval_T_grid, eval_T_range,
                                eval_U, eval_U_range, fejer_K, fejer_hat,
                                fourth_moment_S2, s_minus_u_l1_bound, window)
@@ -32,6 +33,23 @@ def brute_T(k, u_lo, u_hi, alpha, n=200001):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return complex((vals * w).sum() * h / 3.0)
+
+
+def gl_T(k, u_lo, u_hi, alpha, max_hw=1.0):
+    """Independent oracle for T, free of the Filon kernel: Gauss-Legendre in
+    u with 16 nodes on panels of a dyadic half-width under 1/16 cycle and
+    at most max_hw, so every centre is exact and its phase is reduced per
+    panel."""
+    x, wgt = np.polynomial.legendre.leggauss(16)
+    hw = min(max_hw, 2.0 ** math.floor(math.log2(1 / (16 * abs(alpha)))))
+    n = round((u_hi - u_lo) / (2 * hw))
+    total = 0j
+    for i in range(0, n, 1 << 16):
+        c = u_lo + (2 * np.arange(i, min(n, i + (1 << 16))) + 1) * hw
+        phase = frac_phase(c, alpha)[:, None] + (alpha * hw) * x[None, :]
+        amp = (c[:, None] + hw * x[None, :]) ** (1 / k - 1) / k
+        total += complex(np.sum((np.exp(2j * math.pi * phase) * amp) @ wgt) * hw)
+    return total
 
 
 class TestS:
@@ -212,52 +230,87 @@ class TestT:
             assert mag <= 4.0 / abs(alpha) * 100 ** (1 / 2 - 1) + 1e-9
 
     def test_grid_matches_scalar(self):
+        # the nodes take in 0, 0.013, -0.2 and 0.44
         w = WindowSpec(X=300, k=1.05, delta=0.1)
-        alphas = np.array([0.0, 0.013, -0.2, 0.44])
-        grid = eval_T_grid(w.k, w.delta * w.X, w.X, alphas)
-        for a, g in zip(alphas, grid):
+        centers = np.array([-0.2, 0.0, 0.2, 0.4])
+        offs = np.array([0.0, 0.013, 0.04])
+        grid, est = eval_T_grid(w.k, w.delta * w.X, w.X, centers, offs)
+        assert grid.shape == (4, 3) and 0.0 <= est <= 1e-10
+        nodes = centers[:, None] + offs[None, :]
+        for a, g in zip(nodes.ravel(), grid.ravel()):
             assert g == pytest.approx(eval_T(w, float(a), tol=1e-11),
                                       rel=1e-8, abs=1e-8)
 
     def test_grid_against_quadrature_oracle(self):
-        # independent of the Filon kernel: Gauss-Legendre in u with 16 nodes
-        # on panels of a dyadic half-width under 1/16 cycle and at most 1, so
-        # every centre is exact and its phase is reduced per panel.
-        # |alpha| = 0.1 makes 9000 cycles, so the grid spans many anchor
-        # blocks; 4e-4 takes the moments' series branch (2 pi alpha hw <
-        # 1e-3 in both passes) and 0 the exact path.
+        # gl_T is independent of the Filon kernel.  |alpha| = 0.1 makes 9000
+        # cycles, so one node spans many anchor blocks; 0 takes the exact
+        # path.
         k, u_lo, u_hi = 1.05, 1e4, 1e5
-        x, wgt = np.polynomial.legendre.leggauss(16)
-        alphas = np.array([-0.1, -0.0371, -4e-4, 0.0, 4e-4, 0.013, 0.0707, 0.1])
-        assert 2 * math.pi * 4e-4 / 3.2 < 1e-3  # coarse hw: 16 panels a cycle
-        grid = eval_T_grid(k, u_lo, u_hi, alphas)
-        for alpha, val in zip(alphas, grid):
+        for alpha in (-0.1, -0.0371, -4e-4, 0.0, 4e-4, 0.013, 0.0707, 0.1):
+            val = eval_T_range(k, u_lo, u_hi, alpha)
             if alpha == 0.0:
                 assert val == u_hi ** (1 / k) - u_lo ** (1 / k)
                 continue
-            hw = 2.0 ** min(0, math.floor(math.log2(1 / (16 * abs(alpha)))))
-            n = round((u_hi - u_lo) / (2 * hw))
-            c = u_lo + (2 * np.arange(n) + 1) * hw
-            phase = frac_phase(c, alpha)[:, None] + (alpha * hw) * x[None, :]
-            amp = (c[:, None] + hw * x[None, :]) ** (1 / k - 1) / k
-            vals = np.exp(2j * math.pi * phase) * amp
-            oracle = complex(np.sum(vals @ wgt) * hw)
-            assert abs(val - oracle) < 1e-11, alpha
+            assert abs(val - gl_T(k, u_lo, u_hi, alpha)) < 1e-11, alpha
+        # the grid path on panel grids as gauss_panels makes them, about
+        # two cycles of u_hi per panel: centres a + (2i+1) hw and offsets
+        # of few bits, so every node c + o is exact in float64 (rounding it
+        # would move T by ~|dT/dalpha| ulp(alpha), up to 6e-12 here).  At
+        # the default tol the grid stops at up to 2e-11 from gl_T.
+        hw = 2.0 ** -17
+        offs = np.round(np.polynomial.legendre.leggauss(8)[0][::2] * 256) / 256 * hw
+        for a in (-0.1, 4e-4, 0.0707):
+            centers = round(a / hw) * hw + (2 * np.arange(3) + 1) * hw
+            grid, est = eval_T_grid(k, u_lo, u_hi, centers, offs, tol=1e-11)
+            nodes = centers[:, None] + offs[None, :]
+            assert np.all(nodes - centers[:, None] == offs[None, :])
+            for alpha, val in zip(nodes.ravel(), grid.ravel()):
+                assert abs(val - gl_T(k, u_lo, u_hi, alpha)) < 1e-11, alpha
+
+    def test_grid_estimate_bounds_its_error(self):
+        # k = 2, u in [1, 100]: the amplitude falls tenfold, where one fixed
+        # Richardson step was 1.9e-9 off at alpha = -2 with no estimate
+        grid, est = eval_T_grid(2.0, 1.0, 100.0, np.array([-2.0, 0.7]),
+                                np.array([0.0]))
+        errs = [abs(grid[i, 0] - gl_T(2.0, 1.0, 100.0, a, max_hw=2.0 ** -5))
+                for i, a in enumerate((-2.0, 0.7))]
+        assert max(errs) < 1e-10
+        assert est >= max(errs)
+
+    def test_one_node_at_large_X(self):
+        # guards the single-node phase sum: summing e(c alpha) with the
+        # panel centres c as a grid_sum grid (alpha the one frequency)
+        # stalls here at 4 072 320 panels
+        w = WindowSpec(X=1e6, k=1.05, delta=0.1)
+        val = eval_T(w, 0.0707, tol=1e-10)
+        assert abs(val - gl_T(w.k, w.delta * w.X, w.X, 0.0707)) < 1e-10
+
+    def test_filon_moments_series_branch(self):
+        # below |theta| = 1e-3 a series replaces the cancelling closed
+        # forms, which in extended precision are the reference here
+        for theta in (4e-4, 0.999e-3, -0.999e-3):
+            mu0, mu1 = _filon_moments(np.array([theta]))
+            t = np.longdouble(theta)
+            want1 = 2 * (np.sin(t) - t * np.cos(t)) / (t * t)
+            assert mu0[0] == pytest.approx(float(2 * np.sin(t) / t), rel=1e-15)
+            assert mu1[0] == pytest.approx(1j * float(want1), rel=1e-11)
 
     def test_grid_logs_richardson_correction(self, caplog):
         k, u_lo, u_hi = 1.05, 50.0, 500.0
-        alphas = np.array([0.0, 0.02, -0.3])
+        centers, offs = np.array([0.0, 0.02]), np.array([0.0, -0.3])
         with caplog.at_level(logging.DEBUG, logger="primearcs.expsums"):
-            eval_T_grid(k, u_lo, u_hi, alphas, n_panels=256)
+            vals, est = eval_T_grid(k, u_lo, u_hi, centers, offs)
         (msg,) = [r.getMessage() for r in caplog.records
-                  if "Richardson" in r.getMessage()]
-        m = re.search(r"3 alphas, 512 panels, max Richardson correction (\S+)",
-                      msg)
-        coarse = _t_grid_pass(k, u_lo, u_hi, alphas, 256)
-        fine = _t_grid_pass(k, u_lo, u_hi, alphas, 512)
-        want = float(np.max(np.abs(fine - coarse))) / 3.0
-        assert m and float(m.group(1)) == pytest.approx(want, rel=1e-3)
-        assert want > 0
+                  if "est error" in r.getMessage()]
+        m = re.search(r"4 nodes, (\d+) panels, est error (\S+)", msg)
+        n = int(m.group(1))
+        p1, p2, p3 = (_t_grid_pass(k, u_lo, u_hi, centers, n >> s, offs)
+                      for s in (2, 1, 0))
+        rich_prev, rich = p2 + (p2 - p1) / 3.0, p3 + (p3 - p2) / 3.0
+        want = float(np.max(np.abs(rich - rich_prev)))
+        assert np.array_equal(vals, rich)
+        assert est == want and float(m.group(2)) == pytest.approx(want, rel=1e-3)
+        assert 0 < want <= 1e-10
 
     def test_tu_comparator_matched_windows(self, table):
         """Euler-summation comparator |T - U| <= C (1 + |alpha| X) with the
