@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, require_tol
 from .expsums import (WindowSpec, eval_S_range, eval_T_grid, fejer_K,
                       fejer_hat, window)
 from .numutil import (TWO_PI, KahanAccumulator, e_of, exp_pair_integral,
@@ -288,8 +288,10 @@ def gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
     error estimate is nearly free.  Panels start at two cycles of the
     fastest phase f_max and double until the largest GL8-GL12 difference
     is within tol, or raise ConvergenceError past max_nodes nodes.
-    Returns ({name: GL12 value}, est_error).
+    Returns ({name: GL12 value}, est_error); ValidationError unless
+    0 < tol < inf.
     """
+    require_tol(tol)
     x8, w8 = gl_rule(8)
     x12, w12 = gl_rule(12)
     n_panels = start_panels(f_max, a, b)
@@ -598,10 +600,11 @@ def trivial_tails(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
 
     A slices |S_1(a)|^2 / a^2 from |l1| R, B does |S_2|^4, C does |S_k|^2,
     each by unit intervals weighted (n-1)^-2, exactly per slice, until the
-    remainder bound drops below tol.
+    remainder bound drops below tol (ValidationError unless 0 < tol < inf).
     """
     if R <= 1:
         raise ValidationError("trivial_tails needs R > 1")
+    require_tol(tol)
     lo, hi = w.delta * w.X, w.X
     X, k = w.X, inst.k
     specs = []

@@ -251,7 +251,8 @@ def _cmd_exponents(args) -> int:
 def _cmd_verify_all(args) -> int:
     from . import acceptance
     results = acceptance.run_all(table_limit=int(float(args.table_limit)),
-                                 tol_scale=args.tol_scale)
+                                 tol_scale=args.tol_scale,
+                                 record_monitors=args.record_monitors)
     width = max(len(r.name) for r in results)
     all_pass = True
     for r in results:
@@ -340,6 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the acceptance criteria")
     p.add_argument("--table-limit", default="1050000", dest="table_limit")
     p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
+    p.add_argument("--record-monitors", action="store_true",
+                   dest="record_monitors",
+                   help="store criterion 8's measured ratio as its frozen "
+                        "constant")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_all)
 

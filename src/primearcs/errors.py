@@ -13,6 +13,13 @@ class ValidationError(PrimeArcsError):
     """Bad input: out-of-range argument, malformed config, broken table."""
 
 
+def require_tol(tol: float) -> None:
+    """ValidationError unless 0 < tol < inf: an adaptive loop stops on
+    err <= tol, which a nan, zero or negative tol never satisfies."""
+    if not 0.0 < tol < float("inf"):
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
+
+
 class TableIntegrityError(ValidationError):
     """A prime-table file failed structural validation on load."""
 

@@ -31,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
+                     require_tol)
 from .numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
                       frac_phase, fsum_complex, fsum_real, powk_extended)
 from .primes import MEMORY_BUDGET, PrimeTable
@@ -194,8 +195,6 @@ def eval_T_range(k: float, u_lo: float, u_hi: float, alpha: float,
 
 def eval_T(w: WindowSpec, alpha: float, tol: float = 1e-10) -> complex:
     """T_k(alpha) = int_{(delta X)^(1/k)}^{X^(1/k)} e(t^k alpha) dt."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     return eval_T_range(w.k, w.delta * w.X, w.X, alpha, tol)
 
 
@@ -211,8 +210,9 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
     double; one Richardson step removes the O(n^-2) interpolation error.
     Returns (values, est_error) once two steps agree within tol at every
     node, est_error the largest difference; ConvergenceError past 2^22
-    panels.
+    panels, ValidationError unless 0 < tol < inf.
     """
+    require_tol(tol)
     centers = np.asarray(centers, dtype=np.float64)
     offs = np.asarray(offs, dtype=np.float64)
     if u_hi <= u_lo:

@@ -1,6 +1,7 @@
-"""Shared numerical kernels: extended-precision phases, compensated sums,
-double-double error-free transforms, cached Gauss-Legendre rules, and
-exact pairwise integrals of squared exponential sums.
+"""Shared numerical kernels: extended-precision phases, exactly rounded
+and compensated sums, double-double error-free transforms, cached
+Gauss-Legendre rules, and exact pairwise integrals of squared exponential
+sums.
 
 Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
@@ -14,6 +15,14 @@ kernel phase (circle._kernel_panels), T's Filon sums on a grid of alpha
 circle.minor_arc_l2.  T at one alpha anchors once per cycle of its panel
 centres (expsums._t_grid_pass).  exp_pair_integral forms each pair's
 phase as the difference of two reduced phases.
+
+The pointwise sums S and U are rounded once, exactly: fsum_complex and
+fsum_real return math.fsum's value bit for bit.  Error-free vector
+extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008) splits
+the terms, a few numpy passes per level, into level sums that np.sum
+gets exactly; math.fsum (Shewchuk 1997) rounds those and what is left.
+Chunked reductions use a Kahan accumulator or extended-precision
+prefix sums instead.
 """
 
 from __future__ import annotations
@@ -106,14 +115,66 @@ def e_of(values, alpha: float):
 
 # ----------------------------- summation ------------------------------------
 
+# Extraction levels before the entries still left go to math.fsum as they
+# are.  Any cap gives the same value; two or three levels clear the S and U
+# windows at X = 1e5.
+_EXTRACT_LEVELS = 4
+
+
+def _exact_sum(p: np.ndarray) -> float:
+    """math.fsum of the float64 vector p, bit for bit (see fsum_complex)."""
+    shift = (p.size + 1).bit_length()  # M = ceil(log2(n + 2))
+    hi, lo = p.max(initial=0.0), p.min(initial=0.0)
+    if not (math.isfinite(hi) and math.isfinite(lo)) \
+            or math.frexp(max(hi, -lo))[1] + shift > 1023:
+        return math.fsum(p.tolist())
+    if hi == lo == 0.0:  # all zero (or empty): the distinct zeros held
+        neg = np.signbit(p)
+        return math.fsum(([] if neg.all() else [0.0])
+                         + ([-0.0] if neg.any() else []))
+    taus = []
+    for _ in range(_EXTRACT_LEVELS):
+        sigma = math.ldexp(1.0, math.frexp(max(hi, -lo))[1] + shift)
+        q = p + sigma
+        q -= sigma
+        p = p - q
+        taus.append(float(q.sum()))
+        hi, lo = p.max(), p.min()
+        if hi == lo == 0.0:
+            break
+    return math.fsum(taus + p[p != 0.0].tolist())
+
+
 def fsum_complex(values) -> complex:
-    """Exactly rounded sum of a complex array (Shewchuk fsum per part)."""
-    arr = np.asarray(values)
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
+    """Exactly rounded sum of a complex array: per part, math.fsum's value
+    bit for bit, from a few numpy passes.
+
+    Each part p (n entries) runs error-free vector extraction, one level at
+    a time.  A level takes sigma = 2^(e + M), with max|p| < 2^e and
+    2^M >= n + 2, and splits p into q = (sigma + p) - sigma and p - q.  Both
+    steps are exact.  Every q is a multiple of 2^-53 sigma with
+    |q| <= 2^-M sigma, so every partial sum of the q is a multiple of
+    2^-53 sigma below sigma in size: np.sum adds them exactly in any order.
+    The levels stop when p is all zero, or after _EXTRACT_LEVELS.  math.fsum
+    then rounds the level sums together with the nonzero entries still
+    left; their exact total is that of the part, so the cap sets only the
+    speed.
+
+    A part with a non-finite entry, or whose sigma would overflow, goes to
+    math.fsum whole, which keeps its values and exceptions (nan, inf,
+    intermediate overflow).  An all-zero part goes as the distinct zeros it
+    holds, which keeps the sign math.fsum gives, without a list of the
+    part's length.
+    """
+    arr = np.asarray(values).ravel()
+    # contiguous parts: the level passes run faster than on strided views
+    return complex(_exact_sum(np.ascontiguousarray(arr.real, np.float64)),
+                   _exact_sum(np.ascontiguousarray(arr.imag, np.float64)))
 
 
 def fsum_real(values) -> float:
-    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
+    """Exactly rounded sum of a real array: math.fsum bit for bit."""
+    return _exact_sum(np.asarray(values, dtype=np.float64).ravel())
 
 
 class KahanAccumulator:

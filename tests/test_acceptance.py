@@ -47,6 +47,27 @@ def test_criterion_08_l2_shape(table_large):
     report(acceptance.criterion_l2_shape(table_large, frozen=frozen))
 
 
+def test_criterion_08_missing_constant_fails_and_writes_nothing(table_large):
+    # a missing frozen constant is a FAIL; the criterion never records its
+    # own measurement as the constant it is checked against
+    before = acceptance._FROZEN_PATH.read_bytes()
+    frozen = acceptance.load_frozen()
+    del frozen["truncated_l2_ratio_max"]
+    res = acceptance.criterion_l2_shape(table_large, frozen=frozen)
+    assert not res.passed and "--record-monitors" in res.detail
+    assert "truncated_l2_ratio_max" not in frozen
+    assert acceptance._FROZEN_PATH.read_bytes() == before
+
+
+def test_criterion_08_records_only_on_request(table_large, tmp_path,
+                                              monkeypatch):
+    path = tmp_path / "data" / "frozen_monitors.json"
+    monkeypatch.setattr(acceptance, "_FROZEN_PATH", path)
+    res = acceptance.criterion_l2_shape(table_large, frozen={}, record=True)
+    assert res.passed and "recorded" in res.detail
+    assert acceptance.load_frozen()["truncated_l2_ratio_max"] > 0
+
+
 def test_criterion_09_bound_monitors(table_large):
     report(acceptance.criterion_bound_monitors(table_large))
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -225,6 +226,22 @@ class TestExitCodes:
         assert rc == 4
         assert "budget" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("piece", ["T", "all", "trivial"])
+    def test_nan_tol_is_2_at_once(self, tmp_path, table_file, piece, capsys):
+        # a nan tol never satisfies err <= tol: the adaptive drivers would
+        # double panels (or add tail slices) up to their cap and exit 3
+        if piece == "T":
+            argv = ["expsum", "--X", "1e3", "--k", "1.05", "--alpha-grid",
+                    "0:0.1:2", "--which", "T", "--tol", "nan"]
+        else:
+            argv = ["arcs", "--instance", write_instance(tmp_path, GOOD_INSTANCE),
+                    "--table", table_file, "--X", "150", "--piece", piece,
+                    "--tol", "nan"]
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "tol must be positive and finite" in capsys.readouterr().err
 
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from primearcs import numutil
+from primearcs import expsums, numutil
 from primearcs.errors import PrecisionError
 
 
@@ -57,3 +58,116 @@ def test_pair_integral_periodic_far_out():
     far = numutil.exp_pair_integral(freqs, coeffs, 0.25 + 2.0 ** 32,
                                     0.75 + 2.0 ** 32)
     assert far == pytest.approx(near, rel=1e-12)
+
+
+# ------------------------------- exact sums ----------------------------------
+# fsum_real and fsum_complex must give math.fsum's value bit for bit, or
+# raise its exception, on every input.
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _fsum_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same(a, b) -> bool:
+    """Equal outcomes: the same exception, or equal values with the same
+    sign of zero (nan matching nan)."""
+    if a[0] != "value" or b[0] != "value":
+        return a == b
+    x, y = complex(a[1]), complex(b[1])
+    return all((u == v and math.copysign(1.0, u) == math.copysign(1.0, v))
+               or (u != u and v != v)
+               for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
+@st.composite
+def _wide(draw):
+    """Exponents 1e-300 to 1e300 (subnormals and zeros among them), with
+    some entries beside their negations."""
+    xs = draw(st.lists(_finite.filter(lambda x: abs(x) <= 1e300), max_size=40))
+    return xs + [-x for x in xs[:draw(st.integers(0, len(xs)))]]
+
+
+@st.composite
+def _ties(draw):
+    """x plus half an ulp of x (a tie math.fsum breaks to even), nudged by
+    a far smaller term of either sign or not at all."""
+    x = draw(st.floats(1e-290, 1e290))
+    half = math.ulp(x) / 2.0
+    nudge = draw(st.sampled_from([0.0, 1.0, -1.0])) * half * 2.0 ** -60
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return [sign * x, sign * half] + ([sign * nudge] if nudge else [])
+
+
+@st.composite
+def _one_binade(draw):
+    """Up to 40 terms of one sign in one binade: the level sum then comes
+    close to sigma, where a sigma one binade too small loses bits."""
+    e = draw(st.integers(-1000, 1000))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    ms = draw(st.lists(st.integers(2 ** 52, 2 ** 53 - 1), min_size=1, max_size=40))
+    return [sign * math.ldexp(m, e - 52) for m in ms]
+
+
+_subnormals = st.lists(st.floats(-2.0 ** -1022, 2.0 ** -1022), max_size=40)
+_zeros = st.lists(st.sampled_from([0.0, -0.0]), max_size=40)
+_overflowing = st.lists(st.floats(1e307, 1.7e308), min_size=1, max_size=5).map(
+    lambda xs: xs + [-xs[0]])
+_non_finite = st.lists(st.one_of(_finite, st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1.7e308])), max_size=8)
+_terms = st.one_of(_wide(), _ties(), _one_binade(), _subnormals, _zeros,
+                   _overflowing, _non_finite, st.lists(_finite, max_size=1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(xs=_terms, shuffle=st.randoms(use_true_random=False))
+def test_fsum_real_is_math_fsum(xs, shuffle):
+    shuffle.shuffle(xs)
+    assert _same(_fsum_outcome(numutil.fsum_real, np.array(xs, dtype=np.float64)),
+                 _fsum_outcome(math.fsum, xs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(re=_terms, im=_terms)
+def test_fsum_complex_is_math_fsum_per_part(re, im):
+    n = min(len(re), len(im))
+    re, im = re[:n], im[:n]
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = re, im
+    want = _fsum_outcome(lambda: complex(math.fsum(re), math.fsum(im)))
+    assert _same(_fsum_outcome(numutil.fsum_complex, z), want)
+
+
+def test_fsum_complex_window_lengths():
+    # window-length arrays take several extraction levels per part
+    rng = np.random.default_rng(12)
+    for n in (3, 4_750, 54_044):
+        z = np.exp(2j * np.pi * rng.random(n)) * 10.0 ** rng.uniform(-8, 3, n)
+        want = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+        assert numutil.fsum_complex(z) == want
+
+
+def test_fsum_fast_path_kept(table, monkeypatch):
+    # S and U on the README grid: each part reaches math.fsum as a few level
+    # sums, never as the window (54 044 terms for U); alpha = 0 included,
+    # whose imaginary parts are all zero
+    seen = []
+    real_fsum = math.fsum
+
+    def recording_fsum(items):
+        items = list(items)
+        seen.append(len(items))
+        return real_fsum(items)
+
+    monkeypatch.setattr(numutil.math, "fsum", recording_fsum)
+    w = expsums.WindowSpec(X=1e5, k=1.05)
+    for alpha in np.linspace(0.0, 2.0, 201):
+        expsums.eval_U(w, alpha)
+        expsums.eval_S(table, w, alpha)
+    assert len(seen) == 4 * 201
+    assert max(seen) <= 8
