@@ -22,12 +22,15 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError, require_tol
 from .expsums import (WindowSpec, eval_S_range, eval_T_grid, fejer_K,
                       fejer_hat, window)
-from .numutil import (TWO_PI, KahanAccumulator, e_of, exp_pair_integral,
-                      expand_square, frac_phase, gl_rule)
+from .numutil import (e_of, exp_pair_integral, expand_square, fsum_complex,
+                      fsum_real, gl_rule, grid_sum, pair_blocks)
 from .primes import PrimeTable
 from .rational import HiReal
 
 K_RANGE = (1.0, 33.0 / 29.0)
+# Nodes of one counting-integral piece and unit slices of one trivial tail
+# before ConvergenceError.
+PRODUCT_NODE_BUDGET, MAX_TAIL_SLICES = 6e8, 300_000
 _log = logging.getLogger(__name__)
 
 
@@ -155,8 +158,8 @@ class ExpSumFactor:
         out = np.empty(len(alphas), dtype=complex)
         chunk = max(1, (1 << 21) // max(1, len(self.freqs)))
         for i in range(0, len(alphas), chunk):
-            ph = frac_phase(self.freqs[None, :], alphas[i:i + chunk, None])
-            out[i:i + chunk] = _cis(ph * TWO_PI) @ self.weights.astype(complex)
+            out[i:i + chunk] = (e_of(self.freqs[None, :], alphas[i:i + chunk, None])
+                                @ self.weights.astype(complex))
         return out
 
     def eval_panels(self, centers: np.ndarray, offs_cat: np.ndarray) -> np.ndarray:
@@ -168,95 +171,32 @@ class ExpSumFactor:
         return grid_sum(self.freqs, self.weights, centers, offs_cat)
 
 
-def _cis(phase: np.ndarray) -> np.ndarray:
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+def _window_forms(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
+                  scales) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(freqs, coeffs) of S_1, S_2 and S_k on the common window
+    delta*X <= p^kj <= X, the frequencies of factor j scaled by scales[j]."""
+    lo, hi = w.delta * w.X, w.X
+    out = []
+    for scale, kj in zip(scales, (1.0, 2.0, inst.k)):
+        win = window(kj, lo, hi, table)
+        out.append((np.asarray(win.powers, dtype=np.float64) * scale,
+                    win.weights))
     return out
-
-
-def _grid_step(centers: np.ndarray) -> float:
-    """Spacing of evenly spaced centres; ValidationError if they are not."""
-    n = len(centers)
-    if n < 2:
-        return 0.0
-    h = (centers[-1] - centers[0]) / (n - 1)
-    dev = np.max(np.abs(centers - (centers[0] + h * np.arange(n))))
-    ulp = np.spacing(max(abs(centers[0]), abs(centers[-1])))
-    if not dev <= 8.0 * ulp:
-        raise ValidationError(
-            f"grid_sum needs evenly spaced centres: {n} centres stray "
-            f"{dev:.3e} from the line through the ends")
-    return h
-
-
-def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
-             offs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs_j e(freqs_j (centers_i + offs_o)) as an (n, m) array,
-    or an (n, m, c) one for c columns of coeffs (shape (N, c)).
-
-    The n centres are evenly spaced, c_i = c_0 + i h.  Writing i = R q + r
-    splits each phase in two levels, f (c_{Rq} + r h + o), so the sum is
-    P @ Q with P[q, j] = coeffs_j e(f_j c_{Rq}) (n/R rows) and
-    Q[j, (r, o)] = e(f_j (r h + o)) (R m columns): (n/R + R m) N phases
-    for N frequencies in place of n N, and the product has the size of
-    the direct one.  R is the integer nearest sqrt(n/m), or 1 where that
-    saves no phases or Q would pass 2^21 entries; the frequencies go in
-    blocks of 2^21 / (R m), so Q stays that small with R = 1 too.  P's
-    rows go in blocks of about 2^21 / (N c) centres for the N frequencies
-    of a block: f c at the block's first centre is reduced in extended
-    precision (numutil.frac_phase) and f (c - c0) added in float64, so the
-    phase error is bounded by the block's width in cycles, not by the size
-    of c.  Q's phases span at most R h + max|o|.  With
-    R > 1 the nodes are c_{Rq} + r h + o, which the spacing check keeps
-    within 8 ulps of c_i + o.
-    """
-    freqs = np.asarray(freqs, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    cols = coeffs.T if coeffs.ndim == 2 else coeffs[None, :]
-    centers = np.asarray(centers, dtype=np.float64)
-    offs = np.asarray(offs, dtype=np.float64)
-    n, m, nf = len(centers), len(offs), max(1, len(freqs))
-    h = _grid_step(centers)
-    if n == 0 or m == 0:
-        return np.zeros((n, m) + coeffs.shape[1:], dtype=complex)
-    R = max(1, round(math.sqrt(n / m)))
-    if R > 1 and (-(-n // R) + R * m >= n + m or nf * R * m > 1 << 21):
-        R = 1
-    inner = (h * np.arange(R))[:, None] + offs[None, :]
-    fb = max(1, (1 << 21) // (R * m))  # frequencies per block of Q
-    rows = max(1, ((1 << 21) // (min(nf, fb) * len(cols))) // R)
-    chunk = R * rows
-    out = np.zeros((n, m, len(cols)), dtype=complex)
-    for f0 in range(0, nf, fb):
-        fs = freqs[f0:f0 + fb]
-        tf = TWO_PI * fs
-        qmat = _cis(np.multiply.outer(tf, inner.ravel()))
-        for i in range(0, n, chunk):
-            c = centers[i:i + chunk:R]
-            phase = np.multiply.outer(c - c[0], tf)
-            phase += frac_phase(fs, c[0]) * TWO_PI
-            pmat = _cis(phase)
-            k = min(chunk, n - i)
-            for j, col in enumerate(cols[:, f0:f0 + fb]):
-                out[i:i + k, :, j] += ((pmat * col) @ qmat).reshape(-1, m)[:k]
-        del qmat  # before the next block's Q is formed
-    _log.debug("grid sum: %d centres x %d offsets x %d freqs, R = %d, "
-               "%d anchors, %d phases", n, m, len(freqs), R,
-               -(-n // chunk) * -(-nf // fb), (-(-n // R) + R * m) * len(freqs))
-    return out if coeffs.ndim == 2 else out[..., 0]
 
 
 def window_factors(inst: ProblemInstance, table: PrimeTable,
                    w: WindowSpec) -> list[ExpSumFactor]:
     """The three scaled factors on the common window delta*X <= p^kj <= X."""
-    lo, hi = w.delta * w.X, w.X
-    out = []
-    for lam, kj in zip(inst.lambdas, (1.0, 2.0, inst.k)):
-        win = window(kj, lo, hi, table)
-        freqs = np.asarray(win.powers, dtype=np.float64) * lam
-        out.append(ExpSumFactor(freqs, win.weights))
-    return out
+    return [ExpSumFactor(f, c)
+            for f, c in _window_forms(inst, table, w, inst.lambdas)]
+
+
+def _l2_forms(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
+              scales) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(freqs, coeffs) of |S_1|^2, |S_2^2|^2 and |S_k|^2: _window_forms with
+    the second one (p^2, whatever k is) squared by expand_square."""
+    f1, f2, fk = _window_forms(inst, table, w, scales)
+    return [f1, expand_square(*f2), fk]
 
 
 def integrand(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
@@ -287,9 +227,9 @@ def gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
     the 12-point ones, so both rules share the per-panel factors and the
     error estimate is nearly free.  Panels start at two cycles of the
     fastest phase f_max and double until the largest GL8-GL12 difference
-    is within tol, or raise ConvergenceError past max_nodes nodes.
-    Returns ({name: GL12 value}, est_error); ValidationError unless
-    0 < tol < inf.
+    is within tol, or raise ConvergenceError past max_nodes nodes.  Each
+    rule's value is fsum_complex of its chunk partials.  Returns
+    ({name: GL12 value}, est_error); ValidationError unless 0 < tol < inf.
     """
     require_tol(tol)
     x8, w8 = gl_rule(8)
@@ -299,16 +239,16 @@ def gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
     while True:
         hw = (b - a) / (2.0 * n_panels)
         offs = np.concatenate((x8, x12)) * hw
-        sums = {}  # name -> (GL8 sum, GL12 sum)
+        sums = {}  # name -> (GL8 chunk partials, GL12 chunk partials)
         for i in range(0, n_panels, chunk):
             centers = a + (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
             for name, vals in parts(centers, offs).items():
-                accs = sums.setdefault(name, (KahanAccumulator(), KahanAccumulator()))
-                for acc, p in zip(accs, (vals[:, :8] @ (w8 * hw),
-                                         vals[:, 8:] @ (w12 * hw))):
-                    acc.add(complex(float(np.sum(p.real)), float(np.sum(p.imag))))
-        v12 = {name: acc12.value for name, (_, acc12) in sums.items()}
-        err = max(abs(acc12.value - acc8.value) for acc8, acc12 in sums.values())
+                p8, p12 = sums.setdefault(name, ([], []))
+                p8.append(np.sum(vals[:, :8] @ (w8 * hw)))
+                p12.append(np.sum(vals[:, 8:] @ (w12 * hw)))
+        v12 = {name: fsum_complex(p12) for name, (_, p12) in sums.items()}
+        err = max(abs(v12[name] - fsum_complex(p8))
+                  for name, (p8, _) in sums.items())
         _log.debug("gauss panels on [%g, %g]: %d panels, GL8 vs GL12, "
                    "est error %.3e", a, b, n_panels, err)
         if err <= tol:
@@ -348,7 +288,7 @@ def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
 
 
 def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,
-                         tol: float, max_node_budget: float = 6e8):
+                         tol: float):
     """Quadrature of prod(factors) * kernel over [a, b] with 0 <= a < b.
 
     kernel(centers, offs) gives the kernel's values on the panel nodes.
@@ -361,7 +301,7 @@ def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,
         prod = math.prod(f.eval_panels(centers, offs) for f in factors)
         return {"I": prod * kernel(centers, offs)}
 
-    vals, err = gauss_panels(parts, a, b, f_max, tol, max_node_budget)
+    vals, err = gauss_panels(parts, a, b, f_max, tol, PRODUCT_NODE_BUDGET)
     return vals["I"], err
 
 
@@ -523,20 +463,19 @@ def _slice_pairs(freqs: np.ndarray, coeffs: np.ndarray):
         int_{mid-1/2}^{mid+1/2} |sum c e(f a)|^2 da
             = M + sum_pairs kappa cos(2 pi d mid),
 
-    with M = sum c^2, d = f_i - f_j and kappa = 2 c_i c_j sin(pi d)/(pi d)
-    over the pairs i < j.  Pair terms below 1e-17 M are dropped.
+    with M = sum c^2 and the pair_blocks terms of width 1 (d = f_i - f_j,
+    kappa = 2 c_i c_j sin(pi d)/(pi d) over the pairs i < j).  Pair terms
+    at or below 1e-17 M are dropped.
     """
-    freqs = np.asarray(freqs, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     m_diag = float(np.dot(coeffs, coeffs))
-    iu, ju = np.triu_indices(len(freqs), k=1)
-    d = freqs[iu] - freqs[ju]
-    small = np.abs(d) < 1e-300
-    d_safe = np.where(small, 1.0, d)
-    kern = np.where(small, 1.0, np.sin(math.pi * d_safe) / (math.pi * d_safe))
-    kpair = 2.0 * coeffs[iu] * coeffs[ju] * kern
-    keep = np.abs(kpair) > 1e-17 * max(m_diag, 1e-300)
-    return m_diag, d[keep], kpair[keep]
+    floor = 1e-17 * max(m_diag, 1e-300)
+    ds, kappas = [np.empty(0)], [np.empty(0)]
+    for _, _, d, kpair in pair_blocks(freqs, coeffs, 1.0):
+        keep = np.abs(kpair) > floor
+        ds.append(d[keep])
+        kappas.append(kpair[keep])
+    return m_diag, np.concatenate(ds), np.concatenate(kappas)
 
 
 def _unit_slices(pairs, first_mid: float, count: int) -> np.ndarray:
@@ -559,8 +498,8 @@ def _trigamma_upper(x: float) -> float:
     return (head + (1.0 + 0.5 / x + z2 * bern) / x) * (1.0 + 1e-12)
 
 
-def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
-                 max_slices: int) -> tuple[float, int]:
+def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int,
+                 tol: float) -> tuple[float, int]:
     """sum_{n >= n0} (n-1)^-2 int_{n-1}^{n} |sum c e(f a)|^2 da.
 
     Each unit-interval integral has the closed form of _slice_pairs,
@@ -569,33 +508,34 @@ def _sliced_tail(freqs: np.ndarray, coeffs: np.ndarray, n0: int, tol: float,
     evaluated 4096 slices at a time by _unit_slices (one grid_sum with
     centres n - 1/2); the remainder past N is bounded by
     (M + sum|pair terms|) * psi1(N-1), psi1 rounded up by _trigamma_upper.
+    The block sums are rounded once, by fsum_real; ConvergenceError past
+    MAX_TAIL_SLICES slices.
     """
     pairs = _slice_pairs(freqs, coeffs)
     m_diag, _, kpair = pairs
     osc_bound = float(np.sum(np.abs(kpair)))
-    total = KahanAccumulator()
+    parts = []  # block sums
     n = max(n0, 2)
     used = 0
     block = 4096
     while True:
         remaining = (m_diag + osc_bound) * _trigamma_upper(n - 1.0)
         if remaining < tol:
-            return total.value, used
-        if used >= max_slices:
+            return fsum_real(parts), used
+        if used >= MAX_TAIL_SLICES:
             raise ConvergenceError(
                 f"tail slicing budget exceeded after {used} slices "
-                f"(remaining bound {remaining:.3e})", best=total.value,
+                f"(remaining bound {remaining:.3e})", best=fsum_real(parts),
                 est_error=remaining)
         ns = np.arange(n, n + block, dtype=np.float64)
         vals = _unit_slices(pairs, n - 0.5, block)
-        total.add(float(np.sum(vals / (ns - 1.0) ** 2)))
+        parts.append(float(np.sum(vals / (ns - 1.0) ** 2)))
         n += block
         used += block
 
 
 def trivial_tails(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
-                  R: float, tol: float = 1.0,
-                  max_slices: int = 300000) -> TailReport:
+                  R: float, tol: float = 1.0) -> TailReport:
     """Majorants of the three tail integrals beyond the trivial-arc cut.
 
     A slices |S_1(a)|^2 / a^2 from |l1| R, B does |S_2|^4, C does |S_k|^2,
@@ -605,23 +545,12 @@ def trivial_tails(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     if R <= 1:
         raise ValidationError("trivial_tails needs R > 1")
     require_tol(tol)
-    lo, hi = w.delta * w.X, w.X
     X, k = w.X, inst.k
-    specs = []
-    for lam, kj, fourth in ((inst.lambda1, 1.0, False),
-                            (inst.lambda2, 2.0, True),
-                            (inst.lambda3, k, False)):
-        win = window(kj, lo, hi, table)
-        freqs = np.asarray(win.powers, dtype=np.float64)
-        if fourth:
-            freqs, coeffs = expand_square(freqs, win.weights)
-        else:
-            coeffs = win.weights
-        specs.append((abs(lam), freqs, coeffs))
     values, starts, slices = [], [], []
-    for lam, freqs, coeffs in specs:
-        n0 = max(2, math.ceil(lam * R))
-        val, used = _sliced_tail(freqs, coeffs, n0, tol, max_slices)
+    for lam, (freqs, coeffs) in zip(inst.lambdas,
+                                    _l2_forms(inst, table, w, (1.0,) * 3)):
+        n0 = max(2, math.ceil(abs(lam) * R))
+        val, used = _sliced_tail(freqs, coeffs, n0, tol)
         values.append(val)
         starts.append(n0)
         slices.append(used)
@@ -650,13 +579,10 @@ def minor_arc_l2(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     R = arc.R
     X, k = w.X, inst.k
     rows = []
-    for f, fourth, comp in zip(
-            window_factors(inst, table, w), (False, True, False),
+    for (freqs, coeffs), comp in zip(
+            _l2_forms(inst, table, w, inst.lambdas),
             (eta * X * math.log(X), eta * X * math.log(X) ** 2,
              eta * X ** (1.0 / k) * math.log(X) ** 3)):
-        freqs, coeffs = f.freqs, f.weights
-        if fourth:
-            freqs, coeffs = expand_square(freqs, coeffs)
         cut = min(R, max(a0, 1.0 / eta))
         value = eta * eta * exp_pair_integral(freqs, coeffs, a0, cut)
         slices = 0

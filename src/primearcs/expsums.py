@@ -34,7 +34,8 @@ import numpy as np
 from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
                      require_tol)
 from .numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
-                      frac_phase, fsum_complex, fsum_real, powk_extended)
+                      frac_phase, fsum_complex, fsum_real, grid_sum,
+                      powk_extended)
 from .primes import MEMORY_BUDGET, PrimeTable
 
 _log = logging.getLogger(__name__)
@@ -248,7 +249,7 @@ def _t_grid_pass(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
     e(c alpha) (mu0 g0 + mu1 g1): moments mu(2 pi alpha hw) of the node,
     g0 = h (wa + wb)/2 and g1 = h (wb - wa)/2 of the panel (h is hw up to
     the edges' rounding, so the panels tile [u_lo, u_hi] exactly).  On a
-    node grid the sums over c are one circle.grid_sum, the panel centres
+    node grid the sums over c are one numutil.grid_sum, the panel centres
     as frequencies.  One node anchors its phases per block of centres
     about a cycle wide: frac(c0 alpha) in extended precision plus
     (c - c0) alpha in float64.  grid_sum would reduce every centre's phase
@@ -270,7 +271,6 @@ def _t_grid_pass(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
         phase += np.repeat(frac_phase(pc[::s], alpha) * TWO_PI, s)[None, :n_panels]
         sums = (np.cos(phase) @ g + 1j * (np.sin(phase) @ g))[None]
     else:
-        from .circle import grid_sum  # circle imports this module
         sums = grid_sum(pc, g, centers, offs)
     mu0, mu1 = _filon_moments(TWO_PI * nodes * hw)
     vals = mu0 * sums[..., 0] + mu1 * sums[..., 1]

@@ -26,6 +26,10 @@ from .numutil import exp_pair_integral, gl_rule, powk_extended
 from .primes import PrimeTable
 
 PAIRWISE_CAP = 20_000  # max window size for the O(N^2) exact method
+# _piecewise_square: Gauss nodes per piece, and pieces per x-range at least
+PIECE_GL, MAX_PIECES_FRAC = 12, 64
+# double_integral_bound_check: midpoint cells over x and over v
+DOUBLE_OUTER, DOUBLE_INNER = 400, 24
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,7 @@ def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
 
 
 def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
-                      x_lo: float, x_hi: float, n_gl: int = 12,
-                      max_pieces_frac: int = 64) -> float:
+                      x_lo: float, x_hi: float) -> float:
     """int_{x_lo}^{x_hi} (step_fn(x) - smooth_fn(x))^2 dx.
 
     step_fn must be constant between consecutive breakpoints; both
@@ -112,7 +115,7 @@ def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
     edges = edges[keep]
     if edges[-1] != x_hi:
         edges = np.append(edges, x_hi)
-    max_len = (x_hi - x_lo) / max_pieces_frac
+    max_len = (x_hi - x_lo) / MAX_PIECES_FRAC
     a, b = edges[:-1], edges[1:]
     nsub = np.maximum(1, np.ceil((b - a) / max_len).astype(int))
     starts = np.repeat(a, nsub)
@@ -124,7 +127,7 @@ def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
     b_all = a_all + widths
     mids = 0.5 * (a_all + b_all)
     d = step_fn(mids)
-    x_gl, w_gl = gl_rule(n_gl)
+    x_gl, w_gl = gl_rule(PIECE_GL)
     nodes = mids[:, None] + (0.5 * widths)[:, None] * x_gl[None, :]
     g = smooth_fn(nodes.ravel()).reshape(nodes.shape)
     vals = (d[:, None] - g) ** 2
@@ -198,7 +201,7 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery,
 
 def _short_interval_comparator(q: MeanSquareQuery) -> tuple[float, str]:
     X, k = q.X, q.k
-    h = q.h if q.h is not None else (q.rel_delta * X if q.rel_delta else 0.0)
+    h = q.h if q.h is not None else q.rel_delta * X
     if h <= 0:
         return 0.0, "degenerate increment"
     if q.rh_mode:
@@ -264,7 +267,7 @@ def selberg_J_relative(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRepor
         sub_q = replace(q, X=X ** rt, k=1.0, rel_delta=big_delta)
         inner = _relative_value(table, sub_q)
         substituted = X ** (1.0 - rt) * inner
-    comparator, note = _relative_increment_comparator(q)
+    comparator, note = _short_interval_comparator(q)
     return MeanSquareReport(q, value, comparator,
                             value / comparator if comparator > 0 else math.inf,
                             "piecewise-exact", note, substituted=substituted)
@@ -282,21 +285,6 @@ def _relative_value(table: PrimeTable, q: MeanSquareQuery) -> float:
 
     return _increment_square(table, k, _count_fn(table, q.use_psi), smooth,
                              X, 2.0 * X, factor=fac, use_powers=q.use_psi)
-
-
-def _relative_increment_comparator(q: MeanSquareQuery) -> tuple[float, str]:
-    X, k, delta = q.X, q.k, q.rel_delta
-    if delta <= 0:
-        return 0.0, "degenerate increment"
-    if q.rh_mode:
-        comp = delta * X ** (1.0 / k + 1.0) * math.log(2.0 / delta) ** 2
-        lo = X ** (-1.0 / k)
-    else:
-        decay = math.exp(-((math.log(X) / math.log(math.log(X))) ** (1.0 / 3.0)))
-        comp = delta * delta * X ** (2.0 / k + 1.0) * decay
-        lo = X ** (-2.0 / (q.C_density * k))
-    note = "" if lo <= delta <= 1.0 else "comparator-out-of-range"
-    return comp, note
 
 
 # ------------------------------ truncated L2 ---------------------------------
@@ -372,8 +360,7 @@ def _truncated_l2_comparator(table: PrimeTable, w: WindowSpec, Y: float) -> floa
             + Y * Y * X + Y * Y * j_val)
 
 
-def double_integral_bound_check(table: PrimeTable, q: MeanSquareQuery,
-                                n_outer: int = 400, n_inner: int = 24):
+def double_integral_bound_check(table: PrimeTable, q: MeanSquareQuery):
     """Numeric check of  h * J_psi(X,h) <= 2 * (double-integral majorant).
 
     The majorant integrates the squared increment-discrepancy over
@@ -391,11 +378,11 @@ def double_integral_bound_check(table: PrimeTable, q: MeanSquareQuery,
         return fn(a ** rt) - fn(b ** rt) - (a ** rt - b ** rt)
 
     lhs = h * selberg_J(table, replace(q, use_psi=True)).value
-    xs = X + (np.arange(n_outer) + 0.5) * (X / n_outer)
-    vs = 2 * h + (np.arange(n_inner) + 0.5) * (h / n_inner)
+    xs = X + (np.arange(DOUBLE_OUTER) + 0.5) * (X / DOUBLE_OUTER)
+    vs = 2 * h + (np.arange(DOUBLE_INNER) + 0.5) * (h / DOUBLE_INNER)
     xv = xs[:, None] + vs[None, :]
     d1 = disc(xv, xs[:, None]) ** 2
     d2 = disc(xv, xs[:, None] + h) ** 2
-    cell = (X / n_outer) * (h / n_inner)
+    cell = (X / DOUBLE_OUTER) * (h / DOUBLE_INNER)
     rhs = 2.0 * float((d1 + d2).sum()) * cell
     return lhs, rhs

@@ -1,41 +1,41 @@
-"""Shared numerical kernels: extended-precision phases, exactly rounded
-and compensated sums, double-double error-free transforms, cached
-Gauss-Legendre rules, and exact pairwise integrals of squared exponential
-sums.
+"""Shared numerical kernels: extended-precision phases, the grid phase
+kernel grid_sum, exactly rounded sums, double-double error-free
+transforms, cached Gauss-Legendre rules, and exact pairwise integrals of
+squared exponential sums.
 
 Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
 destroys the phase.  frac_phase therefore reduces in 80-bit extended
-arithmetic (numpy longdouble) *before* the multiplication by 2*pi; every
-phase sum takes its phase from it.  circle.grid_sum takes it once per
-block of an evenly spaced grid and adds the in-block offsets in float64:
-the panel factors of circle.ExpSumFactor.eval_panels, the e(varpi a)
-kernel phase (circle._kernel_panels), T's Filon sums on a grid of alpha
-(expsums.eval_T_grid), and the unit slices of circle.trivial_tails and
-circle.minor_arc_l2.  T at one alpha anchors once per cycle of its panel
-centres (expsums._t_grid_pass).  exp_pair_integral forms each pair's
-phase as the difference of two reduced phases.
+arithmetic (numpy longdouble) *before* the multiplication by 2*pi, and
+_cis takes cos + i sin of the result (e_of, per term).  grid_sum reduces
+once per block of an evenly spaced grid and adds the in-block offsets in
+float64: the panel factors of circle.ExpSumFactor.eval_panels, the
+e(varpi a) kernel phase, T's Filon sums on a grid of alpha, and the unit
+slices of circle.trivial_tails and circle.minor_arc_l2.  exp_pair_integral
+forms each pair's phase as the difference of two reduced phases; it and
+the unit slices take their pair terms from pair_blocks.
 
-The pointwise sums S and U are rounded once, exactly: fsum_complex and
-fsum_real return math.fsum's value bit for bit.  Error-free vector
-extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008) splits
-the terms, a few numpy passes per level, into level sums that np.sum
-gets exactly; math.fsum (Shewchuk 1997) rounds those and what is left.
-Chunked reductions use a Kahan accumulator or extended-precision
-prefix sums instead.
+Sums are rounded once, exactly: fsum_complex and fsum_real return
+math.fsum's value bit for bit.  Error-free vector extraction (Rump, Ogita
+& Oishi, SIAM J. Sci. Comput. 31, 2008) splits the terms, a few numpy
+passes per level, into level sums that np.sum gets exactly; math.fsum
+(Shewchuk 1997) rounds those and what is left.  Chunked reductions
+collect their chunk partials and sum them so too.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import PrecisionError
+from .errors import PrecisionError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 _LD = np.longdouble
+_log = logging.getLogger(__name__)
 
 
 def require_extended_longdouble() -> None:
@@ -108,9 +108,89 @@ def frac_phase(values, alpha):
     return np.mod(prod, _LD(1.0)).astype(np.float64)
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """cos(phase) + i sin(phase)."""
+    out = np.empty(np.shape(phase), dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def e_of(values, alpha: float):
     """e(values * alpha) = exp(2*pi*i*values*alpha) with safe reduction."""
-    return np.exp((2j * math.pi) * frac_phase(values, alpha))
+    return _cis(TWO_PI * frac_phase(values, alpha))
+
+
+def _grid_step(centers: np.ndarray) -> float:
+    """Spacing of evenly spaced centres; ValidationError if they are not."""
+    n = len(centers)
+    if n < 2:
+        return 0.0
+    h = (centers[-1] - centers[0]) / (n - 1)
+    dev = np.max(np.abs(centers - (centers[0] + h * np.arange(n))))
+    ulp = np.spacing(max(abs(centers[0]), abs(centers[-1])))
+    if not dev <= 8.0 * ulp:
+        raise ValidationError(
+            f"grid_sum needs evenly spaced centres: {n} centres stray "
+            f"{dev:.3e} from the line through the ends")
+    return h
+
+
+def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
+             offs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs_j e(freqs_j (centers_i + offs_o)) as an (n, m) array,
+    or an (n, m, c) one for c columns of coeffs (shape (N, c)).
+
+    The n centres are evenly spaced, c_i = c_0 + i h.  Writing i = R q + r
+    splits each phase in two levels, f (c_{Rq} + r h + o), so the sum is
+    P @ Q with P[q, j] = coeffs_j e(f_j c_{Rq}) (n/R rows) and
+    Q[j, (r, o)] = e(f_j (r h + o)) (R m columns): (n/R + R m) N phases
+    for N frequencies in place of n N, and the product has the size of
+    the direct one.  R is the integer nearest sqrt(n/m), or 1 where that
+    saves no phases or Q would pass 2^21 entries; the frequencies go in
+    blocks of 2^21 / (R m), so Q stays that small with R = 1 too.  P's
+    rows go in blocks of about 2^21 / (N c) centres for the N frequencies
+    of a block: f c at the block's first centre is reduced in extended
+    precision (frac_phase) and f (c - c0) added in float64, so the
+    phase error is bounded by the block's width in cycles, not by the size
+    of c.  Q's phases span at most R h + max|o|.  With
+    R > 1 the nodes are c_{Rq} + r h + o, which the spacing check keeps
+    within 8 ulps of c_i + o.
+    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    cols = coeffs.T if coeffs.ndim == 2 else coeffs[None, :]
+    centers = np.asarray(centers, dtype=np.float64)
+    offs = np.asarray(offs, dtype=np.float64)
+    n, m, nf = len(centers), len(offs), max(1, len(freqs))
+    h = _grid_step(centers)
+    if n == 0 or m == 0:
+        return np.zeros((n, m) + coeffs.shape[1:], dtype=complex)
+    R = max(1, round(math.sqrt(n / m)))
+    if R > 1 and (-(-n // R) + R * m >= n + m or nf * R * m > 1 << 21):
+        R = 1
+    inner = (h * np.arange(R))[:, None] + offs[None, :]
+    fb = max(1, (1 << 21) // (R * m))  # frequencies per block of Q
+    rows = max(1, ((1 << 21) // (min(nf, fb) * len(cols))) // R)
+    chunk = R * rows
+    out = np.zeros((n, m, len(cols)), dtype=complex)
+    for f0 in range(0, nf, fb):
+        fs = freqs[f0:f0 + fb]
+        tf = TWO_PI * fs
+        qmat = _cis(np.multiply.outer(tf, inner.ravel()))
+        for i in range(0, n, chunk):
+            c = centers[i:i + chunk:R]
+            phase = np.multiply.outer(c - c[0], tf)
+            phase += frac_phase(fs, c[0]) * TWO_PI
+            pmat = _cis(phase)
+            k = min(chunk, n - i)
+            for j, col in enumerate(cols[:, f0:f0 + fb]):
+                out[i:i + k, :, j] += ((pmat * col) @ qmat).reshape(-1, m)[:k]
+        del qmat  # before the next block's Q is formed
+    _log.debug("grid sum: %d centres x %d offsets x %d freqs, R = %d, "
+               "%d anchors, %d phases", n, m, len(freqs), R,
+               -(-n // chunk) * -(-nf // fb), (-(-n // R) + R * m) * len(freqs))
+    return out if coeffs.ndim == 2 else out[..., 0]
 
 
 # ----------------------------- summation ------------------------------------
@@ -177,27 +257,6 @@ def fsum_real(values) -> float:
     return _exact_sum(np.asarray(values, dtype=np.float64).ravel())
 
 
-class KahanAccumulator:
-    """Sequential compensated accumulator for chunked reductions (float
-    terms, or complex ones summed part by part)."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, term: float):
-        y = term - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s
-
-
 def compensated_cumsum(values) -> np.ndarray:
     """Cumulative sum whose per-entry error stays within one rounding unit.
 
@@ -220,46 +279,50 @@ def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # ------------------- exact integrals of products of e(f a) ------------------
 
-def exp_pair_integral(freqs: np.ndarray, coeffs: np.ndarray,
-                      a: float, b: float) -> float:
-    """Exact value of  int_a^b | sum_j coeffs_j e(freqs_j alpha) |^2 d alpha.
+def pair_blocks(freqs: np.ndarray, coeffs: np.ndarray, length: float):
+    """The pairs i < j of a sum of c e(f a), row by row in blocks of at
+    most about 2^22 pairs: (i, j, d, kappa) per block, with d = f_i - f_j
+    and kappa = 2 c_i c_j sin(pi d L)/(pi d) (2 c_i c_j L where
+    |d| < 1e-300), so that
 
-    Uses the closed form of every pairwise term; the result is exact up to
-    rounding, independent of how wildly the sum oscillates.  coeffs must be
-    real.
+        int_{mid-L/2}^{mid+L/2} |sum c e(f a)|^2 da
+            = L sum c^2 + sum_pairs kappa cos(2 pi d mid).
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    length = b - a
-    diag = float(np.dot(coeffs, coeffs)) * length
     n = len(freqs)
-    if n < 2:
-        return diag
-    total = KahanAccumulator()
-    total.add(diag)
-    # int_a^b e(d alpha) = e(d (a+b)/2) * sin(pi d L) / (pi d); pairs (j<l)
-    # combine with their conjugates into a purely real contribution.  The
-    # phase d*mid is the difference of the per-frequency reductions.
-    mid_phase = frac_phase(freqs, 0.5 * (a + b))
-    chunk = max(1, (1 << 22) // n)
-    for i in range(0, n - 1, chunk):
-        hiidx = min(i + chunk, n - 1)
-        d = freqs[i:hiidx, None] - freqs[None, :]
-        ph = mid_phase[i:hiidx, None] - mid_phase[None, :]
-        c = coeffs[i:hiidx, None] * coeffs[None, :]
-        mask = np.triu(np.ones(d.shape, dtype=bool), k=i + 1)
-        d = d[mask]
-        ph = ph[mask]
-        c = c[mask]
-        if len(d) == 0:
-            continue
+    rows = max(1, (1 << 22) // max(n, 1))
+    for r0 in range(0, n - 1, rows):
+        r = np.arange(r0, min(r0 + rows, n - 1))
+        cnt = n - 1 - r
+        iu = np.repeat(r, cnt)
+        ju = np.arange(len(iu)) - np.repeat(np.cumsum(cnt) - cnt - r - 1, cnt)
+        d = freqs[iu] - freqs[ju]
         small = np.abs(d) < 1e-300
         d_safe = np.where(small, 1.0, d)
         kern = np.where(small, length,
                         np.sin(math.pi * d_safe * length) / (math.pi * d_safe))
-        vals = 2.0 * c * np.cos(TWO_PI * ph) * kern
-        total.add(float(np.sum(vals)))
-    return total.value
+        yield iu, ju, d, 2.0 * coeffs[iu] * coeffs[ju] * kern
+
+
+def exp_pair_integral(freqs: np.ndarray, coeffs: np.ndarray,
+                      a: float, b: float) -> float:
+    """Exact value of  int_a^b | sum_j coeffs_j e(freqs_j alpha) |^2 d alpha.
+
+    Uses the closed form of every pairwise term (pair_blocks); the result
+    is exact up to rounding, independent of how wildly the sum oscillates.
+    coeffs must be real.  Each pair's phase d * (a+b)/2 is the difference
+    of the per-frequency reductions, and the diagonal and the block sums
+    are rounded once, by fsum_real.
+    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    mid_phase = frac_phase(freqs, 0.5 * (a + b))
+    parts = [float(np.dot(coeffs, coeffs)) * (b - a)]
+    for i, j, _, kappa in pair_blocks(freqs, coeffs, b - a):
+        ph = mid_phase[i] - mid_phase[j]
+        parts.append(float(np.sum(kappa * np.cos(TWO_PI * ph))))
+    return fsum_real(parts)
 
 
 def expand_square(freqs: np.ndarray, coeffs: np.ndarray):

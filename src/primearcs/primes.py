@@ -2,8 +2,8 @@
 
 A PrimeTable is an immutable sieve product: the ascending primes up to a
 limit together with the compensated prefix sums of log p, so that
-theta(x) = sum_{p <= x} log p is a binary search plus one lookup and
-psi(x) = sum_m theta(x^(1/m)) follows by exact integer roots.
+theta(x) = sum_{p <= x} log p is a binary search plus one lookup, and
+psi - theta counts the prime powers p^m <= x against exact int64 powers.
 """
 
 from __future__ import annotations
@@ -88,11 +88,10 @@ class PrimeTable:
         return len(self.primes)
 
     def theta(self, x: float) -> float:
-        """theta(x) = sum_{p <= x} log p, exact via prefix lookup."""
+        """theta(x) = sum_{p <= x} log p: theta_many at the one point x."""
         if x < 0 or x > self.limit:
             raise ValidationError(f"theta: x={x} outside [0, {self.limit}]")
-        idx = int(np.searchsorted(self.primes, math.floor(x), side="right"))
-        return 0.0 if idx == 0 else float(self.theta_prefix[idx - 1])
+        return float(self.theta_many([x])[0])
 
     def theta_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized theta for float arrays within [0, limit]."""
@@ -102,48 +101,37 @@ class PrimeTable:
         return pref[idx]
 
     def psi(self, x: float) -> float:
-        """psi(x) = sum_{m >= 1} theta(x^(1/m)), stopping once x^(1/m) < 2.
-
-        Roots are taken as exact integer m-th roots of floor(x), so prime
-        powers sitting exactly at x are never lost to float rounding.
-        """
+        """psi(x) = theta(x) + (psi - theta)(x): the vector evaluators at
+        the one point x."""
         if x < 0 or x > self.limit:
             raise ValidationError(f"psi: x={x} outside [0, {self.limit}]")
-        if x < 2:
-            return 0.0
-        xi = math.floor(x)
-        total = 0.0
-        m = 1
-        while True:
-            r = _iroot(xi, m)
-            if r < 2:
-                break
-            idx = int(np.searchsorted(self.primes, r, side="right"))
-            if idx:
-                total += float(self.theta_prefix[idx - 1])
-            m += 1
-        return total
+        xs = [x]
+        return float((self.theta_many(xs) + self.psi_minus_theta_many(xs))[0])
 
     def psi_minus_theta_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized psi(x) - theta(x) (proper prime-power mass only).
 
-        As in the scalar psi, x is floored first, and level m counts the
-        primes up to the exact integer m-th root of floor(x): p qualifies
-        when p^m <= floor(x), so floor(x) is searched among the exact int64
-        powers p^m of the table prefix up to floor(top)^(1/m).  No float
-        root is taken.
+        x is floored first, and level m counts the primes p with
+        p^m <= floor(x): floor(x) is searched among the exact int64 powers
+        of _power_levels.  No float root is taken.
         """
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         n = np.floor(np.maximum(x, 0.0)).astype(np.int64)
-        top = int(np.max(n)) if x.size else 0
+        for pw in self._power_levels(int(np.max(n)) if x.size else 0):
+            idx = np.searchsorted(pw, n, side="right")
+            out += np.concatenate(([0.0], self.theta_prefix[:len(pw)]))[idx]
+        return out
+
+    def _power_levels(self, top: int):
+        """For each m >= 2 with 2^m <= top, the exact int64 m-th powers of
+        the primes p with p^m <= top (those up to the exact root
+        _iroot(top, m)), ascending."""
         m = 2
         while top >= 1 << m:
             j = int(np.searchsorted(self.primes, _iroot(top, m), side="right"))
-            idx = np.searchsorted(self.primes[:j] ** m, n, side="right")
-            out += np.concatenate(([0.0], self.theta_prefix[:j]))[idx]
+            yield self.primes[:j] ** m
             m += 1
-        return out
 
     def primes_in_range(self, lo: float, hi: float) -> np.ndarray:
         """All primes p with lo <= p <= hi, ascending."""
@@ -159,15 +147,8 @@ class PrimeTable:
         if bound > self.limit:
             raise ValidationError(f"prime_powers_up_to: {bound} > limit {self.limit}")
         chunks = [] if proper_only else [self.primes_in_range(2, bound)]
-        m = 2
-        while 2 ** m <= bound:
-            ps = self.primes_in_range(2, math.floor(bound ** (1.0 / m)) + 1)
-            pw = ps.astype(object) ** m
-            chunks.append(np.array([int(v) for v in pw if v <= bound], dtype=np.int64))
-            m += 1
-        if not chunks:
-            return np.array([], dtype=np.int64)
-        return np.sort(np.concatenate(chunks))
+        chunks += self._power_levels(math.floor(bound))
+        return np.sort(np.concatenate([np.empty(0, np.int64)] + chunks))
 
 
 def _iroot(n: int, m: int) -> int:

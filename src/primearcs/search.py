@@ -181,8 +181,7 @@ def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
     inside = (p3k >= lo) & (p3k <= hi)
     p3s = p3s_all[np.asarray(inside)]
     p3k = p3k[inside]
-    nk_hi_f = p3k.astype(np.float64)
-    nk_lo_f = (p3k - nk_hi_f.astype(np.longdouble)).astype(np.float64)
+    nk_hi_f, nk_lo_f = dd_from_longdouble(p3k)
     records = []
     for p1 in p1s.tolist():
         for j2, p2 in enumerate(p2s.tolist()):

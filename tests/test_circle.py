@@ -6,17 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import sici
 
+from primearcs import circle
 from primearcs.circle import (ProblemInstance, _slice_pairs, _trigamma_upper,
                               _unit_slices, arc_params, bound_ghosh,
                               bound_vaughan, classify_minor, eta_exponent,
-                              grid_sum, integrand,
-                              integrate_I, major_arc_split, minor_arc_l2,
+                              gauss_panels, integrand, integrate_I, major_arc_split, minor_arc_l2,
                               trivial_tails, V, window_factors)
-from primearcs.errors import ValidationError
+from primearcs.errors import ConvergenceError, ValidationError
 from primearcs.expsums import WindowSpec, fejer_K, window
 from primearcs.numutil import (exp_pair_integral, expand_square, frac_phase,
-                               gl_rule, powk_extended)
+                               gl_rule, grid_sum, powk_extended)
 from primearcs.rational import parse_hireal
 
 
@@ -155,7 +157,7 @@ class TestExpSumFactor:
                     centers = alpha + (2.0 * np.arange(n) + 1.0) * hw
                     offs = offs_unit * hw
                     caplog.clear()
-                    with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+                    with caplog.at_level(logging.DEBUG, logger="primearcs.numutil"):
                         got = fac.eval_panels(centers, offs)
                     (log,) = [re.search(r"R = (\d+), (\d+) anchors, (\d+) phases",
                                         r.getMessage()) for r in caplog.records]
@@ -285,6 +287,128 @@ class TestIntegrateI:
         fac = window_factors(inst, table, w)
         mass = math.prod(f.mass for f in fac)
         assert abs(val.real - enum_val) <= mass * 2.0 / (math.pi ** 2 * a_cut)
+
+
+def _truncated_kernel_integral(t, eta, A):
+    """int_{-A}^{A} K_eta(a) e(t a) da in closed form.
+
+    K_eta = (1 - cos 2 pi eta a)/(2 pi^2 a^2) gives
+    pi^-2 [H(2 pi (t+eta))/2 + H(2 pi (t-eta))/2 - H(2 pi t)] with
+    H(w) = |w| Si(|w| A) - (1 - cos w A)/A.  The |w| pi/2 part of H sums to
+    the tent max(0, eta - |t|) and is taken out, so the rest,
+    Hr(w) = -|w| (pi/2 - Si(x)) - (1 - cos x)/A at x = |w| A, is about
+    -1/A per term.  Past x = 200 it comes from the asymptotic series of
+    pi/2 - Si(x) = f(x) cos x + g(x) sin x (A&S 5.2.34-35, to x^-10) as
+    -(1 + (x f - 1) cos x + x g sin x)/A, without the cancellation of
+    pi/2 - Si(x) in float64 (|w| eps per term, 2.5e-10 on the whole sum
+    below).
+    """
+    def hr(w):
+        x = np.abs(w) * A
+        out = np.empty_like(x)
+        big = x > 200.0
+        xb = x[big]
+        z = 1.0 / (xb * xb)
+        xf1 = -2 * z * (1 - 12 * z * (1 - 30 * z * (1 - 56 * z * (1 - 90 * z))))
+        xg = (1 - 6 * z * (1 - 20 * z * (1 - 42 * z * (1 - 72 * z)))) / xb
+        out[big] = -(1.0 + xf1 * np.cos(xb) + xg * np.sin(xb)) / A
+        xs = x[~big]
+        out[~big] = (-np.abs(w[~big]) * (math.pi / 2 - sici(xs)[0])
+                     - (1.0 - np.cos(xs)) / A)
+        return out
+
+    t = np.asarray(t, dtype=np.float64)
+    osc = (0.5 * hr(2 * np.pi * (t + eta)) + 0.5 * hr(2 * np.pi * (t - eta))
+           - hr(2 * np.pi * t))
+    return np.maximum(0.0, eta - np.abs(t)) + osc / math.pi ** 2
+
+
+class TestClosedFormOracle:
+    """integrate_I over [-A, A] against the closed form summed over all
+    window triples (t = l1 p1 + l2 p2^2 + l3 p3^k + varpi, weight
+    log p1 log p2 log p3) on the arcs benchmark's instance with varpi
+    fixed.  The closed form is within 1e-13 of a 40-digit evaluation at
+    both A; GL12 is within 5e-12 of it, GL8 1.1e-8 off at A = 50."""
+
+    ETA = 0.5
+
+    @pytest.fixture(scope="class")
+    def setup(self, table):
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.123)
+        w = WindowSpec(X=500.0, k=1.05, delta=0.1)
+        f1, f2, f3 = window_factors(inst, table, w)
+        t = (f1.freqs[:, None, None] + f2.freqs[None, :, None]
+             + f3.freqs[None, None, :]).ravel() + inst.varpi
+        wt = (f1.weights[:, None, None] * f2.weights[None, :, None]
+              * f3.weights[None, None, :]).ravel()
+        assert len(t) == 19200
+        return inst, w, t, wt
+
+    def closed_form(self, setup, A):
+        _, _, t, wt = setup
+        return math.fsum(wt * _truncated_kernel_integral(t, self.ETA, A))
+
+    def test_kernel_integral_against_quad(self):
+        # one t at a time, beside an adaptive quadrature of 2 int_0^A K cos
+        for t in (0.0, 0.3, -0.5, 0.7, 3.3, -41.9):
+            for A in (2.0, 50.0):
+                want = 2.0 * quad(lambda a: fejer_K(self.ETA, a)
+                                  * math.cos(2 * math.pi * t * a), 0.0, A,
+                                  limit=2000, epsabs=1e-13, epsrel=1e-13)[0]
+                got = _truncated_kernel_integral([t], self.ETA, A)[0]
+                assert got == pytest.approx(want, abs=1e-11), (t, A)
+
+    def test_short_truncation_within_tol(self, table, setup):
+        inst, w, _, _ = setup
+        val = integrate_I(inst, table, w, self.ETA, [(-2.0, 2.0)], tol=1e-8)
+        assert abs(val.real - self.closed_form(setup, 2.0)) <= 1e-8
+
+    def test_error_below_tenth_of_estimate(self, table, setup, caplog):
+        # the summed estimate (about 2.6e-8) is GL8's error: GL12, which
+        # is returned, must be well inside it
+        inst, w, _, _ = setup
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            val = integrate_I(inst, table, w, self.ETA, [(-50.0, 50.0)],
+                              tol=0.2)
+        (est,) = [float(m.group(1)) for m in (
+            re.search(r"summed est error (\S+)", r.getMessage())
+            for r in caplog.records) if m]
+        assert 0.0 < est <= 0.2
+        assert abs(val.real - self.closed_form(setup, 50.0)) <= 0.1 * est
+
+
+class TestConvergenceStalls:
+    """Each adaptive quadrature raises ConvergenceError with its best value and
+    a finite error estimate when it runs out of budget (exit code 3)."""
+
+    def test_gauss_panels(self):
+        # f_max understated tenfold: 15 start panels, 30 after one doubling
+        # pass the 1000-node budget; best is the last pass's GL12 value
+        def parts(centers, offs):
+            return {"f": np.cos(100.0 * (centers[:, None] + offs[None, :])) + 0j}
+
+        with pytest.raises(ConvergenceError, match="30 panels") as info:
+            gauss_panels(parts, 0.0, 3.0, 10.0, 1e-12, 1000)
+        exc = info.value
+        x12, w12 = gl_rule(12)
+        hw = 3.0 / 60
+        nodes = (2.0 * np.arange(30) + 1.0)[:, None] * hw + x12[None, :] * hw
+        want = math.fsum((np.cos(100.0 * nodes) @ (w12 * hw)).tolist())
+        assert exc.best["f"] == pytest.approx(want, rel=1e-14)
+        assert math.isfinite(exc.est_error) and exc.est_error > 1e-12
+
+    def test_tail_slicing(self, inst, table, w500, monkeypatch):
+        # one 4096-slice block of tail A, then the budget: best is that
+        # block's sum, est_error the remainder bound past it
+        arc = arc_params(inst, 500.0)
+        full = trivial_tails(inst, table, w500, arc.R, tol=1.0).values[0]
+        monkeypatch.setattr(circle, "MAX_TAIL_SLICES", 4096)
+        with pytest.raises(ConvergenceError, match="after 4096 slices") as info:
+            trivial_tails(inst, table, w500, arc.R, tol=1e-9)
+        exc = info.value
+        assert 0.0 < exc.best <= full * (1.0 + 1e-12)
+        assert math.isfinite(exc.est_error)
+        assert exc.best + exc.est_error >= full
 
 
 class TestMajorArc:

@@ -243,6 +243,12 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1.0
         assert "tol must be positive and finite" in capsys.readouterr().err
 
+    def test_stalled_quadrature_is_3(self, capsys):
+        # alpha = 0 is exact; at 0.1 the T quadrature cannot meet tol 1e-16
+        assert main(["expsum", "--X", "1e3", "--k", "1.05", "--alpha-grid",
+                     "0:0.1:2", "--which", "T", "--tol", "1e-16"]) == 3
+        assert "T quadrature stalled" in capsys.readouterr().err
+
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",
                      "--alpha-grid", "0:1", "--which", "S"]) == 2

@@ -8,7 +8,7 @@ from scipy.special import sici
 
 from primearcs import circle, expsums
 from primearcs.circle import verify_fourier_pair
-from primearcs.errors import ValidationError
+from primearcs.errors import ConvergenceError, ValidationError
 from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec, _filon_moments,
                                _t_grid_pass,
                                eval_S, eval_T, eval_T_grid, eval_T_range,
@@ -190,6 +190,18 @@ class TestT:
         val = eval_T(w, 0.03, tol=1e-11)
         oracle = brute_T(2, 1.0, 100.0, 0.03)
         assert abs(val - oracle) < 1e-9
+
+    def test_stall_keeps_best(self):
+        # tol 1e-16 is below the Richardson steps' rounding: the one-node
+        # quadrature doubles to its 2^22-panel cap and raises with the last
+        # extrapolated value, which a reachable tol reproduces
+        with pytest.raises(ConvergenceError, match="T quadrature stalled") as info:
+            eval_T_grid(1.05, 100.0, 1e3, [0.3], [0.0], 1e-16)
+        exc = info.value
+        assert exc.best.shape == (1, 1)
+        assert math.isfinite(exc.est_error) and exc.est_error > 1e-16
+        want = eval_T_range(1.05, 100.0, 1e3, 0.3, tol=1e-10)
+        assert abs(exc.best[0, 0] - want) <= 1e-9
 
     def test_more_windows_against_oracle(self):
         for k, X, delta, alpha in ((1.0, 50, 0.1, 0.8), (1.05, 200, 0.1, -0.11),

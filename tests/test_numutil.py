@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -150,6 +154,27 @@ def test_fsum_complex_window_lengths():
         z = np.exp(2j * np.pi * rng.random(n)) * 10.0 ** rng.uniform(-8, 3, n)
         want = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
         assert numutil.fsum_complex(z) == want
+
+
+def test_layering():
+    # numutil sits below every other module (errors aside), and expsums,
+    # T on a node grid included, runs without circle
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "def pkg(): return sorted(m for m in sys.modules\n"
+        "                         if m.startswith('primearcs.'))\n"
+        "import primearcs.numutil\n"
+        "print(pkg())\n"
+        "import primearcs.expsums as ex\n"
+        "vals, _ = ex.eval_T_grid(1.05, 100.0, 1e3, [0.1, 0.2],\n"
+        "                         [-0.01, 0.0, 0.01], 1e-8)\n"
+        "print(vals.shape, 'primearcs.circle' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines() == [
+        "['primearcs.errors', 'primearcs.numutil']", "(2, 3) False"]
 
 
 def test_fsum_fast_path_kept(table, monkeypatch):
