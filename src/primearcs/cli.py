@@ -129,13 +129,16 @@ def _cmd_expsum(args) -> int:
     table = load_table(args.table) if which == "S" else None
     w = expsums.WindowSpec(X=float(args.X), k=float(args.k), delta=args.delta)
     grid = _parse_grid(args.alpha_grid)
+    meta = _meta(f"exp_sum_{which}", X=args.X, k=args.k, delta=args.delta)
     if which == "S":
         vals = [expsums.eval_S(table, w, a) for a in grid]
     elif which == "U":
         vals = [expsums.eval_U(w, a) for a in grid]
     else:
-        vals = [expsums.eval_T(w, a, args.tol) for a in grid]
-    meta = _meta(f"exp_sum_{which}", X=args.X, k=args.k, delta=args.delta)
+        runs = [expsums.eval_T_grid(w.k, w.delta * w.X, w.X, [a], [0.0],
+                                    args.tol) for a in grid]
+        vals = [complex(v[0, 0]) for v, _ in runs]
+        meta["est_error"] = max(err for _, err in runs)
     rows = [(a, v.real, v.imag, abs(v)) for a, v in zip(grid, vals)]
     _write_csv(args.out, meta, ["alpha", "re", "im", "abs"], rows)
     return 0

@@ -34,8 +34,7 @@ import numpy as np
 from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
                      require_tol)
 from .numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
-                      frac_phase, fsum_complex, fsum_real, grid_sum,
-                      powk_extended)
+                      fsum_complex, fsum_real, grid_sum, powk_extended)
 from .primes import MEMORY_BUDGET, PrimeTable
 
 _log = logging.getLogger(__name__)
@@ -210,8 +209,10 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
     at X = 1e5, k = 1.05, tol 1e-9, alpha in [0.04, 0.10], 4e-6 off) and
     double; one Richardson step removes the O(n^-2) interpolation error.
     Returns (values, est_error) once two steps agree within tol at every
-    node, est_error the largest difference; ConvergenceError past 2^22
-    panels, ValidationError unless 0 < tol < inf.
+    node, est_error the largest difference; ConvergenceError when a failed
+    comparison would double past 2^22 panels (a start above 2^20 runs three
+    passes past it: alpha = 0.3 at X = 1e6 reaches 8.6 M panels),
+    ValidationError unless 0 < tol < inf.
     """
     require_tol(tol)
     centers = np.asarray(centers, dtype=np.float64)
@@ -247,31 +248,36 @@ def _t_grid_pass(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
 
     A panel with centre c, half-width hw and end amplitudes wa, wb gives
     e(c alpha) (mu0 g0 + mu1 g1): moments mu(2 pi alpha hw) of the node,
-    g0 = h (wa + wb)/2 and g1 = h (wb - wa)/2 of the panel (h is hw up to
-    the edges' rounding, so the panels tile [u_lo, u_hi] exactly).  On a
-    node grid the sums over c are one numutil.grid_sum, the panel centres
-    as frequencies.  One node anchors its phases per block of centres
-    about a cycle wide: frac(c0 alpha) in extended precision plus
-    (c - c0) alpha in float64.  grid_sum would reduce every centre's phase
-    there, over twice as slow on the eval_T calls of the expsum benchmark.
+    g0 = hw (wa + wb)/2 and g1 = hw (wb - wa)/2 of the panel.  On a node
+    grid hw is half each edge gap, so the panels tile [u_lo, u_hi]
+    exactly, and the sums over c are one numutil.grid_sum on the edges'
+    midpoints.  One node takes the exact centres c_j = u_lo + (2j + 1) hw
+    (hw extended) and splits j = R q + r, R = round(sqrt(n)), so that
+    e(c_j alpha) = P[q] Q[r] with P = e(c_{Rq} alpha) and Q = e(2 hw r
+    alpha) from numutil.e_of, about 2 sqrt(n) phases; the sums are
+    (hw/2) (G @ Q) @ P, G the panels' wa + wb and wb - wa.  Its error:
+    each phase's extended reduction, one rounded P Q per panel, float64 sums.
     """
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
     amp = np.ones_like(edges) if k == 1.0 else edges ** (1.0 / k - 1.0) / k
     hw = 0.5 * (u_hi - u_lo) / n_panels
-    h = 0.5 * np.diff(edges)
-    g = np.stack((h * 0.5 * (amp[:-1] + amp[1:]),
-                  h * 0.5 * (amp[1:] - amp[:-1])), axis=1)
-    pc = 0.5 * (edges[:-1] + edges[1:])
     nodes = centers[:, None] + offs[None, :]
     if nodes.size == 1:
-        alpha = float(nodes[0, 0])
-        cycles = 2.0 * hw * abs(alpha)  # per panel
-        s = n_panels if cycles * n_panels <= 1 else max(1, int(1 / cycles))
-        phase = (TWO_PI * alpha) * (pc - np.repeat(pc[::s], s)[:n_panels])[None, :]
-        phase += np.repeat(frac_phase(pc[::s], alpha) * TWO_PI, s)[None, :n_panels]
-        sums = (np.cos(phase) @ g + 1j * (np.sin(phase) @ g))[None]
+        R = round(math.sqrt(n_panels))
+        rows = -(-n_panels // R)
+        G = np.zeros((2, rows * R))
+        np.add(amp[:-1], amp[1:], out=G[0, :n_panels])
+        np.subtract(amp[1:], amp[:-1], out=G[1, :n_panels])
+        hwx = (np.longdouble(u_hi) - np.longdouble(u_lo)) / (2 * n_panels)
+        P = e_of(u_lo + (2 * R * np.arange(rows) + 1) * hwx, nodes[0, 0])
+        Q = e_of(2 * hwx * np.arange(R), nodes[0, 0])
+        GQ = G.reshape(2 * rows, R) @ Q.view(np.float64).reshape(R, 2)
+        sums = (0.5 * hw) * (GQ.view(complex).reshape(1, 1, 2, rows) @ P)
     else:
-        sums = grid_sum(pc, g, centers, offs)
+        h = 0.5 * np.diff(edges)
+        g = np.stack((h * 0.5 * (amp[:-1] + amp[1:]),
+                      h * 0.5 * (amp[1:] - amp[:-1])), axis=1)
+        sums = grid_sum(0.5 * (edges[:-1] + edges[1:]), g, centers, offs)
     mu0, mu1 = _filon_moments(TWO_PI * nodes * hw)
     vals = mu0 * sums[..., 0] + mu1 * sums[..., 1]
     exact = np.abs(nodes) < 1e-300

@@ -7,7 +7,8 @@ Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
 destroys the phase.  frac_phase therefore reduces in 80-bit extended
 arithmetic (numpy longdouble) *before* the multiplication by 2*pi, and
-_cis takes cos + i sin of the result (e_of, per term).  grid_sum reduces
+_cis takes cos + i sin of the result (e_of, per term; a Filon pass of T
+at one alpha takes about 2 sqrt(n) for n panels).  grid_sum reduces
 once per block of an evenly spaced grid and adds the in-block offsets in
 float64: the panel factors of circle.ExpSumFactor.eval_panels, the
 e(varpi a) kernel phase, T's Filon sums on a grid of alpha, and the unit

@@ -133,6 +133,17 @@ class TestSubcommands:
             else:
                 assert meta["est_error"] == "None"
 
+    def test_expsum_T_meta_est_error(self, tmp_path):
+        # the largest Richardson estimate over the alpha grid, within tol
+        out = tmp_path / "t.csv"
+        for tol in (1e-9, 1e-11):
+            assert main(["expsum", "--X", "1e4", "--k", "1.05",
+                         "--alpha-grid=-0.05:0.1:4", "--which", "T",
+                         "--tol", str(tol), "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+            assert 0.0 <= float(meta["est_error"]) <= tol
+
     def test_meansquare_csv(self, tmp_path, table_file):
         out = tmp_path / "m.csv"
         rc = main(["meansquare", "--table", table_file, "--X", "100", "--k",

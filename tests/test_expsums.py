@@ -2,6 +2,7 @@ import logging
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sici
@@ -14,7 +15,7 @@ from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec, _filon_moments,
                                eval_S, eval_T, eval_T_grid, eval_T_range,
                                eval_U, eval_U_range, fejer_K, fejer_hat,
                                fourth_moment_S2, s_minus_u_l1_bound, window)
-from primearcs.numutil import (e_of, exp_pair_integral, frac_phase,
+from primearcs.numutil import (TWO_PI, e_of, exp_pair_integral, frac_phase,
                                fsum_complex, powk_extended)
 from primearcs.primes import build_table
 
@@ -50,6 +51,33 @@ def gl_T(k, u_lo, u_hi, alpha, max_hw=1.0):
         amp = (c[:, None] + hw * x[None, :]) ** (1 / k - 1) / k
         total += complex(np.sum((np.exp(2j * math.pi * phase) * amp) @ wgt) * hw)
     return total
+
+
+def closed_T(k, u_lo, u_hi, alpha):
+    """T in closed form at 30 digits: u = t^k and v = s u, s = -2 pi i alpha,
+    give (1/k) s^(-1/k) Gamma(1/k; s u_lo, s u_hi), the incomplete gamma
+    integral of v^(1/k-1) e^-v along the ray through s."""
+    with mpmath.workdps(30):
+        s = -2j * mpmath.pi * mpmath.mpf(alpha)
+        a = 1 / mpmath.mpf(k)
+        return complex(a * s ** -a * mpmath.gammainc(a, s * u_lo, s * u_hi))
+
+
+def filon_pass_ld(k, u_lo, u_hi, alpha, n):
+    """One Filon pass of n panels summed directly in extended precision,
+    on the exact centres u_lo + (2j + 1) hw with the uniform half-width
+    hw = (u_hi - u_lo)/(2n); the moments are _t_grid_pass's own."""
+    ld = np.longdouble
+    hw = (ld(u_hi) - ld(u_lo)) / (2 * n)
+    edges = u_lo + 2 * hw * np.arange(n + 1)
+    amp = edges ** (1 / ld(k) - 1) / ld(k)
+    phase = 8 * np.arctan(ld(1)) * np.mod((edges[:-1] + hw) * ld(alpha), 1)
+    cis = np.cos(phase) + 1j * np.sin(phase)
+    s0 = np.sum(cis * (amp[:-1] + amp[1:])) * hw / 2
+    s1 = np.sum(cis * (amp[1:] - amp[:-1])) * hw / 2
+    theta = TWO_PI * alpha * (0.5 * (u_hi - u_lo) / n)
+    mu0, mu1 = _filon_moments(np.array([theta]))
+    return complex(mu0[0] * s0 + mu1[0] * s1)
 
 
 class TestS:
@@ -255,8 +283,8 @@ class TestT:
 
     def test_grid_against_quadrature_oracle(self):
         # gl_T is independent of the Filon kernel.  |alpha| = 0.1 makes 9000
-        # cycles, so one node spans many anchor blocks; 0 takes the exact
-        # path.
+        # cycles, so one node spans many rows of its two-level phase split;
+        # 0 takes the exact path.
         k, u_lo, u_hi = 1.05, 1e4, 1e5
         for alpha in (-0.1, -0.0371, -4e-4, 0.0, 4e-4, 0.013, 0.0707, 0.1):
             val = eval_T_range(k, u_lo, u_hi, alpha)
@@ -290,12 +318,53 @@ class TestT:
         assert est >= max(errs)
 
     def test_one_node_at_large_X(self):
-        # guards the single-node phase sum: summing e(c alpha) with the
-        # panel centres c as a grid_sum grid (alpha the one frequency)
-        # stalls here at 4 072 320 panels
+        # guards the single-node phase sum from 509 041 panels over 64 000
+        # cycles: the centres as a grid_sum grid (alpha the one frequency)
+        # stall here at 4 072 320 panels, and float64 centres from
+        # linspace put a pass 1.6e-9 off (test_one_node_pass_direct_sum)
         w = WindowSpec(X=1e6, k=1.05, delta=0.1)
         val = eval_T(w, 0.0707, tol=1e-10)
         assert abs(val - gl_T(w.k, w.delta * w.X, w.X, 0.0707)) < 1e-10
+
+    def test_against_closed_form(self):
+        # the incomplete-gamma closed form, itself checked against the
+        # Simpson oracle on a short window; gl_T cannot replace it at
+        # X = 1e6, where it is 1.5e-11 from the closed form
+        assert abs(closed_T(2.0, 1.0, 100.0, 0.03)
+                   - brute_T(2, 1.0, 100.0, 0.03)) < 1e-9
+        w = WindowSpec(X=1e6, k=1.05, delta=0.1)
+        for alpha in (0.0123, -0.0371, 0.0707):
+            val = eval_T(w, alpha, tol=1e-10)
+            want = closed_T(w.k, w.delta * w.X, w.X, alpha)
+            assert abs(val - want) <= 1e-11, alpha
+
+    @pytest.mark.parametrize("k, u_lo, u_hi, alpha, n, bound", [
+        (1.05, 1e5, 1e6, 0.0707, 509_041, 5e-11),
+        (1.05, 1e4, 1e5, 0.1, 72_001, 1e-11),     # n = 268 * 268 + 177
+        (1.05, 1e4, 1e5, -0.0371, 36_000, 1e-11),
+        (1.0, 1e4, 1e5, 0.013, 12_345, 1e-11),    # no slope row
+        (1.05, 1e4, 1e5, 0.1, 1, 1e-11),          # R = 1
+        (1.05, 1e4, 1e5, -0.1, 2, 1e-11),
+        (1.05, 1e4, 1e5, 0.1, 3, 1e-11),
+    ])
+    def test_one_node_pass_direct_sum(self, k, u_lo, u_hi, alpha, n, bound):
+        val = _t_grid_pass(k, u_lo, u_hi, np.array([alpha]), n, np.array([0.0]))
+        assert abs(val[0, 0] - filon_pass_ld(k, u_lo, u_hi, alpha, n)) <= bound
+
+    def test_one_node_pass_phase_count(self, monkeypatch):
+        # two levels of phases, about 2 sqrt(n) per pass: one phase per
+        # panel would show here
+        counts = []
+
+        def counting(values, alpha):
+            counts.append(np.size(values))
+            return e_of(values, alpha)
+
+        monkeypatch.setattr(expsums, "e_of", counting)
+        for n in (1, 2, 3, 4, 64, 1000, 72_001, 509_041):
+            counts.clear()
+            _t_grid_pass(1.05, 1e4, 1e5, np.array([0.07]), n, np.array([0.0]))
+            assert 0 < sum(counts) <= 2 * math.ceil(math.sqrt(n)) + 1, n
 
     def test_filon_moments_series_branch(self):
         # below |theta| = 1e-3 a series replaces the cancelling closed
