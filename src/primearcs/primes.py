@@ -109,29 +109,26 @@ class PrimeTable:
         return float((self.theta_many(xs) + self.psi_minus_theta_many(xs))[0])
 
     def psi_minus_theta_many(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized psi(x) - theta(x) (proper prime-power mass only).
+        """Vectorized psi(x) - theta(x) (proper prime-power mass only):
+        floor(x) is searched once among the exact int64 proper prime powers
+        beside the compensated prefix of their log p, so each value is the
+        correctly rounded sum.  No float root is taken."""
+        n = np.floor(np.maximum(np.asarray(x, dtype=np.float64), 0.0))
+        n = n.astype(np.int64)
+        pw, base = self._proper_powers(int(np.max(n)) if n.size else 0)
+        pref = compensated_cumsum(np.log(base.astype(np.float64)))
+        return np.concatenate(([0.0], pref))[np.searchsorted(pw, n, "right")]
 
-        x is floored first, and level m counts the primes p with
-        p^m <= floor(x): floor(x) is searched among the exact int64 powers
-        of _power_levels.  No float root is taken.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        n = np.floor(np.maximum(x, 0.0)).astype(np.int64)
-        for pw in self._power_levels(int(np.max(n)) if x.size else 0):
-            idx = np.searchsorted(pw, n, side="right")
-            out += np.concatenate(([0.0], self.theta_prefix[:len(pw)]))[idx]
-        return out
-
-    def _power_levels(self, top: int):
-        """For each m >= 2 with 2^m <= top, the exact int64 m-th powers of
-        the primes p with p^m <= top (those up to the exact root
-        _iroot(top, m)), ascending."""
-        m = 2
-        while top >= 1 << m:
-            j = int(np.searchsorted(self.primes, _iroot(top, m), side="right"))
-            yield self.primes[:j] ** m
-            m += 1
+    def _proper_powers(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """The proper prime powers p^m <= top (m >= 2), exact int64 and
+        ascending, with their primes p (level m: p <= _iroot(top, m))."""
+        js = [int(np.searchsorted(self.primes, _iroot(top, m), side="right"))
+              for m in range(2, top.bit_length())]
+        base = np.concatenate([np.empty(0, np.int64)]
+                              + [self.primes[:j] for j in js])
+        pows = base ** np.repeat(np.arange(2, 2 + len(js)), js)
+        order = np.argsort(pows)
+        return pows[order], base[order]
 
     def primes_in_range(self, lo: float, hi: float) -> np.ndarray:
         """All primes p with lo <= p <= hi, ascending."""
@@ -146,9 +143,10 @@ class PrimeTable:
         """Ascending prime powers p^m <= bound (m >= 2 if proper_only)."""
         if bound > self.limit:
             raise ValidationError(f"prime_powers_up_to: {bound} > limit {self.limit}")
-        chunks = [] if proper_only else [self.primes_in_range(2, bound)]
-        chunks += self._power_levels(math.floor(bound))
-        return np.sort(np.concatenate([np.empty(0, np.int64)] + chunks))
+        proper = self._proper_powers(math.floor(bound))[0]
+        if proper_only:
+            return proper
+        return np.sort(np.concatenate((self.primes_in_range(2, bound), proper)))
 
 
 def _iroot(n: int, m: int) -> int:

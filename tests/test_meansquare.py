@@ -3,13 +3,14 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, s_minus_u_weights
-from primearcs.meansquare import (MeanSquareQuery, _breakpoints, _l2_grid,
-                                  _piecewise_square,
+from primearcs.meansquare import (PIECE_GL, MeanSquareQuery, _breakpoints,
+                                  _count_fn, _l2_grid, _piecewise_square,
                                   double_integral_bound_check, l2_diff,
                                   selberg_J, selberg_J_relative,
                                   theta_psi_discrepancy)
@@ -43,6 +44,31 @@ def reference_breakpoints(table, k, x_lo, x_hi, shift=0.0, factor=1.0,
     return x[(x > x_lo) & (x < x_hi)]
 
 
+def mpmath_selberg(table, k, h, x_lo, x_hi, use_psi=False):
+    """int_{x_lo}^{x_hi} (F((x+h)^(1/k)) - F(x^(1/k)) - smooth)^2 dx piece by
+    piece with mpmath.quad at 30 digits: the pieces between the breakpoints
+    of reference_breakpoints, F from the table at their midpoints, and the
+    smooth part (x+h)^r - x^r in 30 digits with r = 1.0/k as selberg_J
+    takes it.  A piece wider than 1/16 of its left end is handed to quad
+    split at a geometric sequence of points."""
+    cuts = [reference_breakpoints(table, k, x_lo, x_hi, s, 1.0, use_psi)
+            for s in (0.0, h)]
+    edges = np.unique(np.concatenate(cuts + [[x_lo, x_hi]]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    rt = 1.0 / k
+    fn = _count_fn(table, use_psi)
+    d = fn((mids + h) ** rt) - fn(mids ** rt)
+    with mpmath.workdps(30):
+        total, r, hh = mpmath.mpf(0), mpmath.mpf(rt), mpmath.mpf(h)
+        for a, b, dj in zip(edges[:-1].tolist(), edges[1:].tolist(), d.tolist()):
+            n = max(1, math.ceil(16 * math.log(b / a)))
+            points = [mpmath.mpf(a) * (mpmath.mpf(b) / a) ** (mpmath.mpf(i) / n)
+                      for i in range(n)] + [mpmath.mpf(b)]
+            total += mpmath.quad(
+                lambda x: (dj - ((x + hh) ** r - x ** r)) ** 2, points)
+        return float(total)
+
+
 class TestPiecewiseMachinery:
     @pytest.mark.parametrize("k", [0.9, 1.0, 1.05, 2.0])
     @pytest.mark.parametrize("shift,factor", [(0.0, 1.0), (7.5, 1.0),
@@ -69,19 +95,21 @@ class TestPiecewiseMachinery:
 
     @staticmethod
     def _traced(x_lo, x_hi, bkpts):
-        seen = {}
+        """The value, the midpoints step_fn saw and the Gauss nodes
+        smooth_fn saw, one row per piece."""
+        seen = {"nodes": []}
 
         def step(x):
             seen["mids"] = np.array(x)
             return np.zeros_like(x)
 
         def smooth(x):
-            seen["nodes"] = np.array(x)
+            seen["nodes"].append(np.array(x))
             return x * x
 
         value = _piecewise_square(step, smooth, np.asarray(bkpts, float),
                                   x_lo, x_hi)
-        return value, seen["mids"], seen["nodes"].reshape(len(seen["mids"]), -1)
+        return value, seen["mids"], np.stack(seen["nodes"], axis=1)
 
     @pytest.mark.parametrize("bkpts,n_pieces", [
         ([], 64), ([12.5], 16 + 48), ([12.5, 12.6, 19.0], 16 + 1 + 41 + 7),
@@ -89,11 +117,11 @@ class TestPiecewiseMachinery:
     def test_piecewise_square_long_gaps(self, bkpts, n_pieces):
         x_lo, x_hi = 10.0, 20.0
         value, mids, nodes = self._traced(x_lo, x_hi, bkpts)
-        # step 0, smooth x^2: the integrand x^4 is exact under 12-point Gauss
+        # step 0, smooth x^2: the integrand x^4 is exact under the Gauss rule
         assert value == pytest.approx((x_hi ** 5 - x_lo ** 5) / 5.0, rel=1e-13)
         assert len(mids) == n_pieces
         # the sub-panels tile [x_lo, x_hi], each gap into equal parts
-        x_gl, _ = gl_rule(12)
+        x_gl, _ = gl_rule(PIECE_GL)
         widths = 2.0 * (nodes[:, -1] - nodes[:, 0]) / (x_gl[-1] - x_gl[0])
         lo, hi = mids - widths / 2, mids + widths / 2
         assert np.all(widths > 0)
@@ -103,6 +131,34 @@ class TestPiecewiseMachinery:
         np.testing.assert_allclose(lo[1:], hi[:-1], rtol=0, atol=1e-12)
         for b in bkpts:
             assert np.min(np.abs(np.concatenate(([x_lo], hi)) - b)) <= 1e-12
+
+
+    def test_piecewise_square_memory_and_calls(self):
+        # a few arrays of one float per piece: PIECE_GL node passes over
+        # all pieces, no pieces x nodes matrix
+        x_lo, x_hi = 1e5, 2e5
+        bkpts = np.sort(np.random.default_rng(5).uniform(x_lo, x_hi, 100_000))
+        calls = {"step": [], "smooth": []}
+
+        def step(x):
+            calls["step"].append(len(x))
+            return np.floor(x)
+
+        def smooth(x):
+            calls["smooth"].append(len(x))
+            return np.sqrt(x)
+
+        tracemalloc.start()
+        try:
+            value = _piecewise_square(step, smooth, bkpts, x_lo, x_hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pieces = calls["step"][0]
+        assert calls["step"] == [pieces] and pieces >= len(bkpts) + 1
+        assert calls["smooth"] == [pieces] * PIECE_GL
+        assert peak <= 128 * pieces
+        assert 0 < value < math.inf
 
 
 class TestSelbergJ:
@@ -124,6 +180,19 @@ class TestSelbergJ:
         oracle = riemann_oracle(table, X, h, k, step)
         assert rep.value == pytest.approx(oracle, rel=1e-3)
         assert rep.method == "piecewise-exact"
+
+    @pytest.mark.parametrize("X,k,h,use_psi,x_range", [
+        (2000.0, 1.3, 37.5, False, None),
+        (2000.0, 1.3, 37.5, True, None),
+        (1000.0, 1.3, 40.0, False, (3.0, 1000.0))])
+    def test_mpmath_piece_oracle(self, table, X, k, h, use_psi, x_range):
+        # the same pieces and step values, the smooth part and the square
+        # integrated in 30 digits: only the piece rule's error is left
+        q = MeanSquareQuery(X=X, k=k, h=h, use_psi=use_psi)
+        got = selberg_J(table, q, x_range=x_range).value
+        x_lo, x_hi = x_range if x_range is not None else (X, 2.0 * X)
+        want = mpmath_selberg(table, k, h, x_lo, x_hi, use_psi)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_psi_variant_oracle(self, table):
         q = MeanSquareQuery(X=500, k=1.0, h=25, use_psi=True)

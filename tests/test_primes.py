@@ -108,6 +108,19 @@ def test_psi_minus_theta_many_exact_at_prime_powers(table, probes):
         assert gi == pytest.approx(exact_proper_mass(xi), abs=1e-9), xi
 
 
+def test_psi_minus_theta_many_correctly_rounded(table):
+    # within one ulp of the exactly rounded sum of log p over p^m <= x,
+    # at every proper prime power q in the table, at q - 1 and just below q
+    logs = sorted((p ** m, math.log(p)) for p in range(2, 548) if is_prime(p)
+                  for m in range(2, 19) if p ** m <= 300_000)
+    x = np.array([s for q, _ in logs for s in (q, q - 1.0, q * (1.0 - 1e-13))],
+                 dtype=np.float64)
+    got = table.psi_minus_theta_many(x)
+    for xi, gi in zip(x.tolist(), got.tolist()):
+        want = math.fsum(lp for q, lp in logs if q <= math.floor(xi))
+        assert abs(gi - want) <= math.ulp(want), xi
+
+
 def test_chebyshev_sanity(table):
     for x in np.linspace(100, 2 * 10**5, 50):
         th, ps = table.theta(x), table.psi(x)
