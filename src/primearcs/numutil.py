@@ -149,12 +149,12 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     for N frequencies in place of n N, and the product has the size of
     the direct one.  R is the integer nearest sqrt(n/m), or 1 where that
     saves no phases or Q would pass 2^21 entries; the frequencies go in
-    blocks of 2^21 / (R m), so Q stays that small with R = 1 too.  P's
-    rows go in blocks of about 2^21 / (N c) centres for the N frequencies
-    of a block: f c at the block's first centre is reduced in extended
-    precision (frac_phase) and f (c - c0) added in float64, so the
-    phase error is bounded by the block's width in cycles, not by the size
-    of c.  Q's phases span at most R h + max|o|.  With
+    blocks of 2^17 / (R m), so Q stays within 2 MiB and so does P on few
+    centres.  P's rows go in blocks of about 2^21 / (N c) centres for the
+    N frequencies of a block: f c at the block's first centre is reduced
+    in extended precision (frac_phase) and f (c - c0) added in float64,
+    so the phase error is bounded by the block's width in cycles, not by
+    the size of c.  Q's phases span at most R h + max|o|.  With
     R > 1 the nodes are c_{Rq} + r h + o, which the spacing check keeps
     within 8 ulps of c_i + o.
     """
@@ -171,7 +171,7 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     if R > 1 and (-(-n // R) + R * m >= n + m or nf * R * m > 1 << 21):
         R = 1
     inner = (h * np.arange(R))[:, None] + offs[None, :]
-    fb = max(1, (1 << 21) // (R * m))  # frequencies per block of Q
+    fb = max(1, (1 << 17) // (R * m))  # frequencies per block of Q
     rows = max(1, ((1 << 21) // (min(nf, fb) * len(cols))) // R)
     chunk = R * rows
     out = np.zeros((n, m, len(cols)), dtype=complex)

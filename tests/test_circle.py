@@ -127,7 +127,7 @@ class TestExpSumFactor:
     def test_panels_match_extended_eval(self, inst, table_large):
         # criterion-6 lambda1 factor at X = 1e6: f*alpha reaches 5e9 cycles.
         # Dyadic centres and offsets make every node c + o exact in float64;
-        # 100 centres span four blocks of 2^21 phases.
+        # the 68 906 frequencies on 100 centres span ten blocks of Q.
         fac = window_factors(inst, table_large, WindowSpec(X=1e6, k=1.05))[0]
         offs = np.array([-2.0 ** -12, 0.0, 2.0 ** -11])
         for alpha in (100.0, 5000.0):
@@ -179,7 +179,7 @@ class TestExpSumFactor:
 
     def test_frequency_blocks_bounded(self):
         # 2^18 frequencies on 20 offsets would make an 84 MB Q at R = 1; in
-        # blocks of 2^21 / 20 frequencies the call peaks near 56 MB, and
+        # blocks of 2^17 / 20 frequencies the call peaks near 4 MB, and
         # the blocks' partial sums match the per-node extended oracle, for
         # each of two coefficient columns
         rng = np.random.default_rng(7)
@@ -199,6 +199,28 @@ class TestExpSumFactor:
             node = centers[i] + offs[j]
             want = np.exp(2j * np.pi * frac_phase(freqs, node)) @ coeffs
             assert np.max(np.abs(got[i, j] - want)) <= 1e-12 * mass
+
+    def test_few_centres_stay_small(self):
+        # a wide window on 20 centres, as the truncated-L2 grid's first
+        # pass makes it: Q's 2^17-entry frequency blocks keep P and Q near
+        # 2 MiB each, where one block would hold 6.5 MB of each
+        rng = np.random.default_rng(11)
+        freqs = np.sort(rng.uniform(3.6e4, 7.2e4, 20433))
+        coeffs = rng.uniform(-1.0, 1.0, 20433)
+        centers = 1e-3 * (2.0 * np.arange(20) + 1.0)
+        offs = np.linspace(-9e-4, 9e-4, 20)
+        tracemalloc.start()
+        try:
+            got = grid_sum(freqs, coeffs, centers, offs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (20, 20) and peak <= 8 * 2 ** 20
+        mass = float(np.sum(np.abs(coeffs)))
+        for i, j in ((0, 0), (9, 11), (19, 19)):
+            node = centers[i] + offs[j]
+            want = np.exp(2j * np.pi * frac_phase(freqs, node)) @ coeffs
+            assert abs(got[i, j] - want) <= 1e-12 * mass
 
     def test_jittered_centres_rejected(self, inst, table, w500):
         fac = window_factors(inst, table, w500)[2]

@@ -376,9 +376,9 @@ class TestL2Diff:
             s_minus_u_l1_bound(table, w)
 
     def test_grid_memory_bounded(self):
-        # one block holds about 2^21 phases (~112 MiB of temporaries here)
-        # whatever the rule or window size; this grid has 20M phases, over
-        # 800 MiB if they were formed at once
+        # a block of P holds about 2^21 phases and one of Q 2^17 (7.5 MiB
+        # peak here) whatever the rule or window size; this grid has 20M
+        # phases, over 800 MiB if they were formed at once
         freqs = np.arange(1000.0, 2500.0)
         coeffs = np.cos(freqs)
         tracemalloc.start()
