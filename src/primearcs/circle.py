@@ -262,10 +262,11 @@ def gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
 
 def _kernel_panels(eta: float, varpi: float, centers: np.ndarray,
                    offs: np.ndarray) -> np.ndarray:
-    """K_eta(a) e(varpi a) on the panel nodes, e(varpi a) as a
-    one-frequency grid_sum."""
-    nodes = centers[:, None] + offs[None, :]
-    return fejer_K(eta, nodes) * grid_sum([varpi], [1.0], centers, offs)
+    """K_eta(a) e(varpi a) on the panel nodes, e(varpi a) and
+    sin(pi eta a) = Im e(eta a / 2) as one-frequency grid_sums."""
+    sin = grid_sum([0.5 * eta], [1.0], centers, offs).imag
+    return (fejer_K(eta, centers[:, None] + offs[None, :], sin)
+            * grid_sum([varpi], [1.0], centers, offs))
 
 
 def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
@@ -361,7 +362,7 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     satisfy J1+J2+J3+J4 = I_M identically up to quadrature rounding.
 
     Returns dict with J1..J4, I_M, the quadrature's est_error, and
-    t_est_error, the largest eval_T_grid estimate in the final pass.
+    t_est_error, the largest eval_T_grid bound in the final pass.
     """
     arc = arc_params(inst, w.X)
     cut = arc.major[1]
@@ -370,13 +371,14 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     lo, hi = w.delta * w.X, w.X
     ks = (1.0, 2.0, inst.k)
 
-    t_est = {}  # first GL offset of a pass -> the T estimates in it
+    t_est = [math.inf, 0.0]  # last call's first centre, T bound of its pass
 
     def parts(centers, offs):
         svals = [f.eval_panels(centers, offs) for f in factors]
         tvals, ests = zip(*(eval_T_grid(kj, lo, hi, lam * centers, lam * offs)
                             for kj, lam in zip(ks, inst.lambdas)))
-        t_est.setdefault(offs[0], []).extend(ests)
+        same_pass = centers[0] > t_est[0]  # each pass restarts at the left
+        t_est[:] = [centers[0], max(*ests, t_est[1] if same_pass else 0.0)]
         kern = _kernel_panels(eta, inst.varpi, centers, offs)
         terms = {
             "J1": tvals[0] * tvals[1] * tvals[2],
@@ -391,7 +393,7 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     vals, err = gauss_panels(parts, 0.0, cut, f_max, tol, 2e8)
     out = {name: v.real for name, v in vals.items()}
     out["est_error"] = err
-    out["t_est_error"] = max(list(t_est.values())[-1])
+    out["t_est_error"] = t_est[1]
     out["arc"] = arc
     return out
 

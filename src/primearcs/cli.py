@@ -135,10 +135,9 @@ def _cmd_expsum(args) -> int:
     elif which == "U":
         vals = [expsums.eval_U(w, a) for a in grid]
     else:
-        runs = [expsums.eval_T_grid(w.k, w.delta * w.X, w.X, [a], [0.0],
-                                    args.tol) for a in grid]
-        vals = [complex(v[0, 0]) for v, _ in runs]
-        meta["est_error"] = max(err for _, err in runs)
+        vals, meta["est_error"] = expsums.eval_T_grid(
+            w.k, w.delta * w.X, w.X, grid, [0.0], args.tol)
+        vals = [complex(v) for v in vals[:, 0]]
     rows = [(a, v.real, v.imag, abs(v)) for a, v in zip(grid, vals)]
     _write_csv(args.out, meta, ["alpha", "re", "im", "abs"], rows)
     return 0

@@ -57,10 +57,6 @@ class WindowSpec:
             raise ValidationError(f"WindowSpec: k must be positive, got {self.k}")
 
 
-def _kth_root(v: float, k: float) -> float:
-    return v ** (1.0 / k)
-
-
 # Windows kept per prime table, and integer windows kept by the module.
 WINDOW_CACHE_SIZE = 4
 # An integer window's build holds each candidate as int64 with its 16-byte
@@ -106,8 +102,8 @@ def _build_window(k: float, lo: float, hi: float,
                   table: PrimeTable | None) -> Window:
     t0 = time.perf_counter()
     if table is None:
-        n_lo = max(1, math.floor(_kth_root(max(lo, 0.0), k)) - 1)
-        n_hi = math.ceil(_kth_root(hi, k)) + 1
+        n_lo = max(1, math.floor(max(lo, 0.0) ** (1.0 / k)) - 1)
+        n_hi = math.ceil(hi ** (1.0 / k)) + 1
         count = n_hi - n_lo + 1
         if count * _BYTES_PER_CANDIDATE > MEMORY_BUDGET:
             raise ResourceLimitError(
@@ -117,8 +113,8 @@ def _build_window(k: float, lo: float, hi: float,
     else:
         if hi < lo:
             raise ValidationError("window: inverted bounds")
-        p_lo = _kth_root(lo, k)
-        p_hi = _kth_root(hi, k)
+        p_lo = lo ** (1.0 / k)
+        p_hi = hi ** (1.0 / k)
         if p_hi > table.limit * (1 + 1e-12):
             raise ValidationError(
                 f"prime table limit {table.limit} too small; need primes up "
@@ -165,30 +161,67 @@ def eval_U(w: WindowSpec, alpha: float) -> complex:
     return eval_U_range(w.k, w.X, 2.0 * w.X, alpha)
 
 
-# ------------------------------- T (Filon) ----------------------------------
+# ------------------------ T (incomplete-gamma form) -------------------------
 
-def _filon_moments(theta: np.ndarray):
-    """mu0 = int_{-1}^{1} e^(i theta s) ds and mu1 = int s e^(i theta s) ds.
+# The series runs below |z| = _SWITCH_Z, the fraction from there (40 Lentz
+# steps at 4, 72 at 2).  Rounding floors, in units of a term's size, are
+# about twice the largest error seen against 30-digit mpmath: an endpoint
+# term takes 8 eps (u^a, e(alpha u) past its reduction, the products) plus
+# 1 eps per Lentz step (18 eps seen after 40), the series 4 eps (1 seen).
+_SWITCH_Z, _LENTZ_STOP, _LENTZ_CAP = 4.0, 1e-15, 400
+_EPS = float(np.finfo(np.float64).eps)
+_FLOOR_EPS, _SERIES_FLOOR_EPS = 8 * _EPS, 4 * _EPS
 
-    Series branch below |theta| = 1e-3 avoids the catastrophic cancellation
-    of the closed forms.
-    """
-    small = np.abs(theta) < 1e-3
-    ts = np.where(small, 1.0, theta)
-    sin_t, cos_t = np.sin(ts), np.cos(ts)
-    mu0 = np.where(small,
-                   2.0 - theta**2 / 3.0 + theta**4 / 60.0,
-                   2.0 * sin_t / ts)
-    mu1_im = np.where(small,
-                      2.0 * theta / 3.0 - theta**3 / 15.0 + theta**5 / 420.0,
-                      2.0 * (sin_t - ts * cos_t) / (ts * ts))
-    return mu0, 1j * mu1_im
+
+def _legendre_fraction(z: np.ndarray, a: float):
+    """C(z) = e^z z^(-a) Gamma(a, z) = 1/(z+1-a- 1(1-a)/(z+3-a- ...)) (DLMF
+    8.9.2) by modified Lentz (Gautschi, ACM TOMS 5, 1979) on every z at
+    once, each until its step Delta has |Delta - 1| < 1e-15 (at 1e-16 some
+    never stop) or _LENTZ_CAP steps.  Returns (C, last |Delta - 1|, steps)."""
+    out, last, steps = (np.empty(len(z), dtype=complex), np.ones(len(z)),
+                        np.zeros(len(z), dtype=int))
+    act, b = np.arange(len(z)), z + (1.0 - a)
+    h = d = 1.0 / b
+    c, i = np.inf, 0  # Lentz's tiny start: an / c = 0
+    while len(act):
+        i += 1
+        an, b = -i * (i - a), b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h = h * delta
+        dev = np.abs(delta - 1.0)
+        done = dev < (_LENTZ_STOP if i < _LENTZ_CAP else np.inf)
+        if done.any():
+            j = act[done]
+            out[j], last[j], steps[j] = h[done], dev[done], i
+            act, b, c, d, h = (v[~done] for v in (act, b, c, d, h))
+    return out, last, steps
+
+
+def _power_series(x: np.ndarray, r: np.ndarray, a):
+    """sum_n (i x)^n/n! (1 - r^(a+n))/(a+n) = u1^(-a) int_{r u1}^{u1}
+    v^(a-1) e^(i x v/u1) dv for 0 <= x <= _SWITCH_Z, 0 < r <= 1 (DLMF 8.7),
+    which raises u1 to no power but a.  The terms, e^x / a in all, sum to
+    about 1, so they are summed in extended precision, until
+    max(x)^n/n! < 2^-60.  Returns (sum, bound on the tail and rounding)."""
+    x = x.astype(np.longdouble)
+    term, rp = np.ones(len(x), dtype=np.clongdouble), r ** a
+    total = (1 - rp) / a + 0j
+    xmax, mag, n = float(np.max(x, initial=0.0)), 1.0, 0
+    while mag >= 2.0 ** -60:
+        n, mag = n + 1, mag * xmax / (n + 1)
+        term *= 1j * x / n
+        rp *= r
+        total += term * ((1 - rp) / (a + n))
+    # later terms fall by x/(n + 1) <= 1/2: the tail is twice the next one
+    tail = 2 * np.abs(term) * x / ((n + 1) * (a + n + 1))
+    return total, tail + 2.0 ** -60 * np.exp(x) / a
 
 
 def eval_T_range(k: float, u_lo: float, u_hi: float, alpha: float,
                  tol: float = 1e-10) -> complex:
-    """int over u_lo <= t^k <= u_hi of e(t^k alpha) dt: eval_T_grid at the
-    one node alpha."""
+    """int over u_lo <= t^k <= u_hi of e(t^k alpha) dt: eval_T_grid at one node."""
     vals, _ = eval_T_grid(k, u_lo, u_hi, [float(alpha)], [0.0], tol)
     return complex(vals[0, 0])
 
@@ -200,100 +233,66 @@ def eval_T(w: WindowSpec, alpha: float, tol: float = 1e-10) -> complex:
 
 def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
                 offs: np.ndarray, tol: float = 1e-10):
-    """Adaptive Filon rule for T on the nodes centers[:, None] + offs[None, :]
-    (evenly spaced centres, as circle.gauss_panels makes them).
+    """T on the nodes centers[:, None] + offs[None, :], in closed form.
 
-    u = t^k gives the phase e(u alpha) and the smooth amplitude
-    u^(1/k-1)/k.  The panels start at eight per cycle of the fastest node
-    (64 panels, sized by the amplitude alone, agree with themselves falsely
-    at X = 1e5, k = 1.05, tol 1e-9, alpha in [0.04, 0.10], 4e-6 off) and
-    double; one Richardson step removes the O(n^-2) interpolation error.
-    Returns (values, est_error) once two steps agree within tol at every
-    node, est_error the largest difference; ConvergenceError when a failed
-    comparison would double past 2^22 panels (a start above 2^20 runs three
-    passes past it: alpha = 0.3 at X = 1e6 reaches 8.6 M panels),
-    ValidationError unless 0 < tol < inf.
-    """
+    u = t^k and a = 1/k give T = (1/k) (F(u_lo) - F(u_hi)), F(u) =
+    int_u^inf v^(a-1) e(alpha v) dv = u^a e(alpha u) C(-2 pi i alpha u): C
+    from _legendre_fraction, e(alpha u) from numutil.e_of, alpha < 0 by
+    conjugation, 0 exactly; _power_series takes [u_lo, u1] instead, u1 =
+    clip(_SWITCH_Z / (2 pi |alpha|), u_lo, u_hi).  Returns (values,
+    est_error), est_error the largest a priori bound over the nodes: the
+    last Lentz step times |F|, the series tail, and rounding floors on the
+    series and each endpoint term (with its reduction error 2 pi 2^-64
+    |alpha u|), summed, as at k = 1 the endpoint terms cancel.
+    ConvergenceError (values as best) when est_error > tol; ValidationError
+    unless 0 < tol < inf."""
     require_tol(tol)
-    centers = np.asarray(centers, dtype=np.float64)
-    offs = np.asarray(offs, dtype=np.float64)
+    nodes = np.add.outer(np.asarray(centers, dtype=np.float64),
+                         np.asarray(offs, dtype=np.float64))
     if u_hi <= u_lo:
-        return np.zeros((len(centers), len(offs)), dtype=complex), 0.0
-    amax = float(np.max(np.abs(centers[:, None] + offs[None, :]), initial=0.0))
-    n = max(64, int(math.ceil(8.0 * amax * (u_hi - u_lo))))
-    prev = rich_prev = None
-    while True:
-        val = _t_grid_pass(k, u_lo, u_hi, centers, n, offs)
-        if prev is not None:
-            rich = val + (val - prev) / 3.0
-            if rich_prev is not None:
-                err = float(np.max(np.abs(rich - rich_prev), initial=0.0))
-                if err <= tol:
-                    _log.debug("T on [%g, %g]: %d nodes, %d panels, est error "
-                               "%.3e", u_lo, u_hi, val.size, n, err)
-                    return rich, err
-                if 2 * n > 1 << 22:
-                    raise ConvergenceError(
-                        f"T quadrature stalled at {n} panels "
-                        f"(est error {err:.3e})", best=rich, est_error=err)
-            rich_prev = rich
-        prev = val
-        n *= 2
-
-
-def _t_grid_pass(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
-                 n_panels: int, offs: np.ndarray) -> np.ndarray:
-    """One Filon pass, n_panels equal panels, on the nodes
-    alpha = centers[:, None] + offs[None, :].
-
-    A panel with centre c, half-width hw and end amplitudes wa, wb gives
-    e(c alpha) (mu0 g0 + mu1 g1): moments mu(2 pi alpha hw) of the node,
-    g0 = hw (wa + wb)/2 and g1 = hw (wb - wa)/2 of the panel.  On a node
-    grid hw is half each edge gap, so the panels tile [u_lo, u_hi]
-    exactly, and the sums over c are one numutil.grid_sum on the edges'
-    midpoints.  One node takes the exact centres c_j = u_lo + (2j + 1) hw
-    (hw extended) and splits j = R q + r, R = round(sqrt(n)), so that
-    e(c_j alpha) = P[q] Q[r] with P = e(c_{Rq} alpha) and Q = e(2 hw r
-    alpha) from numutil.e_of, about 2 sqrt(n) phases; the sums are
-    (hw/2) (G @ Q) @ P, G the panels' wa + wb and wb - wa.  Its error:
-    each phase's extended reduction, one rounded P Q per panel, float64 sums.
-    """
-    edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    amp = np.ones_like(edges) if k == 1.0 else edges ** (1.0 / k - 1.0) / k
-    hw = 0.5 * (u_hi - u_lo) / n_panels
-    nodes = centers[:, None] + offs[None, :]
-    if nodes.size == 1:
-        R = round(math.sqrt(n_panels))
-        rows = -(-n_panels // R)
-        G = np.zeros((2, rows * R))
-        np.add(amp[:-1], amp[1:], out=G[0, :n_panels])
-        np.subtract(amp[1:], amp[:-1], out=G[1, :n_panels])
-        hwx = (np.longdouble(u_hi) - np.longdouble(u_lo)) / (2 * n_panels)
-        P = e_of(u_lo + (2 * R * np.arange(rows) + 1) * hwx, nodes[0, 0])
-        Q = e_of(2 * hwx * np.arange(R), nodes[0, 0])
-        GQ = G.reshape(2 * rows, R) @ Q.view(np.float64).reshape(R, 2)
-        sums = (0.5 * hw) * (GQ.view(complex).reshape(1, 1, 2, rows) @ P)
-    else:
-        h = 0.5 * np.diff(edges)
-        g = np.stack((h * 0.5 * (amp[:-1] + amp[1:]),
-                      h * 0.5 * (amp[1:] - amp[:-1])), axis=1)
-        sums = grid_sum(0.5 * (edges[:-1] + edges[1:]), g, centers, offs)
-    mu0, mu1 = _filon_moments(TWO_PI * nodes * hw)
-    vals = mu0 * sums[..., 0] + mu1 * sums[..., 1]
-    exact = np.abs(nodes) < 1e-300
-    return np.where(exact, _kth_root(u_hi, k) - _kth_root(u_lo, k), vals)
+        return np.zeros(nodes.shape, dtype=complex), 0.0
+    flat = nodes.ravel()
+    idx = np.flatnonzero(np.abs(flat) >= 1e-300)
+    al = np.abs(flat[idx])
+    u1 = np.clip(_SWITCH_Z / (TWO_PI * al), u_lo, u_hi)
+    ser, cf = np.flatnonzero(u1 > u_lo), np.flatnonzero(u1 < u_hi)
+    a = 1 / np.longdouble(k)  # u^a in extended: a's rounding costs ln u ulps
+    s, tail = _power_series(TWO_PI * al[ser] * u1[ser],
+                            np.longdouble(u_lo) / u1[ser], a)
+    scale = u1[ser] ** a
+    total, err = np.zeros(len(idx), dtype=complex), np.zeros(len(idx))
+    total[ser], err[ser] = scale * s, scale * (tail + _SERIES_FLOOR_EPS * np.abs(s))
+    u, alu = np.concatenate((u1[cf], np.full(len(cf), u_hi))), np.tile(al[cf], 2)
+    C, last, steps = _legendre_fraction(-1j * TWO_PI * alu * u, float(a))
+    uu, inv = np.unique(u, return_inverse=True)  # u_lo, u_hi: one power each
+    F = (uu ** a).astype(np.float64)[inv] * e_of(u, alu) * C
+    floor = TWO_PI * 2.0 ** -64 * alu * u + _FLOOR_EPS + steps * _EPS + last
+    total[cf] += F[:len(cf)] - F[len(cf):]
+    err[cf] += (np.abs(F) * floor).reshape(2, -1).sum(axis=0)
+    vals = np.full(len(flat), u_hi ** (1.0 / k) - u_lo ** (1.0 / k), dtype=complex)
+    vals[idx] = np.where(flat[idx] < 0, total.conj(), total) / k
+    vals, est = vals.reshape(nodes.shape), float(np.max(err, initial=0.0)) / k
+    _log.debug("T on [%g, %g]: %d nodes, %d by fraction, %d by series, %d "
+               "Lentz steps at most, bound %.3e", u_lo, u_hi, nodes.size,
+               len(cf), len(ser), steps.max(initial=0), est)
+    if not est <= tol:
+        raise ConvergenceError(f"T closed form: error bound {est:.3e} above "
+                               f"tol {tol:.3e}", best=vals, est_error=est)
+    return vals, est
 
 
 # ------------------------------ Fejér kernel ---------------------------------
 
-def fejer_K(eta: float, alpha) -> np.ndarray | float:
-    """K_eta(alpha) = (sin(pi eta alpha) / (pi alpha))^2, with K(0) = eta^2."""
+def fejer_K(eta: float, alpha, sin=None) -> np.ndarray | float:
+    """K_eta(alpha) = (sin(pi eta alpha) / (pi alpha))^2, with K(0) = eta^2;
+    sin, where given, holds sin(pi eta alpha) on alpha."""
     if eta <= 0:
         raise ValidationError("eta must be positive")
     arr = np.asarray(alpha, dtype=np.float64)
     safe = np.where(arr == 0.0, 1.0, arr)
-    vals = np.where(arr == 0.0, eta * eta,
-                    (np.sin(math.pi * eta * safe) / (math.pi * safe)) ** 2)
+    if sin is None:
+        sin = np.sin(math.pi * eta * safe)
+    vals = np.where(arr == 0.0, eta * eta, (sin / (math.pi * safe)) ** 2)
     return float(vals) if np.isscalar(alpha) else vals
 
 

@@ -7,12 +7,12 @@ Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
 destroys the phase.  frac_phase therefore reduces in 80-bit extended
 arithmetic (numpy longdouble) *before* the multiplication by 2*pi, and
-_cis takes cos + i sin of the result (e_of, per term; a Filon pass of T
-at one alpha takes about 2 sqrt(n) for n panels).  grid_sum reduces
-once per block of an evenly spaced grid and adds the in-block offsets in
-float64: the panel factors of circle.ExpSumFactor.eval_panels, the
-e(varpi a) kernel phase, T's Filon sums on a grid of alpha, and the unit
-slices of circle.trivial_tails and circle.minor_arc_l2.  exp_pair_integral
+_cis takes cos + i sin of the result (e_of, per term, which T's closed
+form takes at its endpoints).  grid_sum reduces once per block of an
+evenly spaced grid and adds the in-block offsets in float64: the panel
+factors of circle.ExpSumFactor.eval_panels, the e(varpi a) and
+e(eta a / 2) kernel phases, and the unit slices of circle.trivial_tails
+and circle.minor_arc_l2.  exp_pair_integral
 forms each pair's phase as the difference of two reduced phases; it and
 the unit slices take their pair terms from pair_blocks.
 
@@ -139,8 +139,7 @@ def _grid_step(centers: np.ndarray) -> float:
 
 def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
              offs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs_j e(freqs_j (centers_i + offs_o)) as an (n, m) array,
-    or an (n, m, c) one for c columns of coeffs (shape (N, c)).
+    """sum_j coeffs_j e(freqs_j (centers_i + offs_o)) as an (n, m) array.
 
     The n centres are evenly spaced, c_i = c_0 + i h.  Writing i = R q + r
     splits each phase in two levels, f (c_{Rq} + r h + o), so the sum is
@@ -150,7 +149,7 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     the direct one.  R is the integer nearest sqrt(n/m), or 1 where that
     saves no phases or Q would pass 2^21 entries; the frequencies go in
     blocks of 2^17 / (R m), so Q stays within 2 MiB and so does P on few
-    centres.  P's rows go in blocks of about 2^21 / (N c) centres for the
+    centres.  P's rows go in blocks of about 2^21 / N centres for the
     N frequencies of a block: f c at the block's first centre is reduced
     in extended precision (frac_phase) and f (c - c0) added in float64,
     so the phase error is bounded by the block's width in cycles, not by
@@ -160,21 +159,20 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    cols = coeffs.T if coeffs.ndim == 2 else coeffs[None, :]
     centers = np.asarray(centers, dtype=np.float64)
     offs = np.asarray(offs, dtype=np.float64)
     n, m, nf = len(centers), len(offs), max(1, len(freqs))
     h = _grid_step(centers)
     if n == 0 or m == 0:
-        return np.zeros((n, m) + coeffs.shape[1:], dtype=complex)
+        return np.zeros((n, m), dtype=complex)
     R = max(1, round(math.sqrt(n / m)))
     if R > 1 and (-(-n // R) + R * m >= n + m or nf * R * m > 1 << 21):
         R = 1
     inner = (h * np.arange(R))[:, None] + offs[None, :]
     fb = max(1, (1 << 17) // (R * m))  # frequencies per block of Q
-    rows = max(1, ((1 << 21) // (min(nf, fb) * len(cols))) // R)
+    rows = max(1, ((1 << 21) // min(nf, fb)) // R)
     chunk = R * rows
-    out = np.zeros((n, m, len(cols)), dtype=complex)
+    out = np.zeros((n, m), dtype=complex)
     for f0 in range(0, nf, fb):
         fs = freqs[f0:f0 + fb]
         tf = TWO_PI * fs
@@ -184,14 +182,14 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
             phase = np.multiply.outer(c - c[0], tf)
             phase += frac_phase(fs, c[0]) * TWO_PI
             pmat = _cis(phase)
+            pmat *= coeffs[f0:f0 + fb]
             k = min(chunk, n - i)
-            for j, col in enumerate(cols[:, f0:f0 + fb]):
-                out[i:i + k, :, j] += ((pmat * col) @ qmat).reshape(-1, m)[:k]
+            out[i:i + k] += (pmat @ qmat).reshape(-1, m)[:k]
         del qmat  # before the next block's Q is formed
     _log.debug("grid sum: %d centres x %d offsets x %d freqs, R = %d, "
                "%d anchors, %d phases", n, m, len(freqs), R,
                -(-n // chunk) * -(-nf // fb), (-(-n // R) + R * m) * len(freqs))
-    return out if coeffs.ndim == 2 else out[..., 0]
+    return out
 
 
 # ----------------------------- summation ------------------------------------

@@ -10,8 +10,8 @@ from scipy.special import sici
 from primearcs import circle, expsums
 from primearcs.circle import verify_fourier_pair
 from primearcs.errors import ConvergenceError, ValidationError
-from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec, _filon_moments,
-                               _t_grid_pass,
+from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec,
+                               _legendre_fraction, _power_series,
                                eval_S, eval_T, eval_T_grid, eval_T_range,
                                eval_U, eval_U_range, fejer_K, fejer_hat,
                                fourth_moment_S2, s_minus_u_l1_bound, window)
@@ -37,7 +37,7 @@ def brute_T(k, u_lo, u_hi, alpha, n=200001):
 
 
 def gl_T(k, u_lo, u_hi, alpha, max_hw=1.0):
-    """Independent oracle for T, free of the Filon kernel: Gauss-Legendre in
+    """Independent oracle for T, free of the closed form: Gauss-Legendre in
     u with 16 nodes on panels of a dyadic half-width under 1/16 cycle and
     at most max_hw, so every centre is exact and its phase is reduced per
     panel."""
@@ -61,23 +61,6 @@ def closed_T(k, u_lo, u_hi, alpha):
         s = -2j * mpmath.pi * mpmath.mpf(alpha)
         a = 1 / mpmath.mpf(k)
         return complex(a * s ** -a * mpmath.gammainc(a, s * u_lo, s * u_hi))
-
-
-def filon_pass_ld(k, u_lo, u_hi, alpha, n):
-    """One Filon pass of n panels summed directly in extended precision,
-    on the exact centres u_lo + (2j + 1) hw with the uniform half-width
-    hw = (u_hi - u_lo)/(2n); the moments are _t_grid_pass's own."""
-    ld = np.longdouble
-    hw = (ld(u_hi) - ld(u_lo)) / (2 * n)
-    edges = u_lo + 2 * hw * np.arange(n + 1)
-    amp = edges ** (1 / ld(k) - 1) / ld(k)
-    phase = 8 * np.arctan(ld(1)) * np.mod((edges[:-1] + hw) * ld(alpha), 1)
-    cis = np.cos(phase) + 1j * np.sin(phase)
-    s0 = np.sum(cis * (amp[:-1] + amp[1:])) * hw / 2
-    s1 = np.sum(cis * (amp[1:] - amp[:-1])) * hw / 2
-    theta = TWO_PI * alpha * (0.5 * (u_hi - u_lo) / n)
-    mu0, mu1 = _filon_moments(np.array([theta]))
-    return complex(mu0[0] * s0 + mu1[0] * s1)
 
 
 class TestS:
@@ -220,10 +203,9 @@ class TestT:
         assert abs(val - oracle) < 1e-9
 
     def test_stall_keeps_best(self):
-        # tol 1e-16 is below the Richardson steps' rounding: the one-node
-        # quadrature doubles to its 2^22-panel cap and raises with the last
-        # extrapolated value, which a reachable tol reproduces
-        with pytest.raises(ConvergenceError, match="T quadrature stalled") as info:
+        # tol 1e-16 is below the closed form's rounding floor: it raises
+        # with the values, which a reachable tol reproduces
+        with pytest.raises(ConvergenceError, match="error bound") as info:
             eval_T_grid(1.05, 100.0, 1e3, [0.3], [0.0], 1e-16)
         exc = info.value
         assert exc.best.shape == (1, 1)
@@ -282,9 +264,8 @@ class TestT:
                                       rel=1e-8, abs=1e-8)
 
     def test_grid_against_quadrature_oracle(self):
-        # gl_T is independent of the Filon kernel.  |alpha| = 0.1 makes 9000
-        # cycles, so one node spans many rows of its two-level phase split;
-        # 0 takes the exact path.
+        # gl_T is independent of the closed form.  |alpha| = 0.1 makes 9000
+        # cycles; 0 takes the exact path.
         k, u_lo, u_hi = 1.05, 1e4, 1e5
         for alpha in (-0.1, -0.0371, -4e-4, 0.0, 4e-4, 0.013, 0.0707, 0.1):
             val = eval_T_range(k, u_lo, u_hi, alpha)
@@ -295,8 +276,7 @@ class TestT:
         # the grid path on panel grids as gauss_panels makes them, about
         # two cycles of u_hi per panel: centres a + (2i+1) hw and offsets
         # of few bits, so every node c + o is exact in float64 (rounding it
-        # would move T by ~|dT/dalpha| ulp(alpha), up to 6e-12 here).  At
-        # the default tol the grid stops at up to 2e-11 from gl_T.
+        # would move T by ~|dT/dalpha| ulp(alpha), up to 6e-12 here).
         hw = 2.0 ** -17
         offs = np.round(np.polynomial.legendre.leggauss(8)[0][::2] * 256) / 256 * hw
         for a in (-0.1, 4e-4, 0.0707):
@@ -309,7 +289,8 @@ class TestT:
 
     def test_grid_estimate_bounds_its_error(self):
         # k = 2, u in [1, 100]: the amplitude falls tenfold, where one fixed
-        # Richardson step was 1.9e-9 off at alpha = -2 with no estimate
+        # Filon step with Richardson extrapolation was 1.9e-9 off at
+        # alpha = -2 with no estimate
         grid, est = eval_T_grid(2.0, 1.0, 100.0, np.array([-2.0, 0.7]),
                                 np.array([0.0]))
         errs = [abs(grid[i, 0] - gl_T(2.0, 1.0, 100.0, a, max_hw=2.0 ** -5))
@@ -318,10 +299,8 @@ class TestT:
         assert est >= max(errs)
 
     def test_one_node_at_large_X(self):
-        # guards the single-node phase sum from 509 041 panels over 64 000
-        # cycles: the centres as a grid_sum grid (alpha the one frequency)
-        # stall here at 4 072 320 panels, and float64 centres from
-        # linspace put a pass 1.6e-9 off (test_one_node_pass_direct_sum)
+        # 64 000 cycles, where the endpoint phases need their extended
+        # reduction: quadratures of this T stalled or drifted 1.6e-9 off
         w = WindowSpec(X=1e6, k=1.05, delta=0.1)
         val = eval_T(w, 0.0707, tol=1e-10)
         assert abs(val - gl_T(w.k, w.delta * w.X, w.X, 0.0707)) < 1e-10
@@ -338,60 +317,74 @@ class TestT:
             want = closed_T(w.k, w.delta * w.X, w.X, alpha)
             assert abs(val - want) <= 1e-11, alpha
 
-    @pytest.mark.parametrize("k, u_lo, u_hi, alpha, n, bound", [
-        (1.05, 1e5, 1e6, 0.0707, 509_041, 5e-11),
-        (1.05, 1e4, 1e5, 0.1, 72_001, 1e-11),     # n = 268 * 268 + 177
-        (1.05, 1e4, 1e5, -0.0371, 36_000, 1e-11),
-        (1.0, 1e4, 1e5, 0.013, 12_345, 1e-11),    # no slope row
-        (1.05, 1e4, 1e5, 0.1, 1, 1e-11),          # R = 1
-        (1.05, 1e4, 1e5, -0.1, 2, 1e-11),
-        (1.05, 1e4, 1e5, 0.1, 3, 1e-11),
-    ])
-    def test_one_node_pass_direct_sum(self, k, u_lo, u_hi, alpha, n, bound):
-        val = _t_grid_pass(k, u_lo, u_hi, np.array([alpha]), n, np.array([0.0]))
-        assert abs(val[0, 0] - filon_pass_ld(k, u_lo, u_hi, alpha, n)) <= bound
+    @pytest.mark.parametrize("k", [1.0, 1.05, 33 / 29, 2.0])
+    def test_fraction_against_gammainc(self, k):
+        # Legendre's fraction from |z| = 4 up: each value within its last
+        # Lentz step plus its per-step rounding of 30-digit mpmath
+        a = 1 / k
+        s = np.array([4.0, 4.001, 5.0, 8.0, 40.0, 1e3, 1e6])
+        z = np.concatenate((-1j * s, 1j * s))
+        got, last, steps = _legendre_fraction(z, a)
+        assert np.all(steps <= 45)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(30):
+            for zi, ci, li, ni in zip(z, got, last, steps):
+                zz = mpmath.mpc(0, zi.imag)
+                want = complex(mpmath.exp(zz) * zz ** -a * mpmath.gammainc(a, zz))
+                assert abs(ci - want) <= (li + ni * eps) * abs(want), zi
 
-    def test_one_node_pass_phase_count(self, monkeypatch):
-        # two levels of phases, about 2 sqrt(n) per pass: one phase per
-        # panel would show here
-        counts = []
+    @pytest.mark.parametrize("k", [1.0, 1.05, 33 / 29, 2.0])
+    def test_series_against_gammainc(self, k):
+        # int_r^1 y^(a-1) e^(i x y) dy = (-i x)^-a (gamma(a, -i x r) -
+        # gamma(a, -i x)) below |z| = 4, within the series' tail bound
+        # and its rounding floor
+        a = 1 / np.longdouble(k)
+        for x in (1e-8, 0.5, 3.0, 3.999, 4.0):
+            for r in (1e-3, 0.3, 0.999):
+                got, tail = _power_series(np.array([x]),
+                                          np.array([r], dtype=np.longdouble), a)
+                with mpmath.workdps(30):
+                    s = mpmath.mpc(0, -x)
+                    want = complex(s ** (-1 / mpmath.mpf(k))
+                                   * mpmath.gammainc(1 / mpmath.mpf(k), s * r, s))
+                err = abs(complex(got[0]) - want)
+                assert err <= tail[0] + expsums._SERIES_FLOOR_EPS * abs(want)
+                assert tail[0] < 1e-16
 
-        def counting(values, alpha):
-            counts.append(np.size(values))
-            return e_of(values, alpha)
+    @pytest.mark.parametrize("k", [1.0, 1.05, 33 / 29, 2.0])
+    def test_switch_against_gammainc(self, k):
+        # T where |z| = 2 pi alpha u crosses 4 just below, at and just above
+        # an endpoint or inside the range: the bound holds the true error
+        for u_lo, u_hi in ((1.0, 100.0), (10.0, 1e4)):
+            for u in (u_lo, math.sqrt(u_lo * u_hi), u_hi):
+                for zs in (3.0, 3.999, 4.0, 4.001, 5.0):
+                    alpha = zs / (2 * math.pi * u)
+                    (val,), est = eval_T_grid(k, u_lo, u_hi, [alpha], [0.0])
+                    err = abs(val[0] - closed_T(k, u_lo, u_hi, alpha))
+                    assert err <= est <= 1e-12 * max(1.0, abs(val[0]))
+        # k = 1 on [10, 1e4] at alpha = 1e-4: the series and the fraction
+        # (about 2.9e3 each) cancel to |T| near 10, where a series summed in
+        # float64 is 1.6e-11 off
+        (val,), est = eval_T_grid(1.0, 10.0, 1e4, [1e-4], [0.0])
+        err = abs(val[0] - closed_T(1.0, 10.0, 1e4, 1e-4))
+        assert abs(val[0]) == pytest.approx(10.0, rel=0.01)
+        assert err <= est < 2e-11 and err < 2e-12
 
-        monkeypatch.setattr(expsums, "e_of", counting)
-        for n in (1, 2, 3, 4, 64, 1000, 72_001, 509_041):
-            counts.clear()
-            _t_grid_pass(1.05, 1e4, 1e5, np.array([0.07]), n, np.array([0.0]))
-            assert 0 < sum(counts) <= 2 * math.ceil(math.sqrt(n)) + 1, n
-
-    def test_filon_moments_series_branch(self):
-        # below |theta| = 1e-3 a series replaces the cancelling closed
-        # forms, which in extended precision are the reference here
-        for theta in (4e-4, 0.999e-3, -0.999e-3):
-            mu0, mu1 = _filon_moments(np.array([theta]))
-            t = np.longdouble(theta)
-            want1 = 2 * (np.sin(t) - t * np.cos(t)) / (t * t)
-            assert mu0[0] == pytest.approx(float(2 * np.sin(t) / t), rel=1e-15)
-            assert mu1[0] == pytest.approx(1j * float(want1), rel=1e-11)
-
-    def test_grid_logs_richardson_correction(self, caplog):
-        k, u_lo, u_hi = 1.05, 50.0, 500.0
-        centers, offs = np.array([0.0, 0.02]), np.array([0.0, -0.3])
+    def test_grid_logs_its_record(self, caplog):
+        # one record per call: nodes, nodes by fraction and by series, the
+        # most Lentz steps and the bound; on [10, 1e3] the series covers
+        # |alpha| < 4 / (2 pi 10) = 0.064, the fraction |alpha| > 4 / (2 pi 1e3)
+        centers, offs = np.array([0.0, 0.03, -0.5]), np.array([0.0, 2e-4])
         with caplog.at_level(logging.DEBUG, logger="primearcs.expsums"):
-            vals, est = eval_T_grid(k, u_lo, u_hi, centers, offs)
+            vals, est = eval_T_grid(1.05, 10.0, 1e3, centers, offs)
         (msg,) = [r.getMessage() for r in caplog.records
-                  if "est error" in r.getMessage()]
-        m = re.search(r"4 nodes, (\d+) panels, est error (\S+)", msg)
-        n = int(m.group(1))
-        p1, p2, p3 = (_t_grid_pass(k, u_lo, u_hi, centers, n >> s, offs)
-                      for s in (2, 1, 0))
-        rich_prev, rich = p2 + (p2 - p1) / 3.0, p3 + (p3 - p2) / 3.0
-        want = float(np.max(np.abs(rich - rich_prev)))
-        assert np.array_equal(vals, rich)
-        assert est == want and float(m.group(2)) == pytest.approx(want, rel=1e-3)
-        assert 0 < want <= 1e-10
+                  if r.getMessage().startswith("T on")]
+        m = re.fullmatch(r"T on \[10, 1000\]: 6 nodes, (\d+) by fraction, (\d+) "
+                         r"by series, (\d+) Lentz steps at most, bound (\S+)", msg)
+        assert (int(m.group(1)), int(m.group(2))) == (4, 3)
+        assert 1 <= int(m.group(3)) <= 45
+        assert 0 < est <= 1e-10 and float(m.group(4)) == pytest.approx(est, rel=1e-3)
+        assert vals[0, 0] == 1e3 ** (1 / 1.05) - 10.0 ** (1 / 1.05)
 
     def test_tu_comparator_matched_windows(self, table):
         """Euler-summation comparator |T - U| <= C (1 + |alpha| X) with the

@@ -9,7 +9,8 @@ _TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 # Traced names whose code is already gone; the trace reports them as 0
 # until the benchmark's layer list is next updated.
-GONE = {"search._table_is_prime", "meansquare._l2_grid_refined"}
+GONE = {"search._table_is_prime", "meansquare._l2_grid_refined",
+        "expsums._t_grid_pass"}
 
 
 def test_traced_layers_exist():
