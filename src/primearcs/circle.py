@@ -179,8 +179,7 @@ def _window_forms(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     out = []
     for scale, kj in zip(scales, (1.0, 2.0, inst.k)):
         win = window(kj, lo, hi, table)
-        out.append((np.asarray(win.powers, dtype=np.float64) * scale,
-                    win.weights))
+        out.append((win.powers[0] * scale, win.weights))
     return out
 
 

@@ -9,7 +9,7 @@ window for n^k and serve the arc-decomposition module, which needs all
 three objects on one common window.
 
 A window (the primes or integers n with lo <= n^k <= hi, their k-th
-powers in extended precision and their weights) has one builder,
+powers as float64 hi + lo pairs and their weights) comes from one place,
 ``window``, which the sums here, the arc factors of circle and the triple
 search of search.find_solutions share.  Each distinct window is built
 once and reused: prime windows
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
                      require_tol)
 from .numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
-                      fsum_complex, fsum_real, grid_sum, powk_extended)
+                      fsum_real, phase_sum, powk_extended)
 from .primes import MEMORY_BUDGET, PrimeTable
 
 _log = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class WindowSpec:
 # Windows kept per prime table, and integer windows kept by the module.
 WINDOW_CACHE_SIZE = 4
 # An integer window's build holds each candidate as int64 with its 16-byte
-# extended power, and then the kept copies of both.
+# extended power, and then the kept int64 and the power's float64 hi and lo.
 _BYTES_PER_CANDIDATE = 48
 
 _integer_windows: dict = {}
@@ -68,13 +68,13 @@ _cache_lock = threading.Lock()
 
 
 class Window(NamedTuple):
-    """Ascending n with lo <= n^k <= hi, the powers n^k in extended
-    precision, and the weights: log p on a prime window, None (unit
-    weights) on an integer window.  The arrays are read-only because the
-    cache hands the same ones to every caller."""
+    """Ascending n with lo <= n^k <= hi, the powers n^k as an exact (hi, lo)
+    pair of float64 arrays, and the weights: log p on a prime window, None
+    (unit weights) on an integer window.  The arrays are read-only because
+    the cache hands the same ones to every caller."""
 
     values: np.ndarray
-    powers: np.ndarray
+    powers: tuple[np.ndarray, np.ndarray]
     weights: np.ndarray | None
 
 
@@ -123,10 +123,11 @@ def _build_window(k: float, lo: float, hi: float,
                                      min(table.limit, math.ceil(p_hi) + 1))
     pk = powk_extended(cand, k)
     mask = np.asarray((pk >= lo) & (pk <= hi))
-    values = cand[mask]
+    values, pk = cand[mask], pk[mask]
+    pk -= (p_hi := pk.astype(np.float64))  # exact, in place: no third copy
     weights = None if table is None else np.log(values.astype(np.float64))
-    win = Window(values, pk[mask], weights)
-    for arr in win:
+    win = Window(values, (p_hi, pk.astype(np.float64)), weights)
+    for arr in (values, *win.powers, weights):
         if arr is not None:
             arr.flags.writeable = False
     _log.debug("%s window %g <= n^%g <= %g: %d terms in %.4f s",
@@ -139,16 +140,12 @@ def eval_S_range(table: PrimeTable, k: float, lo: float, hi: float,
                  alpha: float) -> complex:
     """sum over lo <= p^k <= hi of log p * e(p^k alpha)."""
     win = window(k, lo, hi, table)
-    if len(win.values) == 0:
-        return 0j
-    return fsum_complex(win.weights * e_of(win.powers, alpha))
+    return phase_sum(*win.powers, win.weights, alpha)
 
 
 def eval_U_range(k: float, lo: float, hi: float, alpha: float) -> complex:
     win = window(k, lo, hi)
-    if len(win.values) == 0:
-        return 0j
-    return fsum_complex(e_of(win.powers, alpha))
+    return phase_sum(*win.powers, None, alpha)
 
 
 def eval_S(table: PrimeTable, w: WindowSpec, alpha: float) -> complex:
@@ -242,8 +239,8 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
     clip(_SWITCH_Z / (2 pi |alpha|), u_lo, u_hi).  Returns (values,
     est_error), est_error the largest a priori bound over the nodes: the
     last Lentz step times |F|, the series tail, and rounding floors on the
-    series and each endpoint term (with its reduction error 2 pi 2^-64
-    |alpha u|), summed, as at k = 1 the endpoint terms cancel.
+    series and each endpoint term (with frac_phase's 2^-54 cycles on
+    float64 alpha u), summed, as at k = 1 the endpoint terms cancel.
     ConvergenceError (values as best) when est_error > tol; ValidationError
     unless 0 < tol < inf."""
     require_tol(tol)
@@ -266,7 +263,7 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
     C, last, steps = _legendre_fraction(-1j * TWO_PI * alu * u, float(a))
     uu, inv = np.unique(u, return_inverse=True)  # u_lo, u_hi: one power each
     F = (uu ** a).astype(np.float64)[inv] * e_of(u, alu) * C
-    floor = TWO_PI * 2.0 ** -64 * alu * u + _FLOOR_EPS + steps * _EPS + last
+    floor = TWO_PI * 2.0 ** -54 + _FLOOR_EPS + steps * _EPS + last
     total[cf] += F[:len(cf)] - F[len(cf):]
     err[cf] += (np.abs(F) * floor).reshape(2, -1).sum(axis=0)
     vals = np.full(len(flat), u_hi ** (1.0 / k) - u_lo ** (1.0 / k), dtype=complex)
@@ -321,7 +318,7 @@ def fourth_moment_S2(table: PrimeTable, w: WindowSpec, lo: float,
     win = window(2.0, w.X, 2.0 * w.X, table)
     if len(win.values) == 0:
         return 0.0
-    f2, c2 = expand_square(win.powers.astype(np.float64), win.weights)
+    f2, c2 = expand_square(win.powers[0], win.weights)
     return exp_pair_integral(f2, c2, lo, hi)
 
 

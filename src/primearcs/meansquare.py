@@ -305,7 +305,7 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     if not 0 < Y <= 0.5:
         raise ValidationError("Y must lie in (0, 1/2]")
     win, coeffs = s_minus_u_weights(table, w)
-    ns, freqs = win.values, np.asarray(win.powers, dtype=np.float64)
+    ns, freqs = win.values, win.powers[0]
     if method == "auto":
         n = len(ns)
         spread = float(freqs[-1] - freqs[0]) if n else 0.0

@@ -1,27 +1,23 @@
-"""Shared numerical kernels: extended-precision phases, the grid phase
-kernel grid_sum, exactly rounded sums, double-double error-free
-transforms, cached Gauss-Legendre rules, and exact pairwise integrals of
-squared exponential sums.
+"""Shared numerical kernels: phase reduction, the grid phase kernel
+grid_sum, exactly rounded sums, double-double error-free transforms,
+cached Gauss-Legendre rules, and exact pairwise integrals of squared
+exponential sums.
 
 Phase accuracy is the dominant correctness risk of the whole package:
 n^k * alpha routinely exceeds 2^40, where naive float64 reduction mod 1
-destroys the phase.  frac_phase therefore reduces in 80-bit extended
-arithmetic (numpy longdouble) *before* the multiplication by 2*pi, and
-_cis takes cos + i sin of the result (e_of, per term, which T's closed
-form takes at its endpoints).  grid_sum reduces once per block of an
-evenly spaced grid and adds the in-block offsets in float64: the panel
-factors of circle.ExpSumFactor.eval_panels, the e(varpi a) and
-e(eta a / 2) kernel phases, and the unit slices of circle.trivial_tails
-and circle.minor_arc_l2.  exp_pair_integral
-forms each pair's phase as the difference of two reduced phases; it and
-the unit slices take their pair terms from pair_blocks.
+destroys the phase.  frac_phase therefore reduces in double-double
+float64 (Dekker's exact product) *before* the multiplication by 2*pi:
+per term in e_of and phase_sum (S and U, in cache-sized blocks), and
+once per block of an evenly spaced grid in grid_sum, which adds the
+in-block offsets in float64 (the panel factors, kernel phases and unit
+slices of circle).  exp_pair_integral forms each pair's phase as the
+difference of two reduced phases; it and the unit slices take their pair
+terms from pair_blocks.
 
-Sums are rounded once, exactly: fsum_complex and fsum_real return
-math.fsum's value bit for bit.  Error-free vector extraction (Rump, Ogita
-& Oishi, SIAM J. Sci. Comput. 31, 2008) splits the terms, a few numpy
-passes per level, into level sums that np.sum gets exactly; math.fsum
-(Shewchuk 1997) rounds those and what is left.  Chunked reductions
-collect their chunk partials and sum them so too.
+Sums are rounded once, exactly, to math.fsum's value bit for bit:
+error-free vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+31, 2008) splits the terms into level sums that np.sum gets exactly, and
+math.fsum (Shewchuk 1997) rounds those and what is left.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ _log = logging.getLogger(__name__)
 
 def require_extended_longdouble() -> None:
     """Fail loudly where numpy's longdouble lacks the 64-bit mantissa of the
-    80-bit extended format: every phase guarantee rests on it."""
+    80-bit extended format: k-th powers and prefix sums rest on it."""
     nmant = np.finfo(_LD).nmant
     if nmant < 63:
         raise PrecisionError(
@@ -82,7 +78,7 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
 def dd_from_longdouble(x) -> tuple[np.ndarray, np.ndarray]:
     """Float64 high and low parts of extended-precision values."""
     hi = np.asarray(x).astype(np.float64)
-    return hi, (x - hi.astype(_LD)).astype(np.float64)
+    return hi, (x - hi).astype(np.float64)
 
 
 # ------------------------------- powers -------------------------------------
@@ -99,14 +95,34 @@ def powk_extended(n, k: float):
     return np.power(arr, _LD(k))
 
 
-def frac_phase(values, alpha):
-    """frac(values * alpha) computed in extended precision, as float64.
+def _dd(x):
+    """x as float64 (hi, lo): a pair as it is, lo None for float64."""
+    if isinstance(x, tuple):
+        return x
+    x = np.asarray(x)
+    return (x, None) if x.dtype == np.float64 else \
+        dd_from_longdouble(x.astype(_LD))
 
-    Both arguments broadcast.  The error is about 2^-64 |values * alpha|
-    plus the final rounding to float64.
+
+def frac_phase(values, alpha):
+    """values * alpha reduced mod 1 into [-1/2, 1/2], as float64.
+
+    Both arguments broadcast; either may be a (hi, lo) pair of float64
+    arrays.  two_prod splits hi * hi exactly into p + e, the cross terms
+    hi * lo join e, and p - rint(p), e - rint(e) are exact and centred, so
+    neither wraps around 1: the result is off by 2^-54 at any size of
+    values * alpha (2^-53 for pairs, whose cross terms round).
     """
-    prod = np.asarray(values, dtype=_LD) * np.asarray(alpha, dtype=_LD)
-    return np.mod(prod, _LD(1.0)).astype(np.float64)
+    vh, vl = _dd(values)
+    ah, al = _dd(alpha)
+    p, e = two_prod(vh, ah)
+    for x, lo in ((vh, al), (ah, vl)):
+        if lo is not None:
+            e = e + x * lo
+    e = e - np.rint(e)
+    e += p - np.rint(p)
+    e -= np.rint(e)
+    return e
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -118,7 +134,7 @@ def _cis(phase: np.ndarray) -> np.ndarray:
 
 
 def e_of(values, alpha: float):
-    """e(values * alpha) = exp(2*pi*i*values*alpha) with safe reduction."""
+    """e(values * alpha) = exp(2*pi*i*values*alpha), reduced by frac_phase."""
     return _cis(TWO_PI * frac_phase(values, alpha))
 
 
@@ -151,11 +167,11 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     blocks of 2^17 / (R m), so Q stays within 2 MiB and so does P on few
     centres.  P's rows go in blocks of about 2^21 / N centres for the
     N frequencies of a block: f c at the block's first centre is reduced
-    in extended precision (frac_phase) and f (c - c0) added in float64,
-    so the phase error is bounded by the block's width in cycles, not by
-    the size of c.  Q's phases span at most R h + max|o|.  With
-    R > 1 the nodes are c_{Rq} + r h + o, which the spacing check keeps
-    within 8 ulps of c_i + o.
+    by frac_phase and f (c - c0) added in float64, so the phase error is
+    bounded by the block's width in cycles, not by the size of c.  Q's
+    phases span at most R h + max|o|.  With R > 1 the nodes are
+    c_{Rq} + r h + o, which the spacing check keeps within 8 ulps of
+    c_i + o.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -198,62 +214,93 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
 # are.  Any cap gives the same value; two or three levels clear the S and U
 # windows at X = 1e5.
 _EXTRACT_LEVELS = 4
+_BLOCK = 1 << 13  # entries per block: 64 KiB, below glibc's mmap threshold
 
 
-def _exact_sum(p: np.ndarray) -> float:
-    """math.fsum of the float64 vector p, bit for bit (see fsum_complex)."""
-    shift = (p.size + 1).bit_length()  # M = ceil(log2(n + 2))
+class _Ladder:
+    """Exact running sum of n entries below top in size, fed block by block
+    (see fsum_real); no levels where top is not finite or sigma overflows."""
+
+    def __init__(self, n: int, top: float):
+        shift = (n + 1).bit_length()  # M = ceil(log2(n + 2))
+        e = math.frexp(top)[1] + shift
+        levels = _EXTRACT_LEVELS if math.isfinite(top) and e <= 1023 else 0
+        self.sigmas = [math.ldexp(1.0, e - i * (52 - shift))
+                       for i in range(levels)]
+        self.levels, self.left = [0.0] * levels, []
+
+    def add(self, p: np.ndarray) -> None:
+        for i, sigma in enumerate(self.sigmas):
+            q = p + sigma
+            q -= sigma
+            p = p - q
+            self.levels[i] += float(q.sum())
+            if not p.any():
+                return
+        self.left += p[p != 0.0].tolist()
+
+    def total(self) -> float:
+        return math.fsum(self.levels + self.left)
+
+
+def fsum_complex(values) -> complex:
+    """Exactly rounded sum of a complex array: fsum_real per part."""
+    arr = np.asarray(values).ravel()
+    # contiguous parts: the level passes run faster than on strided views
+    return complex(fsum_real(np.ascontiguousarray(arr.real, np.float64)),
+                   fsum_real(np.ascontiguousarray(arr.imag, np.float64)))
+
+
+def fsum_real(values) -> float:
+    """Exactly rounded sum of a real array: math.fsum's value bit for bit.
+
+    The entries p (n of them) run error-free vector extraction in blocks of
+    _BLOCK, one level at a time.  Level 1 takes sigma = 2^(e + M), with
+    max|p| < 2^e and 2^M >= n + 2, and splits p into q = (sigma + p) - sigma
+    and p - q, both exact.  Every q is a multiple of 2^-53 sigma with
+    |q| <= 2^-M sigma, so every partial sum of the q, over all blocks, is a
+    multiple of 2^-53 sigma below sigma in size: np.sum and one float per
+    level add them exactly in any order.  What is left is at most
+    2^-53 sigma, so each next sigma is 2^(M - 52) times the last.  A block
+    leaves the levels when it is all zero, or after _EXTRACT_LEVELS.
+    math.fsum then rounds the level sums and the nonzero entries still
+    left; their exact total is that of p.
+
+    A non-finite entry or an overflowing sigma sends the entries to
+    math.fsum as they are (no levels), with its values and exceptions (nan,
+    inf, intermediate overflow).  All-zero entries go as the distinct zeros
+    they hold, which keeps math.fsum's sign, without a list of them all.
+    """
+    p = np.asarray(values, dtype=np.float64).ravel()
     hi, lo = p.max(initial=0.0), p.min(initial=0.0)
-    if not (math.isfinite(hi) and math.isfinite(lo)) \
-            or math.frexp(max(hi, -lo))[1] + shift > 1023:
-        return math.fsum(p.tolist())
     if hi == lo == 0.0:  # all zero (or empty): the distinct zeros held
         neg = np.signbit(p)
         return math.fsum(([] if neg.all() else [0.0])
                          + ([-0.0] if neg.any() else []))
-    taus = []
-    for _ in range(_EXTRACT_LEVELS):
-        sigma = math.ldexp(1.0, math.frexp(max(hi, -lo))[1] + shift)
-        q = p + sigma
-        q -= sigma
-        p = p - q
-        taus.append(float(q.sum()))
-        hi, lo = p.max(), p.min()
-        if hi == lo == 0.0:
-            break
-    return math.fsum(taus + p[p != 0.0].tolist())
+    acc = _Ladder(p.size, max(hi, -lo))
+    for i in range(0, p.size, _BLOCK):
+        acc.add(p[i:i + _BLOCK])
+    return acc.total()
 
 
-def fsum_complex(values) -> complex:
-    """Exactly rounded sum of a complex array: per part, math.fsum's value
-    bit for bit, from a few numpy passes.
+def phase_sum(hi: np.ndarray, lo: np.ndarray, weights: np.ndarray | None,
+              alpha: float) -> complex:
+    """sum_j weights_j e(alpha (hi_j + lo_j)), unit weights where None, as
+    math.fsum per part of weights * e_of((hi, lo), alpha), bit for bit.
 
-    Each part p (n entries) runs error-free vector extraction, one level at
-    a time.  A level takes sigma = 2^(e + M), with max|p| < 2^e and
-    2^M >= n + 2, and splits p into q = (sigma + p) - sigma and p - q.  Both
-    steps are exact.  Every q is a multiple of 2^-53 sigma with
-    |q| <= 2^-M sigma, so every partial sum of the q is a multiple of
-    2^-53 sigma below sigma in size: np.sum adds them exactly in any order.
-    The levels stop when p is all zero, or after _EXTRACT_LEVELS.  math.fsum
-    then rounds the level sums together with the nonzero entries still
-    left; their exact total is that of the part, so the cap sets only the
-    speed.
-
-    A part with a non-finite entry, or whose sigma would overflow, goes to
-    math.fsum whole, which keeps its values and exceptions (nan, inf,
-    intermediate overflow).  An all-zero part goes as the distinct zeros it
-    holds, which keeps the sign math.fsum gives, without a list of the
-    part's length.
+    Each block of _BLOCK terms takes frac_phase, cos, sin and the weights
+    and feeds one ladder per part, sigma from max|weights| (see fsum_real).
     """
-    arr = np.asarray(values).ravel()
-    # contiguous parts: the level passes run faster than on strided views
-    return complex(_exact_sum(np.ascontiguousarray(arr.real, np.float64)),
-                   _exact_sum(np.ascontiguousarray(arr.imag, np.float64)))
-
-
-def fsum_real(values) -> float:
-    """Exactly rounded sum of a real array: math.fsum bit for bit."""
-    return _exact_sum(np.asarray(values, dtype=np.float64).ravel())
+    top = 1.0 if weights is None else \
+        float(max(weights.max(initial=0.0), -weights.min(initial=0.0)))
+    re, im = _Ladder(len(hi), top), _Ladder(len(hi), top)
+    for i in range(0, len(hi), _BLOCK):
+        j = slice(i, i + _BLOCK)
+        phase = TWO_PI * frac_phase((hi[j], lo[j]), alpha)
+        w = 1.0 if weights is None else weights[j]
+        re.add(np.cos(phase) * w)
+        im.add(np.sin(phase) * w)
+    return complex(re.total(), im.total())
 
 
 def compensated_cumsum(values) -> np.ndarray:

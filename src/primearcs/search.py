@@ -2,13 +2,13 @@
 
 find_solutions is a blocked band join over the three prime windows of
 expsums.window (p1, p2 and p3 with p_j^(k_j) in the range, their powers
-in extended precision, ascending): each block of (p1, p2) pairs finds by
-binary search the p3 whose k-th power lies within the threshold band of
-the value that solves the equation for it.  The join's candidates are
-re-checked with a double-double residual, so near-threshold
+as double-double (hi, lo) pairs, ascending): each block of (p1, p2) pairs
+finds by binary search the p3 whose k-th power lies within the threshold
+band of the value that solves the equation for it.  The join's candidates
+are re-checked with a double-double residual, so near-threshold
 classifications are stable and completeness follows from the band, not
-from a guard.  brute_force_solutions is the exhaustive
-triple loop used as the completeness oracle.
+from a guard.  brute_force_solutions is the exhaustive triple loop used
+as the completeness oracle.
 """
 
 from __future__ import annotations
@@ -116,14 +116,11 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
         raise ValidationError(
             f"table limit {table.limit} below window top {hi:.0f} "
             f"or p3 range top {hi ** (1.0 / k):.0f}")
-    (p1s, p1k, _), (p2s, p2k, _), (p3s, p3k, _) = (
+    (p1s, (p1f, _), _), (p2s, (p2sq, _), _), (p3s, (p3k_hi, p3k_lo), _) = (
         expsums.window(kj, lo, hi, table) for kj in (1.0, 2.0, k))
     if len(p1s) == 0 or len(p2s) == 0 or len(p3s) == 0:
         return SearchReport(X, threshold, 0, (), elapsed=time.perf_counter() - t0,
                             diagnostics="empty variable window")
-    p3k_hi, p3k_lo = dd_from_longdouble(p3k)
-    p1f = p1k.astype(np.float64)
-    p2sq = p2k.astype(np.float64)
     # the float t and p3k_hi are off by a few ulps of the terms' size;
     # 1e-12 of it keeps every triple within the threshold a candidate
     slack = 1e-12 * ((abs(l1) + abs(l2) + abs(l3)) * hi + abs(varpi)

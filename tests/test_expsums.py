@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -159,7 +160,7 @@ class TestWindowCache:
 
     def test_window_arrays_read_only(self, table):
         win = window(1.05, 1e3, 2e3, table)
-        for arr in (win.values, win.powers, win.weights,
+        for arr in (win.values, *win.powers, win.weights,
                     window(1.05, 1e3, 2e3).values):
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -178,6 +179,23 @@ class TestWindowCache:
             eval_S(fresh, w, alpha)
             eval_U(w, alpha)
         assert calls == [1.07, 1.07]
+
+    def test_sum_temporaries_below_mmap_threshold(self):
+        # S and U work in blocks of 2^13 terms (64 KiB per float64 array),
+        # below glibc's 128 KiB mmap threshold, so no temporary is mapped
+        # and faulted in again on every call; whole-window temporaries of
+        # the 54 044-term U window (0.86 MB per longdouble or complex
+        # array) pass 1 MiB together
+        w = WindowSpec(1e5, 1.05)
+        eval_U(w, 1.2345)  # builds and caches the window
+        tracemalloc.start()
+        try:
+            eval_U(w, 1.2345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(window(1.05, 1e5, 2e5).values) == 54_044
+        assert peak <= 1 << 20
 
     def test_build_logged_once(self, caplog):
         w = WindowSpec(X=3141.5, k=1.09)

@@ -52,6 +52,59 @@ def test_frac_phase_matches_exact_reduction(case):
     assert worst <= 1.0
 
 
+@pytest.mark.parametrize("size", [1e6, 1e12, 1e15])
+def test_frac_phase_exact_at_any_size(size):
+    # float64 arguments with |v a| near size: the double-double kernel is
+    # within 2^-52 of the exact reduction with no |v a| term (an 80-bit
+    # product alone is off by about 2^-64 |v a|), centred in [-1/2, 1/2]
+    rng = np.random.default_rng(int(math.log10(size)))
+    root = math.sqrt(size)
+    values = rng.uniform(0.5, 1.0, 300) * root * rng.choice([-1.0, 1.0], 300)
+    alpha = rng.uniform(0.5, 1.0, 300) * root
+    got = numutil.frac_phase(values, alpha)
+    assert np.all(np.abs(got) <= 0.5)
+    worst = 0.0
+    for g, v, a in zip(got.tolist(), values.tolist(), alpha.tolist()):
+        gap = abs(Fraction(g) - _exact_frac(v, a)) % 1
+        worst = max(worst, float(min(gap, 1 - gap)))
+    assert worst <= 2.0 ** -52
+
+
+def _per_term_sum(hi, lo, weights, alpha):
+    """math.fsum per part of weights * e_of(...), term by term."""
+    z = numutil.e_of((hi, lo), alpha)
+    if weights is not None:
+        z = weights * z
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+
+
+def _bits(z):
+    return [(x, math.copysign(1.0, x)) for x in (z.real, z.imag)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 777, numutil._BLOCK, numutil._BLOCK + 1,
+                               3 * numutil._BLOCK + 5])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("alpha", [1.2345, -0.37, 1e-9, 0.0])
+def test_phase_sum_is_per_term_fsum(n, weighted, alpha):
+    win = expsums.window(1.05, 1e5, 2e5)  # 54 044 integer powers
+    hi, lo = (a[:n] for a in win.powers)
+    weights = np.log(win.values[:n].astype(np.float64)) if weighted else None
+    got = numutil.phase_sum(hi, lo, weights, alpha)
+    assert _bits(got) == _bits(_per_term_sum(hi, lo, weights, alpha))
+    if alpha == 0.0:
+        # U(0) is the exact count, S(0) the exact log sum, both with +0.0
+        want = n if weights is None else math.fsum(weights.tolist())
+        assert _bits(got) == _bits(complex(want, 0.0))
+
+
+def test_phase_sum_nan_alpha():
+    hi, lo = expsums.window(1.05, 1e3, 2e3).powers
+    for weights in (None, np.ones(len(hi))):
+        got = numutil.phase_sum(hi, lo, weights, math.nan)
+        assert math.isnan(got.real) and math.isnan(got.imag)
+
+
 def test_pair_integral_periodic_far_out():
     # quarter-integer frequencies make |S|^2 4-periodic; 2^30 periods out
     # (exact in float64) the pair phases d * mid reach 2e11 cycles, where a
