@@ -369,13 +369,16 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     f_max = sum(f.max_freq for f in factors) + abs(inst.varpi) + eta
     lo, hi = w.delta * w.X, w.X
     ks = (1.0, 2.0, inst.k)
+    # |T| is at most the t-range length, so T's absolute tol scales with it
+    t_tols = [1e-10 * max(1.0, hi ** (1 / kj) - lo ** (1 / kj)) for kj in ks]
 
     t_est = [math.inf, 0.0]  # last call's first centre, T bound of its pass
 
     def parts(centers, offs):
         svals = [f.eval_panels(centers, offs) for f in factors]
-        tvals, ests = zip(*(eval_T_grid(kj, lo, hi, lam * centers, lam * offs)
-                            for kj, lam in zip(ks, inst.lambdas)))
+        tvals, ests = zip(*(eval_T_grid(kj, lo, hi, lam * centers, lam * offs,
+                                        t_tol)
+                            for kj, lam, t_tol in zip(ks, inst.lambdas, t_tols)))
         same_pass = centers[0] > t_est[0]  # each pass restarts at the left
         t_est[:] = [centers[0], max(*ests, t_est[1] if same_pass else 0.0)]
         kern = _kernel_panels(eta, inst.varpi, centers, offs)

@@ -145,9 +145,6 @@ def _cmd_expsum(args) -> int:
 
 def _cmd_meansquare(args) -> int:
     table = load_table(args.table)
-    given = [v is not None for v in (args.h, args.rel_delta, args.Y)]
-    if sum(given) != 1:
-        raise ValidationError("give exactly one of --h, --rel-delta, --Y")
     q = meansquare.MeanSquareQuery(
         X=float(args.X), k=float(args.k), h=args.h, rel_delta=args.rel_delta,
         Y=args.Y, use_psi=args.psi, C_density=args.C, rh_mode=args.rh)
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--alpha-grid", required=True)
     p.add_argument("--which", required=True, choices=list("SUTsut"))
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="absolute tol of T")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_expsum)
 

@@ -218,13 +218,15 @@ def _power_series(x: np.ndarray, r: np.ndarray, a):
 
 def eval_T_range(k: float, u_lo: float, u_hi: float, alpha: float,
                  tol: float = 1e-10) -> complex:
-    """int over u_lo <= t^k <= u_hi of e(t^k alpha) dt: eval_T_grid at one node."""
+    """int over u_lo <= t^k <= u_hi of e(t^k alpha) dt: eval_T_grid at one
+    node, tol absolute (|T| reaches u_hi^(1/k) - u_lo^(1/k) near alpha = 0)."""
     vals, _ = eval_T_grid(k, u_lo, u_hi, [float(alpha)], [0.0], tol)
     return complex(vals[0, 0])
 
 
 def eval_T(w: WindowSpec, alpha: float, tol: float = 1e-10) -> complex:
-    """T_k(alpha) = int_{(delta X)^(1/k)}^{X^(1/k)} e(t^k alpha) dt."""
+    """T_k(alpha) = int_{(delta X)^(1/k)}^{X^(1/k)} e(t^k alpha) dt, to the
+    absolute tol of eval_T_range."""
     return eval_T_range(w.k, w.delta * w.X, w.X, alpha, tol)
 
 

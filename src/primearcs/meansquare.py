@@ -6,10 +6,11 @@ mostly [X, 2X], where the step part only changes at k-th powers of primes
 (or prime powers).  Between breakpoints the step part is constant and the
 smooth part analytic off (-inf, 0]; with gaps cut to 1/64 of the range, a
 6-point Gauss rule per piece, run node by node over all pieces, is exact
-to rounding (see _piecewise_square).  The step part is evaluated once, at
-the midpoints of all pieces; for psi each point is floored and searched
-among the exact int64 proper prime powers (no float roots).  Only the
-primes whose k-th powers can fall inside the x-range are powered.
+to rounding (see _piecewise_square).  The breakpoints come in runs, one
+per end and PrimeTable.jumps table (theta; psi - theta; both for psi), and
+the step on a piece is counted from them: each run's F value after its
+crossings below the midpoint, with no root or search.  Only the q whose
+k-th powers can fall inside the x-range are powered.
 """
 
 from __future__ import annotations
@@ -74,30 +75,29 @@ class MeanSquareReport:
 
 def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
                  shift: float = 0.0, factor: float = 1.0,
-                 use_powers: bool = False, proper_only: bool = False):
-    """x-values in (x_lo, x_hi) where F(x^(1/k)) jumps, followed by those
-    where F(((x*factor)+shift)^(1/k)) jumps.
-
-    F jumps at integers q from the relevant set (primes, or prime powers);
-    the crossings are at x = q^k and x = (q^k - shift)/factor, both taken
-    from one powering of the q that can cross inside either range.  Only
-    the q from one below floor(u^(1/k)) up are powered, u the lower end of
-    the smaller range: every q under that crosses at or below x_lo, which
-    the strict masks drop anyway.
+                 tables: tuple[bool, ...] = (False,)):
+    """Where F(x^(1/k)) (end 0) and F((x*factor + shift)^(1/k)) (end 1)
+    jump in (x_lo, x_hi), F the sum of the tables (PrimeTable.jumps, proper
+    or not): at x = q^k and (q^k - shift)/factor, from one powering of the
+    q from one below the smaller range's lower root up.  Returns them and
+    a run (end, F from its crossings at or below x_lo on, the view of the
+    breakpoints holding its crossings) per table and end.
     """
     ends = (x_lo, x_lo * factor + shift, x_hi, x_hi * factor + shift)
-    top = max(ends[2:]) ** (1.0 / k) + 1
-    cut = math.floor(min(ends[:2]) ** (1.0 / k)) - 1
-    if use_powers:
-        qs = table.prime_powers_up_to(min(float(table.limit), top),
-                                      proper_only=proper_only)
-        qs = qs[np.searchsorted(qs, cut):]
-    else:
-        qs = table.primes_in_range(max(2, cut), min(float(table.limit), top))
-    qk = np.asarray(powk_extended(qs, k), dtype=np.float64)
-    x = (qk - shift) / factor
-    return np.concatenate((qk[(qk > x_lo) & (qk < x_hi)],
-                           x[(x > x_lo) & (x < x_hi)]))
+    root = max(ends[2:]) ** (1.0 / k)
+    _require_table(table, root, "mean square")
+    lo = math.floor(min(ends[:2]) ** (1.0 / k)) - 1
+    parts, runs = [], []
+    for proper in tables:
+        qs, F = table.jumps(lo, min(float(table.limit), root + 1), proper)
+        qk = np.asarray(powk_extended(qs, k), dtype=np.float64)
+        for end, x in enumerate((qk, (qk - shift) / factor)):
+            c = np.searchsorted(x, x_lo, side="right")
+            parts.append(x[c:np.searchsorted(x, x_hi)])
+            runs.append((end, F[c:]))
+    bkpts = np.concatenate(parts)
+    views = np.split(bkpts, np.cumsum([len(x) for x in parts[:-1]]))
+    return bkpts, [(end, F, xs) for (end, F), xs in zip(runs, views)]
 
 
 def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
@@ -135,29 +135,22 @@ def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
     return float(np.dot(acc, half))
 
 
-def _increment_square(table: PrimeTable, k: float, fn, smooth,
-                      x_lo: float, x_hi: float, shift: float = 0.0,
-                      factor: float = 1.0, use_powers: bool = False,
-                      proper_only: bool = False) -> float:
-    """int_{x_lo}^{x_hi} (fn((x*factor+shift)^(1/k)) - fn(x^(1/k)) - smooth(x))^2 dx
-    for a counting function fn over primes (prime powers if use_powers)."""
-    rt = 1.0 / k
+def _increment_square(table: PrimeTable, k: float, smooth, x_lo: float,
+                      x_hi: float, shift: float = 0.0, factor: float = 1.0,
+                      tables: tuple[bool, ...] = (False,)) -> float:
+    """int_{x_lo}^{x_hi} (F((x*factor+shift)^(1/k)) - F(x^(1/k)) - smooth(x))^2 dx
+    for F the sum of the tables (_breakpoints).  On a piece each run's F
+    is the entry at its count of crossings below the midpoint, so the step
+    is constant between breakpoints by construction."""
+    bkpts, runs = _breakpoints(table, k, x_lo, x_hi, shift, factor, tables)
 
-    def step(x):
-        return fn((x * factor + shift) ** rt) - fn(x ** rt)
+    def step(mids):
+        d = np.zeros((2, len(mids)))
+        for end, F, xs in runs:
+            d[end] += F[np.searchsorted(xs, mids)]
+        return d[1] - d[0]
 
-    bk = _breakpoints(table, k, x_lo, x_hi, shift, factor, use_powers,
-                      proper_only)
-    return _piecewise_square(step, smooth, bk, x_lo, x_hi)
-
-
-def _count_fn(table: PrimeTable, use_psi: bool):
-    if use_psi:
-        def fn(y):
-            return table.theta_many(y) + table.psi_minus_theta_many(y)
-    else:
-        fn = table.theta_many
-    return fn
+    return _piecewise_square(step, smooth, bkpts, x_lo, x_hi)
 
 
 def _require_table(table: PrimeTable, needed: float, what: str):
@@ -191,9 +184,8 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery,
         def smooth(x):
             return (x + h) ** rt - x ** rt
 
-        value = _increment_square(table, k, _count_fn(table, q.use_psi),
-                                  smooth, x_lo, x_hi, shift=h,
-                                  use_powers=q.use_psi)
+        value = _increment_square(table, k, smooth, x_lo, x_hi, h, 1.0,
+                                  (False, True) if q.use_psi else (False,))
     comparator, note = _short_interval_comparator(q)
     return MeanSquareReport(q, value, comparator,
                             value / comparator if comparator > 0 else math.inf,
@@ -234,10 +226,8 @@ def theta_psi_discrepancy(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRe
     if h == 0.0:
         value = 0.0
     else:
-        value = _increment_square(table, k, table.psi_minus_theta_many,
-                                  np.zeros_like, X, 2.0 * X, shift=shift,
-                                  factor=factor, use_powers=True,
-                                  proper_only=True)
+        value = _increment_square(table, k, np.zeros_like, X, 2.0 * X,
+                                  shift, factor, (True,))
     comparator = (h * X ** (1.0 / k + 1.0)) if relative else (h * X ** (1.0 / k))
     return MeanSquareReport(q, value, comparator,
                             value / comparator if comparator > 0 else math.inf,
@@ -284,8 +274,8 @@ def _relative_value(table: PrimeTable, q: MeanSquareQuery) -> float:
     def smooth(x):
         return big_delta * x ** rt
 
-    return _increment_square(table, k, _count_fn(table, q.use_psi), smooth,
-                             X, 2.0 * X, factor=fac, use_powers=q.use_psi)
+    return _increment_square(table, k, smooth, X, 2.0 * X, 0.0, fac,
+                             (False, True) if q.use_psi else (False,))
 
 
 # ------------------------------ truncated L2 ---------------------------------
@@ -373,7 +363,9 @@ def double_integral_bound_check(table: PrimeTable, q: MeanSquareQuery):
     X, k, h = q.X, q.k, q.h
     _require_table(table, (2 * X + 3 * h) ** (1.0 / k), "double_integral_bound_check")
     rt = 1.0 / k
-    fn = _count_fn(table, True)
+
+    def fn(y):
+        return table.theta_many(y) + table.psi_minus_theta_many(y)
 
     def disc(a, b):
         return fn(a ** rt) - fn(b ** rt) - (a ** rt - b ** rt)

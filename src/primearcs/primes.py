@@ -1,9 +1,10 @@
 """Segmented prime sieving and exact Chebyshev-function evaluation.
 
 A PrimeTable is an immutable sieve product: the ascending primes up to a
-limit together with the compensated prefix sums of log p, so that
-theta(x) = sum_{p <= x} log p is a binary search plus one lookup, and
-psi - theta counts the prime powers p^m <= x against exact int64 powers.
+limit together with the compensated prefix sums of log p.  PrimeTable.jumps
+is the one source for where theta and psi - theta jump (the primes, the
+exact int64 proper prime powers p^m) and their values there; theta(x) and
+(psi - theta)(x) are a binary search of it plus one lookup.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ class PrimeTable:
     """Immutable sieve output; safe for concurrent readers.
 
     The sieve data (limit, primes, theta_prefix) never changes after
-    construction.  ``windows`` is derived data: expsums.window keeps the
-    prime windows it builds from this table there (a few, read-only), so
-    they live and die with the table.  It takes no part in comparison or
-    repr.
+    construction; jumps reads theta and psi - theta from it.  ``windows``
+    is derived data: expsums.window keeps the prime windows it builds from
+    this table there (a few, read-only), so they live and die with the
+    table.  It takes no part in comparison or repr.
     """
 
     limit: int
@@ -94,11 +95,11 @@ class PrimeTable:
         return float(self.theta_many([x])[0])
 
     def theta_many(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized theta for float arrays within [0, limit]."""
-        xi = np.floor(np.asarray(x, dtype=np.float64))
-        idx = np.searchsorted(self.primes, xi, side="right")
-        pref = np.concatenate(([0.0], self.theta_prefix))
-        return pref[idx]
+        """Vectorized theta for float arrays within [0, limit]: floor(x)
+        searched among jumps(0, limit)."""
+        q, F = self.jumps(0, self.limit)
+        return F[np.searchsorted(q, np.floor(np.asarray(x, dtype=np.float64)),
+                                 side="right")]
 
     def psi(self, x: float) -> float:
         """psi(x) = theta(x) + (psi - theta)(x): the vector evaluators at
@@ -109,15 +110,32 @@ class PrimeTable:
         return float((self.theta_many(xs) + self.psi_minus_theta_many(xs))[0])
 
     def psi_minus_theta_many(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized psi(x) - theta(x) (proper prime-power mass only):
-        floor(x) is searched once among the exact int64 proper prime powers
-        beside the compensated prefix of their log p, so each value is the
-        correctly rounded sum.  No float root is taken."""
+        """Vectorized psi(x) - theta(x) (proper prime-power mass only) for
+        float arrays within [0, limit]: floor(x) searched among
+        jumps(0, max floor(x), proper=True).  No float root is taken."""
         n = np.floor(np.maximum(np.asarray(x, dtype=np.float64), 0.0))
-        n = n.astype(np.int64)
-        pw, base = self._proper_powers(int(np.max(n)) if n.size else 0)
-        pref = compensated_cumsum(np.log(base.astype(np.float64)))
-        return np.concatenate(([0.0], pref))[np.searchsorted(pw, n, "right")]
+        q, F = self.jumps(0, min(n.max(initial=0.0), self.limit), proper=True)
+        return F[np.searchsorted(q, n, side="right")]
+
+    def jumps(self, lo: float, hi: float,
+              proper: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Where theta jumps in [lo, hi] (the primes there), or psi - theta
+        if proper (the proper prime powers), ascending as exact int64 q;
+        and F, the function's values: F[0] below lo, F[i + 1] from q[i] on.
+        F holds theta_prefix's entries, or the same compensated prefix of
+        log p over the proper powers from 4 up.  lo > hi gives no q and
+        F = [value below lo]."""
+        if hi > self.limit:
+            raise ValidationError(f"jumps: hi={hi} past table limit {self.limit}")
+        if proper:
+            qs, base = self._proper_powers(math.floor(max(lo, hi, 0)))
+            pref = compensated_cumsum(np.log(base.astype(np.float64)))
+        else:
+            qs, pref = self.primes, self.theta_prefix
+        i = int(np.searchsorted(qs, math.ceil(lo)))
+        j = max(i, int(np.searchsorted(qs, math.floor(hi), side="right")))
+        F = pref[i - 1:j] if i else np.concatenate(([0.0], pref[:j]))
+        return qs[i:j], F
 
     def _proper_powers(self, top: int) -> tuple[np.ndarray, np.ndarray]:
         """The proper prime powers p^m <= top (m >= 2), exact int64 and
@@ -138,15 +156,6 @@ class PrimeTable:
         i = int(np.searchsorted(self.primes, math.ceil(lo), side="left"))
         j = int(np.searchsorted(self.primes, math.floor(hi), side="right"))
         return self.primes[i:j]
-
-    def prime_powers_up_to(self, bound: float, proper_only: bool = False) -> np.ndarray:
-        """Ascending prime powers p^m <= bound (m >= 2 if proper_only)."""
-        if bound > self.limit:
-            raise ValidationError(f"prime_powers_up_to: {bound} > limit {self.limit}")
-        proper = self._proper_powers(math.floor(bound))[0]
-        if proper_only:
-            return proper
-        return np.sort(np.concatenate((self.primes_in_range(2, bound), proper)))
 
 
 def _iroot(n: int, m: int) -> int:

@@ -445,6 +445,15 @@ class TestMajorArc:
         lower = out["J1"] / (0.5 ** 2 * 300.0 ** (0.5 + 1 / 1.05))
         assert lower > 0  # recorded ratio of the main-term lower bound
 
+    def test_t_tol_scales_with_range(self, inst, table):
+        # |T| reaches the t-range length, about 5e4 for k = 1 at X = 1e5;
+        # an absolute 1e-10 sits below T's own rounding bound there
+        w = WindowSpec(X=1e5, k=1.05, delta=0.1)
+        out = major_arc_split(inst, table, w, 0.5, tol=1e-2)
+        assert 1e-10 < out["t_est_error"] <= 1e-10 * (1e5 - 1e4)
+        gap = abs(out["J1"] + out["J2"] + out["J3"] + out["J4"] - out["I_M"])
+        assert gap <= 1e-2
+
 
 class TestMinorArc:
     def test_V_definition(self, inst, table, w500):

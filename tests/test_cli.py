@@ -260,6 +260,13 @@ class TestExitCodes:
                      "0:0.1:2", "--which", "T", "--tol", "1e-16"]) == 3
         assert "error bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--h", "5", "--Y", "0.1"], []])
+    def test_meansquare_needs_one_increment(self, table_file, extra, capsys):
+        # MeanSquareQuery checks it; the CLI does not repeat the check
+        assert main(["meansquare", "--table", table_file, "--X", "100",
+                     "--k", "1"] + extra) == 2
+        assert "exactly one of h, rel_delta, Y" in capsys.readouterr().err
+
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",
                      "--alpha-grid", "0:1", "--which", "S"]) == 2

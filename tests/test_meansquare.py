@@ -10,23 +10,28 @@ import pytest
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, s_minus_u_weights
 from primearcs.meansquare import (PIECE_GL, MeanSquareQuery, _breakpoints,
-                                  _count_fn, _l2_grid, _piecewise_square,
+                                  _increment_square, _l2_grid,
+                                  _piecewise_square,
                                   double_integral_bound_check, l2_diff,
                                   selberg_J, selberg_J_relative,
                                   theta_psi_discrepancy)
 from primearcs.numutil import exp_pair_integral, gl_rule, powk_extended
-from primearcs.primes import is_prime
+from primearcs.primes import PrimeTable, build_table, is_prime
+
+
+def count_fn(table, use_psi):
+    """theta (or psi) at float points, each floored and searched in the
+    table: the oracle for the piecewise step, which counts instead."""
+    if use_psi:
+        return lambda y: table.theta_many(y) + table.psi_minus_theta_many(y)
+    return table.theta_many
 
 
 def riemann_oracle(table, X, shift, k, step, relative=False, use_psi=False):
     """Brute-force grid integration of the same integrand."""
     xs = np.arange(X, 2 * X, step) + step / 2
     rt = 1.0 / k
-    if use_psi:
-        def fn(y):
-            return table.theta_many(y) + table.psi_minus_theta_many(y)
-    else:
-        fn = table.theta_many
+    fn = count_fn(table, use_psi)
     upper = xs * (1 + shift) if relative else xs + shift
     vals = (fn(upper ** rt) - fn(xs ** rt) - (upper ** rt - xs ** rt)) ** 2
     return float(vals.sum() * step)
@@ -36,10 +41,12 @@ def reference_breakpoints(table, k, x_lo, x_hi, shift=0.0, factor=1.0,
                           use_powers=False, proper_only=False):
     """Every prime (or prime power) from 2 up, powered, then masked."""
     top = min(float(table.limit), (x_hi * factor + shift) ** (1.0 / k) + 1)
+    ps = table.primes_in_range(2, top).tolist()
+    qs = [] if proper_only else ps
     if use_powers:
-        qs = table.prime_powers_up_to(top, proper_only=proper_only)
-    else:
-        qs = table.primes_in_range(2, top)
+        qs = qs + [p ** m for p in ps if p * p <= top for m in range(2, 64)
+                   if p ** m <= top]
+    qs = np.array(sorted(qs), dtype=np.int64)
     x = (np.asarray(powk_extended(qs, k), dtype=np.float64) - shift) / factor
     return x[(x > x_lo) & (x < x_hi)]
 
@@ -56,7 +63,7 @@ def mpmath_selberg(table, k, h, x_lo, x_hi, use_psi=False):
     edges = np.unique(np.concatenate(cuts + [[x_lo, x_hi]]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     rt = 1.0 / k
-    fn = _count_fn(table, use_psi)
+    fn = count_fn(table, use_psi)
     d = fn((mids + h) ** rt) - fn(mids ** rt)
     with mpmath.workdps(30):
         total, r, hh = mpmath.mpf(0), mpmath.mpf(rt), mpmath.mpf(h)
@@ -77,6 +84,8 @@ class TestPiecewiseMachinery:
                              [(False, False), (True, False), (True, True)])
     def test_breakpoints_match_unrestricted(self, table, k, shift, factor,
                                             use_powers, proper_only):
+        tables = {(False, False): (False,), (True, False): (False, True),
+                  (True, True): (True,)}[use_powers, proper_only]
         x_los = [1.5, 40.0, 1000.0, 12345.0]
         # put a prime's crossing one ulp above x_lo, right at the cut
         for q in (3, 5, 31, 97, 101, 1009, 7919):
@@ -86,12 +95,66 @@ class TestPiecewiseMachinery:
         for x_lo in x_los:
             x_hi = 2.0 * x_lo + 50.0
             args = (table, k, x_lo, x_hi, shift, factor, use_powers, proper_only)
-            got = _breakpoints(*args)
+            got, runs = _breakpoints(table, k, x_lo, x_hi, shift, factor,
+                                     tables)
             want = np.concatenate((
                 reference_breakpoints(table, k, x_lo, x_hi, 0.0, 1.0,
                                       use_powers, proper_only),
                 reference_breakpoints(*args)))
-            assert np.array_equal(got, want), x_lo
+            assert np.array_equal(np.sort(got), np.sort(want)), x_lo
+            # one ascending run per table and end, each a view of its stretch
+            views = [xs for _, _, xs in runs]
+            assert np.array_equal(np.concatenate(views), got)
+            assert all(np.shares_memory(xs, got) and np.all(np.diff(xs) > 0)
+                       for xs in views if len(xs) > 1)
+
+    @pytest.mark.parametrize("k", [0.9, 1.0, 1.05, 1.3, 2.0])
+    @pytest.mark.parametrize("shift,factor", [(0.0, 1.0), (7.5, 1.0),
+                                              (0.0, 1.03), (40.0, 1.2)])
+    def test_counted_step_matches_searched(self, table, k, shift, factor):
+        # the step counted along the breakpoints gives, bit for bit, the
+        # value of the step found by roots of the midpoints and a search
+        rt, x_lo, x_hi = 1.0 / k, 2e4, 4e4
+
+        def drift(x):
+            return (x * factor + shift) ** rt - x ** rt
+
+        cases = [((False,), count_fn(table, False), drift),
+                 ((False, True), count_fn(table, True), drift),
+                 ((True,), table.psi_minus_theta_many, np.zeros_like)]
+        got = {}
+        for tables, fn, smooth in cases:
+            bkpts, _ = _breakpoints(table, k, x_lo, x_hi, shift, factor, tables)
+            want = _piecewise_square(
+                lambda x: fn((x * factor + shift) ** rt) - fn(x ** rt),
+                smooth, bkpts, x_lo, x_hi)
+            got[tables] = _increment_square(table, k, smooth, x_lo, x_hi,
+                                            shift, factor, tables)
+            assert got[tables] == want, tables
+        # the operations integrate the same steps
+        if factor == 1.0:
+            for tables in ((False,), (False, True)):
+                q = MeanSquareQuery(X=x_lo, k=k, h=shift,
+                                    use_psi=len(tables) == 2)
+                assert selberg_J(table, q).value == got[tables]
+        if factor == 1.0 or shift == 0.0:
+            inc = {"h": shift} if factor == 1.0 else {"rel_delta": factor - 1}
+            q = MeanSquareQuery(X=x_lo, k=k, **inc)
+            assert theta_psi_discrepancy(table, q).value == got[(True,)]
+
+    def test_piecewise_path_reads_jumps_only(self, table, monkeypatch):
+        def searched(*args):
+            raise AssertionError("the piecewise path searched the table")
+
+        monkeypatch.setattr(PrimeTable, "theta_many", searched)
+        monkeypatch.setattr(PrimeTable, "psi_minus_theta_many", searched)
+        for use_psi in (False, True):
+            q = MeanSquareQuery(X=1000.0, k=1.05, h=30.0, use_psi=use_psi)
+            assert selberg_J(table, q).value > 0
+        q = MeanSquareQuery(X=1000.0, k=1.05, rel_delta=0.05, use_psi=True)
+        assert selberg_J_relative(table, q).value > 0
+        q = MeanSquareQuery(X=1000.0, k=1.05, h=30.0)
+        assert theta_psi_discrepancy(table, q).value > 0
 
     @staticmethod
     def _traced(x_lo, x_hi, bkpts):
@@ -295,6 +358,13 @@ class TestRelative:
         oracle = riemann_oracle(table, 10**4, 0.05, 2.0, 1e-2, relative=True,
                                 use_psi=True)
         assert rep.value == pytest.approx(oracle, rel=1e-3)
+
+    def test_substituted_form_within_table(self):
+        # the k = 1 substituted form needs primes up to 2 X^(1/k) (1 + Delta)
+        # = 2049, past this table; the query itself needs only 1449
+        q = MeanSquareQuery(X=1e6, k=2.0, rel_delta=0.05)
+        with pytest.raises(ValidationError, match="table limit"):
+            selberg_J_relative(build_table(1500), q)
 
     def test_substituted_form_same_order(self, table):
         # the k=1 substituted form agrees up to a k-dependent constant;

@@ -121,6 +121,32 @@ def test_psi_minus_theta_many_correctly_rounded(table):
         assert abs(gi - want) <= math.ulp(want), xi
 
 
+@pytest.fixture(scope="module")
+def jump_points(table):
+    """The primes and the proper prime powers up to the table limit, by
+    is_prime enumeration."""
+    primes = [n for n in range(table.limit + 1) if is_prime(n)]
+    powers = sorted(p ** m for p in primes[:200] for m in range(2, 19)
+                    if p ** m <= table.limit)
+    return {False: primes, True: powers}
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_jumps_edges(table, jump_points, proper):
+    fn = table.psi_minus_theta_many if proper else table.theta_many
+    ends = [0, 2, 3.5, 4, 8, 9, 25, 27, 32, 49, 97, 121, 7919, table.limit]
+    for lo, hi in [(lo, hi) for lo in ends for hi in ends] + [(-3, 10.5)]:
+        q, F = table.jumps(lo, hi, proper)
+        assert q.tolist() == [n for n in jump_points[proper] if lo <= n <= hi]
+        # F: the value below lo, then the value from each q on
+        below = np.array([math.ceil(lo) - 1.0])
+        assert np.array_equal(F, fn(np.concatenate((below, q))))
+        if lo > hi:
+            assert len(q) == 0 and len(F) == 1
+    with pytest.raises(ValidationError, match="table limit"):
+        table.jumps(0, table.limit + 1, proper)
+
+
 def test_chebyshev_sanity(table):
     for x in np.linspace(100, 2 * 10**5, 50):
         th, ps = table.theta(x), table.psi(x)
