@@ -7,9 +7,9 @@ exponential sums in this module run over the window delta*X <= p^k <= X
 (the window the counting identity and the T integrals live on; the
 verbatim dyadic sums stay in expsums).
 
-The bounded arcs are integrated by one Gauss-Legendre panel driver,
-gauss_panels, which meansquare's truncated-L2 grid and the Fejér-pair
-check verify_fourier_pair share.
+The bounded arcs are integrated by gauss_panels, one GL12 pass sized by
+the rule's remainder bound on their band-limited spectra, which meansquare's
+truncated-L2 grid and the Fejér-pair check verify_fourier_pair share.
 """
 
 from __future__ import annotations
@@ -162,13 +162,10 @@ class ExpSumFactor:
                                 @ self.weights.astype(complex))
         return out
 
-    def eval_panels(self, centers: np.ndarray, offs_cat: np.ndarray) -> np.ndarray:
-        """Values on nodes centers[:, None] + offs_cat[None, :].
-
-        The centres must be evenly spaced (gauss_panels' are); grid_sum
-        shares the phase work between them.
-        """
-        return grid_sum(self.freqs, self.weights, centers, offs_cat)
+    def eval_panels(self, centers: np.ndarray, offs: np.ndarray) -> np.ndarray:
+        """Values on nodes centers[:, None] + offs[None, :]; the centres must
+        be evenly spaced (gauss_panels' are), so grid_sum shares phases."""
+        return grid_sum(self.freqs, self.weights, centers, offs)
 
 
 def _window_forms(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
@@ -212,51 +209,58 @@ def integrand(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
 
 # ------------------------------ panel quadrature -----------------------------
 
-def start_panels(f_max: float, a: float, b: float) -> int:
-    """Panel count of gauss_panels' first pass: two cycles of f_max each."""
-    return max(8, int(math.ceil(max(f_max * (b - a), 1.0) / 2.0)))
+# int f - GL12(f) = C f^(24)(xi) on [-1, 1] (DLMF 3.5.19, n = 12)
+_GL12_C = (2 ** 25 * math.factorial(12) ** 4) / (25 * math.factorial(24) ** 3)
 
 
-def gauss_panels(parts, a: float, b: float, f_max: float, tol: float,
-                 max_nodes: float):
-    """Composite Gauss-Legendre quadrature of named integrands over [a, b].
+def gl12_panels(a: float, b: float, f_max: float, mass: float,
+                tol: float) -> tuple[int, float]:
+    """(n, r): the fewest equal panels of [a, b] on which GL12 errs by at
+    most (r/n)^24 = mass (b-a)/2 sqrt(2) C (2 pi f_max hw)^24 <= tol for a
+    spectrum in |s| <= f_max of L1 mass <= mass (C on Re and Im e(s a))."""
+    r = math.pi * f_max * (b - a) * (
+        mass * (b - a) / math.sqrt(2.0) * _GL12_C) ** (1.0 / 24.0)
+    n = max(1, math.ceil(r / tol ** (1.0 / 24.0)))
+    return n + ((r / n) ** 24 > tol), r
+
+
+def gauss_panels(parts, a: float, b: float, f_max: float, mass: float,
+                 tol: float, max_nodes: float):
+    """One composite GL12 pass over [a, b] on gl12_panels' count for named
+    integrands whose spectra lie in |s| <= f_max with L1 mass <= mass.
 
     parts(centers, offs) returns {name: values} on the nodes
-    centers[:, None] + offs[None, :]; offs holds the 8-point offsets, then
-    the 12-point ones, so both rules share the per-panel factors and the
-    error estimate is nearly free.  Panels start at two cycles of the
-    fastest phase f_max and double until the largest GL8-GL12 difference
-    is within tol, or raise ConvergenceError past max_nodes nodes.  Each
-    rule's value is fsum_complex of its chunk partials.  Returns
-    ({name: GL12 value}, est_error); ValidationError unless 0 < tol < inf.
+    centers[:, None] + offs[None, :], 2048 panels a call (8192 ran arcs
+    15% faster, but its peak RSS rose from 39.4 to 44.8 MiB).  est_error
+    adds to the bound 0.25 2^-53 int|f| (over all names) times one call's
+    phase span in cycles for grid_sum's float64 in-block phases: 13x the
+    largest such error on the closed-form counting integral.  Returns
+    ({name: value}, est_error); ValidationError unless 0 < tol < inf;
+    ConvergenceError past max_nodes nodes, best the pass they allow.
     """
     require_tol(tol)
-    x8, w8 = gl_rule(8)
     x12, w12 = gl_rule(12)
-    n_panels = start_panels(f_max, a, b)
-    chunk = 2048
-    while True:
-        hw = (b - a) / (2.0 * n_panels)
-        offs = np.concatenate((x8, x12)) * hw
-        sums = {}  # name -> (GL8 chunk partials, GL12 chunk partials)
-        for i in range(0, n_panels, chunk):
-            centers = a + (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
-            for name, vals in parts(centers, offs).items():
-                p8, p12 = sums.setdefault(name, ([], []))
-                p8.append(np.sum(vals[:, :8] @ (w8 * hw)))
-                p12.append(np.sum(vals[:, 8:] @ (w12 * hw)))
-        v12 = {name: fsum_complex(p12) for name, (_, p12) in sums.items()}
-        err = max(abs(v12[name] - fsum_complex(p8))
-                  for name, (p8, _) in sums.items())
-        _log.debug("gauss panels on [%g, %g]: %d panels, GL8 vs GL12, "
-                   "est error %.3e", a, b, n_panels, err)
-        if err <= tol:
-            return v12, err
-        if n_panels * 40 > max_nodes:
-            raise ConvergenceError(
-                f"panel quadrature stalled at {n_panels} panels "
-                f"(est error {err:.3e} > tol {tol:.3e})", best=v12, est_error=err)
-        n_panels *= 2
+    n_panels, r = gl12_panels(a, b, f_max, mass, tol)
+    over = 12 * n_panels > max_nodes
+    n_panels = max(1, int(max_nodes // 12)) if over else n_panels
+    hw = (b - a) / (2.0 * n_panels)
+    chunk, partials, absint = 2048, {}, 0.0
+    for i in range(0, n_panels, chunk):
+        centers = a + (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
+        for name, vals in parts(centers, x12 * hw).items():
+            partials.setdefault(name, []).append(np.sum(vals @ (w12 * hw)))
+            absint += float(np.sum(np.abs(vals) @ (w12 * hw)))
+    bound = (r / n_panels) ** 24
+    err = bound + 0.25 * 2.0 ** -53 * absint * max(
+        1.0, f_max * 2.0 * hw * min(n_panels, chunk))
+    vals = {name: fsum_complex(p) for name, p in partials.items()}
+    _log.debug("gauss panels on [%g, %g]: %d panels, GL12, bound %.3e, "
+               "est error %.3e", a, b, n_panels, bound, err)
+    if over:
+        raise ConvergenceError(f"panel quadrature needs over {max_nodes:.3g} "
+                               f"nodes; {n_panels} panels err by {err:.3e}",
+                               best=vals, est_error=err)
+    return vals, err
 
 
 def _kernel_panels(eta: float, varpi: float, centers: np.ndarray,
@@ -272,7 +276,7 @@ def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
     """|int_{-A}^{A} K_eta(a) e(t a) da  -  max(0, eta - |t|)|.
 
     K_eta is even, so the integral is twice the real part of one
-    gauss_panels pass over [0, A] of _kernel_panels (absolute tol 1e-9).
+    gauss_panels pass over [0, A] of _kernel_panels (absolute tol 1e-15).
     The truncation tail is at most 2/(pi^2 A) since K_eta(a) <= 1/(pi a)^2,
     so the returned discrepancy is bounded by that plus quadrature error.
     """
@@ -283,25 +287,15 @@ def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
         return {"K": _kernel_panels(eta, t, centers, offs)}
 
     vals, _ = gauss_panels(parts, 0.0, float(truncation), eta + abs(t),
-                           1e-9, 1e8)
+                           eta * eta, 1e-15, 1e8)
     return abs(2.0 * vals["K"].real - fejer_hat(eta, t))
 
 
-def _product_on_interval(factors, kernel, a: float, b: float, f_max: float,
-                         tol: float):
-    """Quadrature of prod(factors) * kernel over [a, b] with 0 <= a < b.
-
-    kernel(centers, offs) gives the kernel's values on the panel nodes.
-    Returns (value, est_error).
-    """
-    if b <= a:
-        return 0j, 0.0
-
-    def parts(centers, offs):
-        prod = math.prod(f.eval_panels(centers, offs) for f in factors)
-        return {"I": prod * kernel(centers, offs)}
-
-    vals, err = gauss_panels(parts, a, b, f_max, tol, PRODUCT_NODE_BUDGET)
+def _product_on_interval(parts, a: float, b: float, f_max: float,
+                         mass: float, tol: float):
+    """integrate_I's traced layer: gauss_panels' ("I" value, est_error)."""
+    vals, err = gauss_panels(parts, a, b, f_max, mass, tol,
+                             PRODUCT_NODE_BUDGET)
     return vals["I"], err
 
 
@@ -316,9 +310,11 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     """
     factors = window_factors(inst, table, w)
     f_max = sum(f.max_freq for f in factors) + abs(inst.varpi) + eta
+    mass = math.prod(f.mass for f in factors) * eta * eta
 
-    def kernel(centers, offs):
-        return _kernel_panels(eta, inst.varpi, centers, offs)
+    def parts(centers, offs):
+        prod = math.prod(f.eval_panels(centers, offs) for f in factors)
+        return {"I": prod * _kernel_panels(eta, inst.varpi, centers, offs)}
 
     pieces = []
     for (a, b) in intervals:
@@ -338,7 +334,7 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     est_error = 0.0
     for kind, a, b in pieces:
         if (a, b) not in done:
-            done[(a, b)] = _product_on_interval(factors, kernel, a, b, f_max,
+            done[(a, b)] = _product_on_interval(parts, a, b, f_max, mass,
                                                 per_piece_tol)
         val, err = done[(a, b)]
         est_error += err
@@ -361,26 +357,30 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     satisfy J1+J2+J3+J4 = I_M identically up to quadrature rounding.
 
     Returns dict with J1..J4, I_M, the quadrature's est_error, and
-    t_est_error, the largest eval_T_grid bound in the final pass.
+    t_est_error, the largest eval_T_grid bound.
     """
     arc = arc_params(inst, w.X)
     cut = arc.major[1]
     factors = window_factors(inst, table, w)
-    f_max = sum(f.max_freq for f in factors) + abs(inst.varpi) + eta
     lo, hi = w.delta * w.X, w.X
     ks = (1.0, 2.0, inst.k)
-    # |T| is at most the t-range length, so T's absolute tol scales with it
-    t_tols = [1e-10 * max(1.0, hi ** (1 / kj) - lo ** (1 / kj)) for kj in ks]
-
-    t_est = [math.inf, 0.0]  # last call's first centre, T bound of its pass
+    # |T_j| and its L1 mass are at most its t-range length, which T's tol
+    # scales with; the J_(j+2) masses (S before j, S - T at j, T after)
+    # bound J1's and I_M's
+    t = [hi ** (1 / kj) - lo ** (1 / kj) for kj in ks]
+    t_tols = [1e-10 * max(1.0, m) for m in t]
+    s = [f.mass for f in factors]
+    mass = 2.0 * eta * eta * max(math.prod(s[:j]) * (s[j] + t[j])
+                                 * math.prod(t[j + 1:]) for j in range(3))
+    f_max = sum(abs(lam) for lam in inst.lambdas) * hi + abs(inst.varpi) + eta
+    t_est = [0.0]  # largest eval_T_grid bound so far
 
     def parts(centers, offs):
         svals = [f.eval_panels(centers, offs) for f in factors]
         tvals, ests = zip(*(eval_T_grid(kj, lo, hi, lam * centers, lam * offs,
                                         t_tol)
                             for kj, lam, t_tol in zip(ks, inst.lambdas, t_tols)))
-        same_pass = centers[0] > t_est[0]  # each pass restarts at the left
-        t_est[:] = [centers[0], max(*ests, t_est[1] if same_pass else 0.0)]
+        t_est[0] = max(t_est[0], *ests)
         kern = _kernel_panels(eta, inst.varpi, centers, offs)
         terms = {
             "J1": tvals[0] * tvals[1] * tvals[2],
@@ -392,10 +392,10 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
         # Hermitian symmetry: the full major arc is twice the real part.
         return {name: 2.0 * (vals * kern).real for name, vals in terms.items()}
 
-    vals, err = gauss_panels(parts, 0.0, cut, f_max, tol, 2e8)
+    vals, err = gauss_panels(parts, 0.0, cut, f_max, mass, tol, 2e8)
     out = {name: v.real for name, v in vals.items()}
     out["est_error"] = err
-    out["t_est_error"] = t_est[1]
+    out["t_est_error"] = t_est[0]
     out["arc"] = arc
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circle import ExpSumFactor, gauss_panels, start_panels
+from .circle import ExpSumFactor, gauss_panels, gl12_panels
 from .errors import ValidationError
 from .expsums import WindowSpec, s_minus_u_weights
 from .numutil import exp_pair_integral, gl_rule, powk_extended
@@ -287,8 +287,8 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     pairwise-exact expands the square into closed-form pair terms (refused
     above PAIRWISE_CAP window integers); grid runs the Gauss panel driver
     shared with the arc integrals (circle.gauss_panels).  auto takes the
-    method with less work: pairwise costs N(N-1)/2 pair terms, the grid's
-    first pass 20 nodes per start panel for each of the N frequencies.
+    method with less work: pairwise costs N(N-1)/2 pair terms, the grid
+    12 nodes per a priori panel (_l2_grid) for each of the N frequencies.
     The comparator is the three-term truncated-L2 bound with unit
     constants, its short-interval integral computed by selberg_J.
     """
@@ -298,8 +298,8 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     ns, freqs = win.values, win.powers[0]
     if method == "auto":
         n = len(ns)
-        spread = float(freqs[-1] - freqs[0]) if n else 0.0
-        cheaper = (n - 1) / 2.0 <= 20 * start_panels(spread, 0.0, Y)
+        cheaper = n < 2 or (n - 1) / 2.0 <= 12 * gl12_panels(
+            0.0, Y, *_l2_spectrum(freqs, coeffs, Y))[0]
         method = "pairwise-exact" if n <= PAIRWISE_CAP and cheaper else "grid"
     if method == "pairwise-exact":
         if len(ns) > PAIRWISE_CAP:
@@ -317,28 +317,28 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
                             method, est_error=est_error)
 
 
+def _l2_spectrum(freqs: np.ndarray, coeffs: np.ndarray, Y: float):
+    """(f_max, mass, tol) of |S|^2 on [0, Y]: the frequency spread, (sum
+    |c|)^2, and 1e-9 of the diagonal (Parseval) term 2Y sum c^2."""
+    return (float(freqs.max() - freqs.min()), float(np.sum(np.abs(coeffs))) ** 2,
+            2e-9 * Y * float(np.dot(coeffs, coeffs)))
+
+
 def _l2_grid(freqs: np.ndarray, coeffs: np.ndarray,
              Y: float) -> tuple[float, float]:
-    """2 * int_0^Y |sum c_j e(f_j a)|^2 da on the shared Gauss panel driver.
-
-    |S|^2 oscillates at the pair differences, so the panels are sized by the
-    frequency spread.  The tolerance on the half line [0, Y] is 1e-9 of the
-    diagonal (Parseval) term 2Y sum c_j^2, and the node budget allows four
-    doublings of the start panel count before ConvergenceError.  Returns
-    the value and the driver's error estimate, both doubled.
-    """
+    """2 * int_0^Y |sum c_j e(f_j a)|^2 da by gauss_panels on _l2_spectrum,
+    whose bound fixes the panel count, so no node budget applies.  Returns
+    the value and the driver's error estimate, both doubled."""
     if len(freqs) == 0:
         return 0.0, 0.0
     factor = ExpSumFactor(freqs, coeffs)
-    spread = float(freqs.max() - freqs.min())
 
     def parts(centers, offs):
         s = factor.eval_panels(centers, offs)
         return {"L2": s.real ** 2 + s.imag ** 2}
 
-    tol = 1e-9 * 2.0 * Y * float(np.dot(coeffs, coeffs))
-    budget = 20 * 16 * start_panels(spread, 0.0, Y)
-    vals, err = gauss_panels(parts, 0.0, Y, spread, tol, budget)
+    vals, err = gauss_panels(parts, 0.0, Y, *_l2_spectrum(freqs, coeffs, Y),
+                             math.inf)
     return 2.0 * vals["L2"].real, 2.0 * err
 
 

@@ -164,9 +164,9 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     for N frequencies in place of n N, and the product has the size of
     the direct one.  R is the integer nearest sqrt(n/m), or 1 where that
     saves no phases or Q would pass 2^21 entries; the frequencies go in
-    blocks of 2^17 / (R m), so Q stays within 2 MiB and so does P on few
-    centres.  P's rows go in blocks of about 2^21 / N centres for the
-    N frequencies of a block: f c at the block's first centre is reduced
+    blocks of 2^17 / max(R m, n/R), so Q stays within 2 MiB and so does
+    P below 2^17 rows.  P's rows go in blocks of about 2^21 / N centres
+    for the N frequencies of a block: f c at the block's first centre is reduced
     by frac_phase and f (c - c0) added in float64, so the phase error is
     bounded by the block's width in cycles, not by the size of c.  Q's
     phases span at most R h + max|o|.  With R > 1 the nodes are
@@ -185,7 +185,7 @@ def grid_sum(freqs: np.ndarray, coeffs: np.ndarray, centers: np.ndarray,
     if R > 1 and (-(-n // R) + R * m >= n + m or nf * R * m > 1 << 21):
         R = 1
     inner = (h * np.arange(R))[:, None] + offs[None, :]
-    fb = max(1, (1 << 17) // (R * m))  # frequencies per block of Q
+    fb = max(1, (1 << 17) // max(R * m, -(-n // R)))  # frequencies per block
     rows = max(1, ((1 << 21) // min(nf, fb)) // R)
     chunk = R * rows
     out = np.zeros((n, m), dtype=complex)

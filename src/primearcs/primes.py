@@ -95,11 +95,11 @@ class PrimeTable:
         return float(self.theta_many([x])[0])
 
     def theta_many(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized theta for float arrays within [0, limit]: floor(x)
-        searched among jumps(0, limit)."""
-        q, F = self.jumps(0, self.limit)
-        return F[np.searchsorted(q, np.floor(np.asarray(x, dtype=np.float64)),
-                                 side="right")]
+        """Vectorized theta for float arrays within [0, limit]: theta_prefix
+        at the count of primes <= floor(x), searched with int64 keys."""
+        n = np.floor(np.asarray(x, dtype=np.float64)).astype(np.int64)
+        i = np.searchsorted(self.primes, n, side="right")
+        return np.where(i > 0, self.theta_prefix[i - 1], 0.0)
 
     def psi(self, x: float) -> float:
         """psi(x) = theta(x) + (psi - theta)(x): the vector evaluators at

@@ -13,10 +13,12 @@ from primearcs import circle
 from primearcs.circle import (ProblemInstance, _slice_pairs, _trigamma_upper,
                               _unit_slices, arc_params, bound_ghosh,
                               bound_vaughan, classify_minor, eta_exponent,
-                              gauss_panels, integrand, integrate_I, major_arc_split, minor_arc_l2,
-                              trivial_tails, V, window_factors)
+                              gauss_panels, gl12_panels, integrand,
+                              integrate_I, major_arc_split, minor_arc_l2,
+                              trivial_tails, V, verify_fourier_pair,
+                              window_factors)
 from primearcs.errors import ConvergenceError, ValidationError
-from primearcs.expsums import WindowSpec, fejer_K, window
+from primearcs.expsums import WindowSpec, fejer_K, s_minus_u_weights, window
 from primearcs.numutil import (exp_pair_integral, expand_square, frac_phase,
                                gl_rule, grid_sum, powk_extended)
 from primearcs.rational import parse_hireal
@@ -138,15 +140,15 @@ class TestExpSumFactor:
 
     def test_two_level_panels_match_extended_eval(self, inst, table, caplog):
         # lambda1 and lambda3 factors at X = 1e4 (f*alpha reaches 5e7 cycles
-        # at alpha = 5000); centres a + (2i+1) hw as gauss_panels makes
-        # them, GL8 + GL12 offsets; n = 1, 2, fewer centres than offsets,
+        # at alpha = 5000); centres a + (2i+1) hw and GL12 offsets as
+        # gauss_panels makes them; n = 1, 2, fewer centres than offsets,
         # and R both dividing n and not.  The oracle is eval's per-node
         # extended reduction, with the nodes themselves in extended
         # precision: rounding c + o to float64 alone moves the sum by up to
         # 1e-8 of its mass here.  With R > 1 the nodes are c_{Rq} + r h + o,
         # within 2 ulps of c_i + o on these centres.
         facs = window_factors(inst, table, WindowSpec(X=1e4, k=1.05))
-        offs_unit = np.concatenate((gl_rule(8)[0], gl_rule(12)[0]))
+        offs_unit = gl_rule(12)[0]
         m = len(offs_unit)
         ld = np.longdouble
         seen = set()
@@ -251,27 +253,33 @@ class TestIntegrateI:
             integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=1e-9)
         msgs = [r.getMessage() for r in caplog.records
                 if not r.getMessage().startswith("grid sum:")]
-        # one line per pass, then integrate_I's summary
-        assert msgs[-1].startswith("integrate_I: 1 pieces")
-        passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)", m)
-                  for m in msgs[:-1]]
-        assert len(passes) >= 2 and all(passes)
-        panels = [int(m.group(1)) for m in passes]
-        errors = [float(m.group(2)) for m in passes]
-        assert panels == [panels[0] * 2 ** i for i in range(len(panels))]
-        assert errors[-1] <= 1e-9 < errors[-2]
+        # one pass on the fewest panels whose bound is within tol, then
+        # integrate_I's summary
+        (line, summary) = msgs
+        m = re.search(r"(\d+) panels, GL12, bound ([^,]+), est error (\S+)",
+                      line)
+        n, bound, est = int(m.group(1)), float(m.group(2)), float(m.group(3))
+        facs = window_factors(inst, table, w500)
+        f_max = sum(f.max_freq for f in facs) + 0.5
+        mass = math.prod(f.mass for f in facs) * 0.25
+        want, r = gl12_panels(0.0, 2.0, f_max, mass, 1e-9)
+        assert n == want
+        assert (r / (n - 1)) ** 24 > 1e-9 >= bound
+        assert bound == pytest.approx((r / n) ** 24, rel=1e-3)
+        assert bound < est  # the rounding floor
+        assert summary.startswith("integrate_I: 1 pieces")
+        assert summary.endswith(f"summed est error {m.group(3)}")
 
     def test_symmetric_range_one_pass(self, inst, table, w500, caplog):
-        # (-2, 2) folds onto two copies of (0, 2): one doubling sequence,
-        # and the value is exactly 2 Re of the half range at half the tol
+        # (-2, 2) folds onto two copies of (0, 2): one pass, and the value
+        # is exactly 2 Re of the half range at half the tol
         tol = 2e-9
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             whole = integrate_I(inst, table, w500, 0.5, [(-2.0, 2.0)], tol=tol)
-        panels = [int(m.group(1)) for m in
-                  (re.search(r"(\d+) panels, GL8", r.getMessage())
+        bounds = [float(m.group(1)) for m in
+                  (re.search(r"panels, GL12, bound ([^,]+)", r.getMessage())
                    for r in caplog.records) if m]
-        assert len(panels) >= 2
-        assert panels == [panels[0] * 2 ** i for i in range(len(panels))]
+        assert len(bounds) == 1 and bounds[0] <= tol / 2
         half = integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=tol / 2)
         assert whole == complex(2.0 * half.real, 0.0)
 
@@ -280,16 +288,21 @@ class TestIntegrateI:
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             integrate_I(inst, table, w500, 0.5, [(-1.0, 1.0), (1.0, 2.0)],
                         tol=tol)
-        errors = [float(m.group(1)) for m in
-                  (re.search(r"GL12, est error (\S+)", r.getMessage())
+        passes = [(m.group(1), float(m.group(2)), float(m.group(3))) for m in
+                  (re.search(r"on \[([^]]+)\]: \d+ panels, GL12, bound ([^,]+), "
+                             r"est error (\S+)", r.getMessage())
                    for r in caplog.records) if m]
         (m,) = [m for m in (re.search(
             r"integrate_I: (\d+) pieces, (\d+) reused by symmetry, summed "
             r"est error (\S+)", r.getMessage()) for r in caplog.records) if m]
         assert (int(m.group(1)), int(m.group(2))) == (3, 1)
-        # (0, 1) integrated once and counted twice, (1, 2) once: within
-        # tol, and at least the last pass's own estimate
-        assert errors[-1] <= float(m.group(3)) <= tol
+        # (0, 1) integrated once and counted twice, (1, 2) once, each on
+        # a bound within a third of tol, and the sum within tol
+        assert [p[0] for p in passes] == ["0, 1", "1, 2"]
+        assert all(bound <= tol / 3 for _, bound, _ in passes)
+        assert float(m.group(3)) == pytest.approx(
+            2 * passes[0][2] + passes[1][2], rel=1e-3)
+        assert float(m.group(3)) <= tol
 
     def test_unbounded_interval_rejected(self, inst, table, w500):
         with pytest.raises(ValidationError):
@@ -348,15 +361,14 @@ class TestClosedFormOracle:
     """integrate_I over [-A, A] against the closed form summed over all
     window triples (t = l1 p1 + l2 p2^2 + l3 p3^k + varpi, weight
     log p1 log p2 log p3) on the arcs benchmark's instance with varpi
-    fixed.  The closed form is within 1e-13 of a 40-digit evaluation at
-    both A; GL12 is within 5e-12 of it, GL8 1.1e-8 off at A = 50."""
+    fixed, and on criterion 6's (varpi = 0).  The closed form is within
+    1e-13 of a 40-digit evaluation at A = 2 and 50; GL12 is within 2e-11
+    of it at every tol."""
 
     ETA = 0.5
 
-    @pytest.fixture(scope="class")
-    def setup(self, table):
-        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.123)
-        w = WindowSpec(X=500.0, k=1.05, delta=0.1)
+    @staticmethod
+    def triples(table, inst, w):
         f1, f2, f3 = window_factors(inst, table, w)
         t = (f1.freqs[:, None, None] + f2.freqs[None, :, None]
              + f3.freqs[None, None, :]).ravel() + inst.varpi
@@ -365,9 +377,24 @@ class TestClosedFormOracle:
         assert len(t) == 19200
         return inst, w, t, wt
 
+    @pytest.fixture(scope="class")
+    def setup(self, table):
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.123)
+        return self.triples(table, inst, WindowSpec(X=500.0, k=1.05, delta=0.1))
+
     def closed_form(self, setup, A):
         _, _, t, wt = setup
         return math.fsum(wt * _truncated_kernel_integral(t, self.ETA, A))
+
+    def value_and_estimate(self, table, setup, A, tol, caplog):
+        inst, w, _, _ = setup
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            val = integrate_I(inst, table, w, self.ETA, [(-A, A)], tol=tol)
+        (est,) = [float(m.group(1)) for m in (
+            re.search(r"summed est error (\S+)", r.getMessage())
+            for r in caplog.records) if m]
+        return val, est
 
     def test_kernel_integral_against_quad(self):
         # one t at a time, beside an adaptive quadrature of 2 int_0^A K cos
@@ -385,17 +412,30 @@ class TestClosedFormOracle:
         assert abs(val.real - self.closed_form(setup, 2.0)) <= 1e-8
 
     def test_error_below_tenth_of_estimate(self, table, setup, caplog):
-        # the summed estimate (about 2.6e-8) is GL8's error: GL12, which
-        # is returned, must be well inside it
-        inst, w, _, _ = setup
-        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
-            val = integrate_I(inst, table, w, self.ETA, [(-50.0, 50.0)],
-                              tol=0.2)
-        (est,) = [float(m.group(1)) for m in (
-            re.search(r"summed est error (\S+)", r.getMessage())
-            for r in caplog.records) if m]
+        # the summed estimate (about 0.2) is the a priori bound: the value
+        # must be well inside it
+        val, est = self.value_and_estimate(table, setup, 50.0, 0.2, caplog)
         assert 0.0 < est <= 0.2
         assert abs(val.real - self.closed_form(setup, 50.0)) <= 0.1 * est
+
+    @pytest.mark.parametrize("A", [2.0, 50.0])
+    @pytest.mark.parametrize("tol", [0.2, 1e-6, 1e-8, 1e-11])
+    def test_estimate_covers_error(self, table, setup, caplog, A, tol):
+        # at 1e-11 the rounding floor (about 1e-10) is over tol, and the
+        # estimate must still cover the error (1e-12 to 2e-11)
+        val, est = self.value_and_estimate(table, setup, A, tol, caplog)
+        assert abs(val.real - self.closed_form(setup, A)) <= est
+
+    @pytest.mark.parametrize("tol", [0.2, 1e-11])
+    def test_estimate_covers_error_criterion6(self, table, caplog, tol):
+        # criterion 6's instance and truncation, A = 2000: 1.3M panels at
+        # tol 0.2, 3.4M at 1e-11
+        from primearcs.acceptance import _criterion6_instance
+        inst, w, eta = _criterion6_instance()
+        assert eta == self.ETA
+        setup = self.triples(table, inst, w)
+        val, est = self.value_and_estimate(table, setup, 2000.0, tol, caplog)
+        assert abs(val.real - self.closed_form(setup, 2000.0)) <= est
 
 
 class TestConvergenceStalls:
@@ -403,20 +443,26 @@ class TestConvergenceStalls:
     a finite error estimate when it runs out of budget (exit code 3)."""
 
     def test_gauss_panels(self):
-        # f_max understated tenfold: 15 start panels, 30 after one doubling
-        # pass the 1000-node budget; best is the last pass's GL12 value
+        # cos(100 a) on [0, 3] at tol 1e-12 needs 27 panels (324 nodes):
+        # a 120-node budget runs 10, and best is their GL12 value with
+        # their bound as the estimate
         def parts(centers, offs):
             return {"f": np.cos(100.0 * (centers[:, None] + offs[None, :])) + 0j}
 
-        with pytest.raises(ConvergenceError, match="30 panels") as info:
-            gauss_panels(parts, 0.0, 3.0, 10.0, 1e-12, 1000)
+        f_max = 100.0 / (2.0 * math.pi)
+        n, r = gl12_panels(0.0, 3.0, f_max, 1.0, 1e-12)
+        assert n == 27
+        with pytest.raises(ConvergenceError, match="10 panels") as info:
+            gauss_panels(parts, 0.0, 3.0, f_max, 1.0, 1e-12, 120)
         exc = info.value
         x12, w12 = gl_rule(12)
-        hw = 3.0 / 60
-        nodes = (2.0 * np.arange(30) + 1.0)[:, None] * hw + x12[None, :] * hw
+        hw = 3.0 / 20
+        nodes = (2.0 * np.arange(10) + 1.0)[:, None] * hw + x12[None, :] * hw
         want = math.fsum((np.cos(100.0 * nodes) @ (w12 * hw)).tolist())
         assert exc.best["f"] == pytest.approx(want, rel=1e-14)
-        assert math.isfinite(exc.est_error) and exc.est_error > 1e-12
+        bound = (r / 10) ** 24
+        assert bound <= exc.est_error <= bound * (1.0 + 1e-9)
+        assert abs(exc.best["f"] - math.sin(300.0) / 100.0) <= exc.est_error
 
     def test_tail_slicing(self, inst, table, w500, monkeypatch):
         # one 4096-slice block of tail A, then the budget: best is that
@@ -430,6 +476,98 @@ class TestConvergenceStalls:
         assert 0.0 < exc.best <= full * (1.0 + 1e-12)
         assert math.isfinite(exc.est_error)
         assert exc.best + exc.est_error >= full
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-12])
+def test_gauss_panels_estimate_on_top_frequency(tol):
+    # all the mass at f_max, where the remainder bound is attained up to
+    # the panels' phase rotation: GL12's error is within the estimate, an
+    # 8-point rule's on the same panels is not
+    s, b = 37.3, 2.0
+
+    def parts(centers, offs):
+        return {"e": np.exp(2j * math.pi * s * (centers[:, None] + offs[None, :]))}
+
+    vals, est = gauss_panels(parts, 0.0, b, s, 1.0, tol, 1e6)
+    exact = (cmath.exp(2j * math.pi * s * b) - 1.0) / (2j * math.pi * s)
+    assert abs(vals["e"] - exact) <= est <= 1.01 * tol
+
+
+class TestSpectrumBounds:
+    """Each gauss_panels caller passes an f_max that bounds every frequency
+    of its integrand and a mass at least its spectrum's L1 mass, both
+    computed here from the window arrays, T's density and the tent."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from primearcs import meansquare
+        seen = []
+
+        def spy(parts, a, b, f_max, mass, tol, max_nodes):
+            seen.append((f_max, mass))
+            return gauss_panels(parts, a, b, f_max, mass, tol, max_nodes)
+
+        monkeypatch.setattr(circle, "gauss_panels", spy)
+        monkeypatch.setattr(meansquare, "gauss_panels", spy)
+        return seen
+
+    @staticmethod
+    def arrays(inst, table, w):
+        """(frequencies, weights) of S_1, S_2, S_k on the window."""
+        lo, hi = w.delta * w.X, w.X
+        return [(lam * np.asarray(win.powers[0], dtype=np.float64),
+                 np.asarray(win.weights))
+                for lam, win in ((lam, window(kj, lo, hi, table)) for lam, kj in
+                                 zip(inst.lambdas, (1.0, 2.0, inst.k)))]
+
+    def test_integrate_I(self, table, calls):
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=-0.3)
+        w, eta = WindowSpec(X=300.0, k=1.05), 0.5
+        integrate_I(inst, table, w, eta, [(0.0, 1.0)], tol=1e-3)
+        (f1, c1), (f2, c2), (f3, c3) = self.arrays(inst, table, w)
+        t = np.add.outer(np.add.outer(f1, f2), f3) + inst.varpi
+        c = np.multiply.outer(np.multiply.outer(c1, c2), c3)
+        ((f_max, mass),) = calls
+        assert f_max >= np.max(np.abs(t)) + eta
+        assert mass >= math.fsum(np.abs(c).ravel()) * eta ** 2 * (1 - 1e-12)
+
+    def test_major_arc_split(self, table, calls):
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.2)
+        w, eta = WindowSpec(X=100.0, k=1.05), 0.5
+        major_arc_split(inst, table, w, eta, tol=1e-2)
+        lo, hi = w.delta * w.X, w.X
+        # T_j = int_lo^hi (1/k) u^(1/k - 1) e(l_j u a) du
+        t_mass = [quad(lambda u: u ** (1 / kj - 1) / kj, lo, hi)[0]
+                  for kj in (1.0, 2.0, inst.k)]
+        s_mass = [math.fsum(np.abs(c)) for _, c in self.arrays(inst, table, w)]
+        st = [s + t for s, t in zip(s_mass, t_mass)]
+        factor_masses = [t_mass, [st[0], *t_mass[1:]],
+                         [s_mass[0], st[1], t_mass[2]],
+                         [s_mass[0], s_mass[1], st[2]], s_mass]
+        ((f_max, mass),) = calls
+        assert f_max >= sum(abs(l) * hi for l in inst.lambdas) + 0.2 + eta
+        # twice the real part: twice the mass
+        assert mass >= (2 * eta ** 2 * max(map(math.prod, factor_masses))
+                        * (1 - 1e-12))
+
+    def test_l2_grid(self, table, calls):
+        from primearcs.meansquare import l2_diff
+        w = WindowSpec(X=2000.0, k=1.05)
+        l2_diff(table, w, 0.01, method="grid")
+        win, coeffs = s_minus_u_weights(table, w)
+        freqs = np.asarray(win.powers[0], dtype=np.float64)
+        # |S|^2 = sum_ij c_i c_j e((f_i - f_j) a)
+        pairs = np.abs(np.multiply.outer(coeffs, coeffs)).ravel()
+        ((f_max, mass),) = calls
+        assert f_max >= np.max(np.subtract.outer(freqs, freqs))
+        assert mass >= math.fsum(pairs) * (1 - 1e-12)
+
+    def test_fourier_pair(self, calls):
+        for eta, t in ((0.1, 0.0), (1.0, -0.5)):
+            verify_fourier_pair(eta, t, 1e3)
+        # K_eta e(t a): the tent of area eta^2 moved to t
+        assert calls[0] == (0.1, 0.1 ** 2)
+        assert calls[1] == (1.5, 1.0)
 
 
 class TestMajorArc:

@@ -240,8 +240,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("piece", ["T", "all", "trivial"])
     def test_nan_tol_is_2_at_once(self, tmp_path, table_file, piece, capsys):
-        # a nan tol never satisfies err <= tol: the adaptive drivers would
-        # double panels (or add tail slices) up to their cap and exit 3
+        # a nan tol never satisfies err <= tol: the tail slicing would run
+        # to its cap and exit 3, and no panel count meets a nan bound
         if piece == "T":
             argv = ["expsum", "--X", "1e3", "--k", "1.05", "--alpha-grid",
                     "0:0.1:2", "--which", "T", "--tol", "nan"]

@@ -416,26 +416,29 @@ class TestL2Diff:
         w_big = WindowSpec(X=10**5, k=1.05, delta=0.1)
         assert l2_diff(table, w_big, 1e-4).method == "grid"
         # 6031 integers: under PAIRWISE_CAP, but 18M pair terms against
-        # 20 nodes on each of 50 start panels per frequency
+        # 12 nodes on each of 53 a priori panels per frequency
         w_mid = WindowSpec(X=1e4, k=1.05, delta=0.1)
         assert l2_diff(table, w_mid, 1e4 ** -0.5).method == "grid"
 
-    def test_grid_logs_doublings_and_error(self, table, caplog):
+    def test_grid_logs_one_pass_and_error(self, table, caplog):
+        from primearcs.circle import gl12_panels
         from primearcs.expsums import s_minus_u_weights
         w = WindowSpec(X=36200.0, k=1.05, delta=0.1)
         Y = 36200.0 ** -0.65
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
-            l2_diff(table, w, Y, method="grid")
-        passes = [re.search(r"(\d+) panels, GL8 vs GL12, est error (\S+)",
-                            r.getMessage()) for r in caplog.records
-                  if not r.getMessage().startswith("grid sum:")]
-        assert len(passes) >= 2 and all(passes)
-        panels = [int(m.group(1)) for m in passes]
-        errors = [float(m.group(2)) for m in passes]
-        assert panels == [panels[0] * 2 ** i for i in range(len(panels))]
-        coeffs = s_minus_u_weights(table, w)[1]
+            rep = l2_diff(table, w, Y, method="grid")
+        passes = [re.search(r"(\d+) panels, GL12, bound ([^,]+), est error "
+                            r"(\S+)", r.getMessage()) for r in caplog.records]
+        (m,) = passes
+        n, bound = int(m.group(1)), float(m.group(2))
+        win, coeffs = s_minus_u_weights(table, w)
+        spread = float(win.powers[0][-1] - win.powers[0][0])
+        mass = float(np.sum(np.abs(coeffs))) ** 2
         tol = 1e-9 * 2.0 * Y * float(np.dot(coeffs, coeffs))
-        assert errors[-1] <= tol < errors[-2]
+        # the fewest panels whose bound is within tol
+        want, r = gl12_panels(0.0, Y, spread, mass, tol)
+        assert n == want and (r / (n - 1)) ** 24 > tol >= bound
+        assert rep.est_error == pytest.approx(2.0 * float(m.group(3)), rel=1e-3)
 
     def test_table_limit_refused(self, table):
         from primearcs.expsums import s_minus_u_l1_bound

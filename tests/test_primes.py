@@ -57,6 +57,18 @@ def test_theta_monotone(table):
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_theta_many_matches_jumps_search(table):
+    # one point at a time, at each prime, just below it and at the limit:
+    # the int64 search gives the float search among jumps(0, limit) bit
+    # for bit
+    q, F = table.jumps(0, table.limit)
+    xs = [x for p in table.primes[:200].tolist() + table.primes[-50:].tolist()
+          for x in (float(p), p - 1e-9, p - 1.0)]
+    for x in xs + [0.0, 1.5, float(table.limit)]:
+        want = F[np.searchsorted(q, np.floor(np.array([x])), side="right")]
+        assert np.array_equal(table.theta_many(np.array([x])), want), x
+
+
 def test_theta_out_of_range(table):
     with pytest.raises(ValidationError):
         table.theta(table.limit + 1)
