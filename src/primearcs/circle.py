@@ -57,7 +57,7 @@ class ProblemInstance:
         if self.lambda_ratio is None:
             object.__setattr__(
                 self, "lambda_ratio",
-                HiReal.from_decimal_literal(_to_decimal_string(self.lambda1 / self.lambda2), 17))
+                HiReal.from_decimal_literal(repr(float(self.lambda1 / self.lambda2)), 17))
 
     @property
     def lambdas(self) -> tuple[float, float, float]:
@@ -82,13 +82,6 @@ class ProblemInstance:
             out.append(f"k={self.k} outside the supported range "
                        f"({K_RANGE[0]}, {K_RANGE[1]:.6f})")
         return out
-
-
-def _to_decimal_string(x: float) -> str:
-    s = repr(float(x))
-    if "e" in s or "E" in s:
-        s = f"{x:.17f}"
-    return s
 
 
 @dataclass(frozen=True)

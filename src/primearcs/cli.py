@@ -61,13 +61,21 @@ def load_instance(path: str) -> circle.ProblemInstance:
     inst = circle.ProblemInstance(
         lambda1=lam["lambda1"], lambda2=lam["lambda2"], lambda3=lam["lambda3"],
         k=float(rational.parse_hireal(raw["k"]).to_float()),
-        varpi=float(raw.get("varpi", 0.0)),
-        eps=float(raw.get("eps", 0.01)),
-        delta=float(raw.get("delta", 0.1)),
+        varpi=_number(raw.get("varpi", 0.0), "varpi"),
+        eps=_number(raw.get("eps", 0.01), "eps"),
+        delta=_number(raw.get("delta", 0.1), "delta"),
         lambda_ratio=ratio)
     for warning in inst.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return inst
+
+
+def _number(text, name: str, kind=float):
+    """kind(text), with malformed text a ValidationError naming its field."""
+    try:
+        return kind(text)
+    except (ValueError, ArithmeticError):
+        raise ValidationError(f"{name}: not a number: {text!r}") from None
 
 
 def _meta(quantity: str, **params) -> dict:
@@ -106,7 +114,8 @@ def _write_json(path: str | None, payload: dict):
 # ------------------------------- subcommands ---------------------------------
 
 def _cmd_sieve(args) -> int:
-    table = build_table(int(float(args.limit)), segment_size=args.segment)
+    limit = _number(args.limit, "--limit", lambda s: int(float(s)))
+    table = build_table(limit, segment_size=args.segment)
     save_table(table, args.out)
     print(f"wrote {table.count} primes up to {table.limit} -> {args.out}")
     return 0
@@ -116,7 +125,8 @@ def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError("--alpha-grid expects lo:hi:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = (_number(x, "--alpha-grid") for x in parts[:2])
+    n = _number(parts[2], "--alpha-grid", int)
     if n < 1 or hi < lo:
         raise ValidationError("bad alpha grid")
     return np.linspace(lo, hi, n)
@@ -127,7 +137,8 @@ def _cmd_expsum(args) -> int:
     if which == "S" and not args.table:
         raise ValidationError("--which S needs --table")
     table = load_table(args.table) if which == "S" else None
-    w = expsums.WindowSpec(X=float(args.X), k=float(args.k), delta=args.delta)
+    w = expsums.WindowSpec(X=_number(args.X, "--X"), k=_number(args.k, "--k"),
+                           delta=args.delta)
     grid = _parse_grid(args.alpha_grid)
     meta = _meta(f"exp_sum_{which}", X=args.X, k=args.k, delta=args.delta)
     if which == "S":
@@ -146,8 +157,9 @@ def _cmd_expsum(args) -> int:
 def _cmd_meansquare(args) -> int:
     table = load_table(args.table)
     q = meansquare.MeanSquareQuery(
-        X=float(args.X), k=float(args.k), h=args.h, rel_delta=args.rel_delta,
-        Y=args.Y, use_psi=args.psi, C_density=args.C, rh_mode=args.rh)
+        X=_number(args.X, "--X"), k=_number(args.k, "--k"), h=args.h,
+        rel_delta=args.rel_delta, Y=args.Y, use_psi=args.psi, C_density=args.C,
+        rh_mode=args.rh)
     if args.Y is not None:
         w = expsums.WindowSpec(X=q.X, k=q.k)
         rep = meansquare.l2_diff(table, w, q.Y)
@@ -183,7 +195,7 @@ def _cmd_approx(args) -> int:
 def _cmd_arcs(args) -> int:
     inst = load_instance(args.instance)
     table = load_table(args.table)
-    X = float(args.X)
+    X = _number(args.X, "--X")
     w = expsums.WindowSpec(X=X, k=inst.k, delta=inst.delta)
     arc = circle.arc_params(inst, X)
     eta = arc.eta if args.eta is None else args.eta
@@ -213,11 +225,11 @@ def _cmd_arcs(args) -> int:
 def _cmd_search(args) -> int:
     inst = load_instance(args.instance)
     table = load_table(args.table)
-    X = float(args.X)
+    X = _number(args.X, "--X")
     if args.threshold == "auto":
         threshold = search.admissible_threshold(inst, X)
     else:
-        threshold = float(args.threshold)
+        threshold = _number(args.threshold, "--threshold")
     rep = search.find_solutions(inst, table, X, threshold,
                                 cap=args.emit_solutions, window=args.window)
     meta = _meta("solution_search", X=X, threshold=threshold,
@@ -229,7 +241,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
-    k = Fraction(args.k)
+    k = _number(args.k, "--k", Fraction)
     sol = optimizer.solve(k)
     ok, slacks, flags = optimizer.verify_closed_form(k)
     payload = {
@@ -249,7 +261,9 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     from . import acceptance
-    results = acceptance.run_all(table_limit=int(float(args.table_limit)),
+    table_limit = _number(args.table_limit, "--table-limit",
+                          lambda s: int(float(s)))
+    results = acceptance.run_all(table_limit=table_limit,
                                  tol_scale=args.tol_scale,
                                  record_monitors=args.record_monitors)
     width = max(len(r.name) for r in results)

@@ -315,11 +315,7 @@ def fourth_moment_S2(table: PrimeTable, w: WindowSpec, lo: float,
         raise ValidationError("fourth_moment_S2 requires k = 2")
     if hi < lo:
         raise ValidationError("inverted integration bounds")
-    if hi == lo:
-        return 0.0
     win = window(2.0, w.X, 2.0 * w.X, table)
-    if len(win.values) == 0:
-        return 0.0
     f2, c2 = expand_square(win.powers[0], win.weights)
     return exp_pair_integral(f2, c2, lo, hi)
 

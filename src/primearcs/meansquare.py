@@ -81,7 +81,8 @@ def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
     or not): at x = q^k and (q^k - shift)/factor, from one powering of the
     q from one below the smaller range's lower root up.  Returns them and
     a run (end, F from its crossings at or below x_lo on, the view of the
-    breakpoints holding its crossings) per table and end.
+    breakpoints holding its crossings) per table and end.  Refuses a table
+    below the larger upper root: the one table check of every operation.
     """
     ends = (x_lo, x_lo * factor + shift, x_hi, x_hi * factor + shift)
     root = max(ends[2:]) ** (1.0 / k)
@@ -159,6 +160,12 @@ def _require_table(table: PrimeTable, needed: float, what: str):
             f"{what}: table limit {table.limit} below required {needed:.0f}")
 
 
+def _report(q, value, comparator, note="", method="piecewise-exact", **extra):
+    return MeanSquareReport(q, value, comparator,
+                            value / comparator if comparator > 0 else math.inf,
+                            method, note, **extra)
+
+
 # ------------------------------- operations ----------------------------------
 
 def selberg_J(table: PrimeTable, q: MeanSquareQuery,
@@ -175,21 +182,14 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery,
         raise ValidationError("h must be nonnegative")
     X, k, h = q.X, q.k, q.h
     x_lo, x_hi = x_range if x_range is not None else (X, 2.0 * X)
-    _require_table(table, (x_hi + h) ** (1.0 / k), "selberg_J")
-    if h == 0.0:
-        value = 0.0
-    else:
-        rt = 1.0 / k
+    rt = 1.0 / k
 
-        def smooth(x):
-            return (x + h) ** rt - x ** rt
+    def smooth(x):
+        return (x + h) ** rt - x ** rt
 
-        value = _increment_square(table, k, smooth, x_lo, x_hi, h, 1.0,
-                                  (False, True) if q.use_psi else (False,))
-    comparator, note = _short_interval_comparator(q)
-    return MeanSquareReport(q, value, comparator,
-                            value / comparator if comparator > 0 else math.inf,
-                            "piecewise-exact", note)
+    value = _increment_square(table, k, smooth, x_lo, x_hi, h, 1.0,
+                              (False, True) if q.use_psi else (False,))
+    return _report(q, value, *_short_interval_comparator(q))
 
 
 def _short_interval_comparator(q: MeanSquareQuery) -> tuple[float, str]:
@@ -201,7 +201,10 @@ def _short_interval_comparator(q: MeanSquareQuery) -> tuple[float, str]:
         comp = h * X ** (1.0 / k) * math.log(2.0 * X / h) ** 2
         lo = X ** (1.0 - 1.0 / k)
     else:
-        decay = math.exp(-((math.log(X) / math.log(math.log(X))) ** (1.0 / 3.0)))
+        log_log = math.log(math.log(X))
+        if log_log <= 0:  # X <= e: the decay factor is undefined
+            return 0.0, "comparator-out-of-range"
+        decay = math.exp(-((math.log(X) / log_log) ** (1.0 / 3.0)))
         comp = h * h * X ** (2.0 / k - 1.0) * decay
         lo = X ** (1.0 - 2.0 / (q.C_density * k))
     note = "" if lo <= h <= X else "comparator-out-of-range"
@@ -221,17 +224,10 @@ def theta_psi_discrepancy(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRe
         raise ValidationError("increment must be nonnegative")
     factor = 1.0 + h if relative else 1.0
     shift = 0.0 if relative else h
-    _require_table(table, (2.0 * X * factor + shift) ** (1.0 / k),
-                   "theta_psi_discrepancy")
-    if h == 0.0:
-        value = 0.0
-    else:
-        value = _increment_square(table, k, np.zeros_like, X, 2.0 * X,
-                                  shift, factor, (True,))
+    value = _increment_square(table, k, np.zeros_like, X, 2.0 * X,
+                              shift, factor, (True,))
     comparator = (h * X ** (1.0 / k + 1.0)) if relative else (h * X ** (1.0 / k))
-    return MeanSquareReport(q, value, comparator,
-                            value / comparator if comparator > 0 else math.inf,
-                            "piecewise-exact")
+    return _report(q, value, comparator)
 
 
 def selberg_J_relative(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareReport:
@@ -245,37 +241,23 @@ def selberg_J_relative(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRepor
         raise ValidationError("selberg_J_relative needs rel_delta")
     if not 0 <= q.rel_delta <= 1:
         raise ValidationError("rel_delta must lie in [0, 1]")
-    X, k, delta = q.X, q.k, q.rel_delta
-    _require_table(table, (2.0 * X * (1 + delta)) ** (1.0 / k),
-                   "selberg_J_relative")
-    if delta == 0.0:
-        value = 0.0
-        substituted = 0.0
-    else:
+
+    def value(X, k, delta):
         rt = 1.0 / k
-        big_delta = (1.0 + delta) ** rt - 1.0
-        value = _relative_value(table, q)
-        sub_q = replace(q, X=X ** rt, k=1.0, rel_delta=big_delta)
-        inner = _relative_value(table, sub_q)
-        substituted = X ** (1.0 - rt) * inner
-    comparator, note = _short_interval_comparator(q)
-    return MeanSquareReport(q, value, comparator,
-                            value / comparator if comparator > 0 else math.inf,
-                            "piecewise-exact", note, substituted=substituted)
+        fac = 1.0 + delta
+        big_delta = fac ** rt - 1.0
 
+        def smooth(x):
+            return big_delta * x ** rt
 
-def _relative_value(table: PrimeTable, q: MeanSquareQuery) -> float:
-    """Plain value of the relative-increment integral (no comparator)."""
-    X, k, delta = q.X, q.k, q.rel_delta
-    rt = 1.0 / k
-    fac = 1.0 + delta
-    big_delta = fac ** rt - 1.0
+        return _increment_square(table, k, smooth, X, 2.0 * X, 0.0, fac,
+                                 (False, True) if q.use_psi else (False,))
 
-    def smooth(x):
-        return big_delta * x ** rt
-
-    return _increment_square(table, k, smooth, X, 2.0 * X, 0.0, fac,
-                             (False, True) if q.use_psi else (False,))
+    X, rt = q.X, 1.0 / q.k
+    plain = value(X, q.k, q.rel_delta)
+    inner = value(X ** rt, 1.0, (1.0 + q.rel_delta) ** rt - 1.0)
+    return _report(q, plain, *_short_interval_comparator(q),
+                   substituted=X ** (1.0 - rt) * inner)
 
 
 # ------------------------------ truncated L2 ---------------------------------
@@ -311,10 +293,8 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     else:
         raise ValidationError(f"unknown method {method!r}")
     comparator = _truncated_l2_comparator(table, w, Y)
-    q = MeanSquareQuery(X=w.X, k=w.k, Y=Y)
-    return MeanSquareReport(q, value, comparator,
-                            value / comparator if comparator > 0 else math.inf,
-                            method, est_error=est_error)
+    return _report(MeanSquareQuery(X=w.X, k=w.k, Y=Y), value, comparator,
+                   method=method, est_error=est_error)
 
 
 def _l2_spectrum(freqs: np.ndarray, coeffs: np.ndarray, Y: float):

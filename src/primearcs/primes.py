@@ -9,7 +9,6 @@ exact int64 proper prime powers p^m) and their values there; theta(x) and
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -272,10 +271,11 @@ def load_table(path: str) -> PrimeTable:
     except OSError as exc:
         raise ValidationError(f"cannot read prime table {path}: "
                               f"{exc.strerror or exc}") from exc
-    stream = io.BytesIO(data)
-    if stream.read(4) != _MAGIC:
+    if data[:4] != _MAGIC:
         raise TableIntegrityError(f"{path}: bad magic bytes")
-    limit, count = struct.unpack("<QQ", stream.read(16))
+    if len(data) < 20:
+        raise TableIntegrityError(f"{path}: truncated header")
+    limit, count = struct.unpack_from("<QQ", data, 4)
     tail = data[20:]
     prefix_bytes = 8 * count
     if len(tail) < prefix_bytes:

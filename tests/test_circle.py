@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ class TestInstance:
     def test_ratio_derived_when_missing(self):
         inst = ProblemInstance(1.0, -2.0, 1.0, k=1.05)
         assert inst.lambda_ratio.to_float() == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("l1,l2", [(1.0, 1e20),
+                                       (-1.2345678901234568e-05, 1.0)])
+    def test_derived_ratio_encloses_exponent_form(self, l1, l2):
+        # ratios that repr writes with an exponent keep all their digits;
+        # 1/1e20 is exactly 1e-20
+        inst = ProblemInstance(l1, l2, -1.0, k=1.05)
+        lo, hi = inst.lambda_ratio.interval()
+        assert lo <= Fraction(l1) / Fraction(l2) <= hi
+        assert inst.lambda_ratio.to_float() == l1 / l2
 
 
 class TestArcParams:

@@ -11,7 +11,7 @@ import pytest
 
 from primearcs.cli import load_instance, main
 from primearcs.errors import ValidationError
-from primearcs.primes import build_table, load_table, save_table
+from primearcs.primes import _MAGIC, build_table, load_table, save_table
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,14 @@ class TestSubcommands:
         assert data[0] == "X,k,param,value,comparator,ratio,method"
         assert float(data[1].split(",")[3]) == pytest.approx(1767.957276, rel=1e-8)
 
+    def test_meansquare_below_e(self, tmp_path, table_file):
+        # no unconditional comparator at X <= e: the value with ratio inf
+        out = tmp_path / "m.csv"
+        assert main(["meansquare", "--table", table_file, "--X", "2.5", "--k",
+                     "1", "--h", "1", "--out", str(out)]) == 0
+        row = Path(out).read_text().splitlines()[-1].split(",")
+        assert float(row[3]) >= 0 and row[4:6] == ["0.0", "inf"]
+
     def test_approx_json_roundtrip(self, tmp_path):
         out = tmp_path / "cf.json"
         rc = main(["approx", "--lambda-ratio", "sqrt(2)", "--terms", "6",
@@ -266,6 +274,52 @@ class TestExitCodes:
         assert main(["meansquare", "--table", table_file, "--X", "100",
                      "--k", "1"] + extra) == 2
         assert "exactly one of h, rel_delta, Y" in capsys.readouterr().err
+
+    def test_truncated_table_header_is_2(self, tmp_path, capsys):
+        path = tmp_path / "short.bin"
+        path.write_bytes(_MAGIC + bytes(3))
+        assert main(["expsum", "--table", str(path), "--X", "100", "--k", "1",
+                     "--alpha-grid", "0:1:3", "--which", "S"]) == 2
+        assert "truncated header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("expsum", {"--alpha-grid": "0:x:3"}),
+        ("expsum", {"--alpha-grid": "0:1:2.5"}),
+        ("expsum", {"--X": "abc"}),
+        ("expsum", {"--k": "abc"}),
+        ("meansquare", {"--X": "abc"}),
+        ("meansquare", {"--k": "1/2"}),
+        ("sieve", {"--limit": "abc"}),
+        ("sieve", {"--limit": "inf"}),
+        ("search", {"--X": "abc"}),
+        ("search", {"--threshold": "abc"}),
+        ("arcs", {"--X": "abc"}),
+        ("exponents", {"--k": "abc"}),
+        ("exponents", {"--k": "1/0"}),
+        ("verify-all", {"--table-limit": "abc"})])
+    def test_malformed_number_is_2(self, tmp_path, table_file, command, flags,
+                                   capsys):
+        base = {"expsum": {"--X": "100", "--k": "1", "--alpha-grid": "0:1:3",
+                           "--which": "U"},
+                "meansquare": {"--table": table_file, "--X": "100", "--k": "1",
+                               "--h": "5"},
+                "sieve": {"--out": str(tmp_path / "p.bin")},
+                "search": {"--table": table_file, "--X": "150"},
+                "arcs": {"--table": table_file, "--X": "150"},
+                "exponents": {}, "verify-all": {}}[command]
+        if command in ("search", "arcs"):
+            base["--instance"] = write_instance(tmp_path, GOOD_INSTANCE)
+        argv = [command] + [a for kv in {**base, **flags}.items() for a in kv]
+        assert main(argv) == 2
+        assert "not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["varpi", "eps", "delta"])
+    def test_malformed_instance_number_is_2(self, tmp_path, table_file, field,
+                                            capsys):
+        cfg = GOOD_INSTANCE.replace(f"{field} = ", f"{field} = abc#")
+        assert main(["search", "--instance", write_instance(tmp_path, cfg),
+                     "--table", table_file, "--X", "150"]) == 2
+        assert f"{field}: not a number: 'abc'" in capsys.readouterr().err
 
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",

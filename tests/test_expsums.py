@@ -465,9 +465,11 @@ class TestFejer:
 
 
 class TestFourthMoment:
-    def test_degenerate(self, table):
-        w = WindowSpec(X=100, k=2, delta=0.1)
-        assert fourth_moment_S2(table, w, 0.7, 0.7) == 0.0
+    # an empty range, and at X = 50 an empty window: no prime in [8, 10]
+    @pytest.mark.parametrize("X,lo,hi", [(100, 0.7, 0.7), (50, 0.0, 1.0)])
+    def test_degenerate(self, table, X, lo, hi):
+        w = WindowSpec(X=X, k=2, delta=0.1)
+        assert fourth_moment_S2(table, w, lo, hi) == 0.0
 
     def test_parseval_oracle(self, table):
         # X=100: primes 11, 13; over [0,1] the integral collapses to the

@@ -290,6 +290,20 @@ class TestSelbergJ:
                                                 rh_mode=True))
         assert rep2.note == ""
 
+    @pytest.mark.parametrize("X", [2.0, 2.5, math.e, 3.0])
+    def test_unconditional_comparator_small_X(self, table, X):
+        # log log X <= 0 up to e: no unconditional comparator, but the
+        # value is still reported
+        rep = selberg_J(table, MeanSquareQuery(X=X, k=1.0, h=1.0))
+        assert 0 <= rep.value < math.inf
+        if X <= math.e:
+            assert rep.comparator == 0.0 and rep.ratio == math.inf
+            assert rep.note == "comparator-out-of-range"
+        else:
+            assert 0 < rep.comparator < math.inf
+        l2 = l2_diff(table, WindowSpec(X=X, k=1.0), 0.25)
+        assert 0 < l2.value < math.inf and 0 < l2.comparator < math.inf
+
     def test_monitor_ratio_finite(self, table):
         rep = selberg_J(table, MeanSquareQuery(X=10**4, k=1.0,
                                                h=10**4 ** 0.6, rh_mode=True))
@@ -366,6 +380,15 @@ class TestRelative:
         with pytest.raises(ValidationError, match="table limit"):
             selberg_J_relative(build_table(1500), q)
 
+    @pytest.mark.parametrize("use_psi", [False, True])
+    def test_substituted_form_below_X_2(self, table, use_psi):
+        # the substituted form runs at X^(1/k) = sqrt(3) < 2, a scale no
+        # query may have; the caller asked for X = 3
+        q = MeanSquareQuery(X=3.0, k=2.0, rel_delta=0.1, use_psi=use_psi)
+        rep = selberg_J_relative(table, q)
+        assert 0 <= rep.value < math.inf
+        assert 0 <= rep.substituted < math.inf
+
     def test_substituted_form_same_order(self, table):
         # the k=1 substituted form agrees up to a k-dependent constant;
         # both are reported, their ratio must stay in a generous window
@@ -373,6 +396,17 @@ class TestRelative:
         rep = selberg_J_relative(table, q)
         assert rep.substituted is not None and rep.substituted > 0
         assert 0.05 < rep.value / rep.substituted < 20.0
+
+
+@pytest.mark.parametrize("op,inc", [(selberg_J, "h"),
+                                    (theta_psi_discrepancy, "h"),
+                                    (theta_psi_discrepancy, "rel_delta"),
+                                    (selberg_J_relative, "rel_delta")])
+def test_zero_increment_checks_table(op, inc):
+    # a zero increment integrates to 0, but still over [X, 2X]: the
+    # table must reach 200 whatever the increment
+    with pytest.raises(ValidationError, match="table limit"):
+        op(build_table(150), MeanSquareQuery(X=100.0, k=1.0, **{inc: 0.0}))
 
 
 class TestL2Diff:

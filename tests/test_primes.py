@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from primearcs.errors import (ResourceLimitError, TableIntegrityError,
                               ValidationError)
-from primearcs.primes import (PrimeTable, _decode_varints, _encode_varints,
-                              build_table, is_prime, load_table, save_table)
+from primearcs.primes import (_MAGIC, PrimeTable, _decode_varints,
+                              _encode_varints, build_table, is_prime,
+                              load_table, save_table)
 
 
 def simple_sieve(limit):
@@ -262,6 +263,14 @@ def test_table_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(TableIntegrityError):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize("size", [4, 7, 19])
+def test_table_truncated_header(tmp_path, size):
+    path = tmp_path / "short.bin"
+    path.write_bytes((_MAGIC + b"\7" * 16)[:size])
+    with pytest.raises(TableIntegrityError, match="truncated header"):
         load_table(str(path))
 
 
