@@ -4,7 +4,7 @@ Modules:
     primes     - segmented sieve, Chebyshev theta/psi, 64-bit primality
     expsums    - exponential sums S/U, oscillatory integral T, Fejér kernel
     meansquare - short-interval mean-square integrals and comparators
-    rational   - high-precision ratios, continued fractions, Dirichlet approx
+    rational   - high-precision ratios and continued fractions
     circle     - arc decomposition and the counting integral
     search     - prime-triple solution enumeration
     optimizer  - the exact exponent linear program

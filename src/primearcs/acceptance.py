@@ -169,8 +169,7 @@ def criterion_search_oracle(table: PrimeTable, tol_scale=1.0) -> CriterionResult
 
 def _criterion6_instance():
     inst = circle.ProblemInstance(
-        1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0,
-        lambda_ratio=rational.parse_hireal("-1/sqrt(2)"))
+        1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
     w = expsums.WindowSpec(X=500.0, k=1.05, delta=0.1)
     return inst, w, 0.5
 
@@ -291,8 +290,7 @@ def criterion_solutions_at_scale(table: PrimeTable, tol_scale=1.0) -> CriterionR
     """11: the desk-scale instance has solutions at threshold 0.1, X=1e6."""
     t0 = time.perf_counter()
     inst = circle.ProblemInstance(
-        1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0,
-        lambda_ratio=rational.parse_hireal("-1/sqrt(2)"))
+        1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
     rep = search.find_solutions(inst, table, 1e6, 0.1, cap=16)
     ok = rep.count >= 1
     return _result("solutions-at-scale", ok,

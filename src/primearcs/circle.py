@@ -25,7 +25,6 @@ from .expsums import (WindowSpec, eval_S_range, eval_T_grid, fejer_K,
 from .numutil import (e_of, exp_pair_integral, expand_square, fsum_complex,
                       fsum_real, gl_rule, grid_sum, pair_blocks)
 from .primes import PrimeTable
-from .rational import HiReal
 
 K_RANGE = (1.0, 33.0 / 29.0)
 # Nodes of one counting-integral piece and unit slices of one trivial tail
@@ -45,7 +44,6 @@ class ProblemInstance:
     varpi: float = 0.0
     eps: float = 0.01
     delta: float = 0.1
-    lambda_ratio: HiReal | None = None
 
     def __post_init__(self):
         if 0.0 in (self.lambda1, self.lambda2, self.lambda3):
@@ -54,10 +52,6 @@ class ProblemInstance:
             raise ValidationError("k must be positive")
         if not 0 < self.delta < 1:
             raise ValidationError("delta must lie in (0, 1)")
-        if self.lambda_ratio is None:
-            object.__setattr__(
-                self, "lambda_ratio",
-                HiReal.from_decimal_literal(repr(float(self.lambda1 / self.lambda2)), 17))
 
     @property
     def lambdas(self) -> tuple[float, float, float]:
@@ -393,25 +387,7 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     return out
 
 
-# ------------------------------ minor-arc pieces -----------------------------
-
-def V(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
-      alpha: float) -> float:
-    """min(|S_1(l1 a)|^(1/2), |S_2(l2 a)|) on the common window."""
-    lo, hi = w.delta * w.X, w.X
-    s1 = abs(eval_S_range(table, 1.0, lo, hi, inst.lambda1 * alpha))
-    s2 = abs(eval_S_range(table, 2.0, lo, hi, inst.lambda2 * alpha))
-    return min(math.sqrt(s1), s2)
-
-
-def classify_minor(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
-                   alphas: np.ndarray) -> np.ndarray:
-    """True where |S_1|^(1/2) <= |S_2| (first piece of the minor-arc split)."""
-    factors = window_factors(inst, table, w)
-    s1 = np.abs(factors[0].eval(alphas))
-    s2 = np.abs(factors[1].eval(alphas))
-    return np.sqrt(s1) <= s2
-
+# ------------------------------ minor-arc bounds -----------------------------
 
 def bound_vaughan(table: PrimeTable, X: float, alpha: float, a: int,
                   q: int) -> float:

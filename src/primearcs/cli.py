@@ -19,12 +19,16 @@ from .errors import (ConvergenceError, PrimeArcsError, ResourceLimitError,
 from .primes import build_table, load_table, save_table
 
 
+_INSTANCE_KEYS = ("lambda1", "lambda2", "lambda3", "k", "varpi", "eps", "delta")
+
+
 def load_instance(path: str) -> circle.ProblemInstance:
     """Parse a key=value instance file into a validated ProblemInstance.
 
     Coefficient values may be exact expression strings (sqrt(2), 7/3,
-    decimal literals).  Rejects a coefficient set that shares one sign;
-    warns (stderr) when k falls outside the supported exponent range.
+    decimal literals).  Rejects a key outside _INSTANCE_KEYS and a
+    coefficient set that shares one sign; warns (stderr) when k falls
+    outside the supported exponent range.
     """
     p = Path(path)
     if not p.exists():
@@ -38,12 +42,14 @@ def load_instance(path: str) -> circle.ProblemInstance:
             raise ValidationError(f"bad instance line (need key=value): {line!r}")
         key, val = line.split("=", 1)
         raw[key.strip()] = val.strip()
+    for key in raw:
+        if key not in _INSTANCE_KEYS:
+            raise ValidationError(f"instance file: unknown key {key!r}")
     for req in ("lambda1", "lambda2", "lambda3", "k"):
         if req not in raw:
             raise ValidationError(f"instance file missing required field {req!r}")
-    hi_vals = {key: rational.parse_hireal(raw[key])
-               for key in ("lambda1", "lambda2", "lambda3")}
-    lam = {key: v.to_float() for key, v in hi_vals.items()}
+    lam = {key: rational.parse_hireal(raw[key]).to_float()
+           for key in ("lambda1", "lambda2", "lambda3")}
     if 0.0 in lam.values():
         raise ValidationError("all three coefficients must be nonzero")
     signs = [v > 0 for v in lam.values()]
@@ -51,20 +57,12 @@ def load_instance(path: str) -> circle.ProblemInstance:
         raise ValidationError(
             "coefficients must not all be of the same sign (the inequality "
             "has no solutions otherwise)")
-    if "lambda_ratio" in raw:
-        ratio = rational.parse_hireal(raw["lambda_ratio"])
-    else:
-        try:
-            ratio = hi_vals["lambda1"] / hi_vals["lambda2"]
-        except (ValidationError, ZeroDivisionError):
-            ratio = None
     inst = circle.ProblemInstance(
         lambda1=lam["lambda1"], lambda2=lam["lambda2"], lambda3=lam["lambda3"],
         k=float(rational.parse_hireal(raw["k"]).to_float()),
         varpi=_number(raw.get("varpi", 0.0), "varpi"),
         eps=_number(raw.get("eps", 0.01), "eps"),
-        delta=_number(raw.get("delta", 0.1), "delta"),
-        lambda_ratio=ratio)
+        delta=_number(raw.get("delta", 0.1), "delta"))
     for warning in inst.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return inst
@@ -115,7 +113,7 @@ def _write_json(path: str | None, payload: dict):
 
 def _cmd_sieve(args) -> int:
     limit = _number(args.limit, "--limit", lambda s: int(float(s)))
-    table = build_table(limit, segment_size=args.segment)
+    table = build_table(limit)
     save_table(table, args.out)
     print(f"wrote {table.count} primes up to {table.limit} -> {args.out}")
     return 0
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", help="build and save a prime table")
     p.add_argument("--limit", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--segment", type=int, default=1 << 20)
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("expsum", help="exponential sums on an alpha grid")

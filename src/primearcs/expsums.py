@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, ResourceLimitError, ValidationError,
                      require_tol)
-from .numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
-                      fsum_real, phase_sum, powk_extended)
+from .numutil import TWO_PI, e_of, phase_sum, powk_extended
 from .primes import MEMORY_BUDGET, PrimeTable
 
 _log = logging.getLogger(__name__)
@@ -302,24 +301,6 @@ def fejer_hat(eta: float, t: float) -> float:
     return max(0.0, eta - abs(t))
 
 
-# ------------------------------ fourth moment --------------------------------
-
-def fourth_moment_S2(table: PrimeTable, w: WindowSpec, lo: float,
-                     hi: float) -> float:
-    """int_lo^hi |S_2(alpha)|^4 d alpha, exact pairwise evaluation.
-
-    |S_2|^4 = |S_2^2|^2 and S_2^2 is again a finite exponential sum, so the
-    integral reduces to closed-form pairwise terms.
-    """
-    if w.k != 2:
-        raise ValidationError("fourth_moment_S2 requires k = 2")
-    if hi < lo:
-        raise ValidationError("inverted integration bounds")
-    win = window(2.0, w.X, 2.0 * w.X, table)
-    f2, c2 = expand_square(win.powers[0], win.weights)
-    return exp_pair_integral(f2, c2, lo, hi)
-
-
 def s_minus_u_weights(table: PrimeTable, w: WindowSpec):
     """The integer window X <= n^k <= 2X and the weights l(n) - 1 of
     S_k - U_k (l(n) = log n at primes, 0 elsewhere)."""
@@ -333,8 +314,3 @@ def s_minus_u_weights(table: PrimeTable, w: WindowSpec):
     prime_mask = np.isin(ns, table.primes_in_range(2, float(ns[-1])))
     ell = np.where(prime_mask, np.log(ns.astype(np.float64)), 0.0)
     return win, ell - 1.0
-
-
-def s_minus_u_l1_bound(table: PrimeTable, w: WindowSpec) -> float:
-    """sum over the window of |l(n) - 1|: pointwise bound for |S_k - U_k|."""
-    return fsum_real(np.abs(s_minus_u_weights(table, w)[1]))

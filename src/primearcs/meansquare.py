@@ -16,7 +16,7 @@ k-th powers can fall inside the x-range are powered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .primes import PrimeTable
 PAIRWISE_CAP = 20_000  # max window size for the O(N^2) exact method
 # _piecewise_square: Gauss nodes per piece, and pieces per x-range at least
 PIECE_GL, MAX_PIECES_FRAC = 6, 64
-# double_integral_bound_check: midpoint cells over x and over v
-DOUBLE_OUTER, DOUBLE_INNER = 400, 24
 
 
 @dataclass(frozen=True)
@@ -329,33 +327,3 @@ def _truncated_l2_comparator(table: PrimeTable, w: WindowSpec, Y: float) -> floa
     j_val = selberg_J(table, jq).value
     return (X ** (2.0 / k - 2.0) * math.log(X) ** 2 / Y
             + Y * Y * X + Y * Y * j_val)
-
-
-def double_integral_bound_check(table: PrimeTable, q: MeanSquareQuery):
-    """Numeric check of  h * J_psi(X,h) <= 2 * (double-integral majorant).
-
-    The majorant integrates the squared increment-discrepancy over
-    (x, v) in [X, 2X] x [2h, 3h] in both aligned and shifted forms; the
-    factor 2 is exact.  Returns (lhs, rhs).
-    """
-    if q.h is None:
-        raise ValidationError("needs an additive increment h")
-    X, k, h = q.X, q.k, q.h
-    _require_table(table, (2 * X + 3 * h) ** (1.0 / k), "double_integral_bound_check")
-    rt = 1.0 / k
-
-    def fn(y):
-        return table.theta_many(y) + table.psi_minus_theta_many(y)
-
-    def disc(a, b):
-        return fn(a ** rt) - fn(b ** rt) - (a ** rt - b ** rt)
-
-    lhs = h * selberg_J(table, replace(q, use_psi=True)).value
-    xs = X + (np.arange(DOUBLE_OUTER) + 0.5) * (X / DOUBLE_OUTER)
-    vs = 2 * h + (np.arange(DOUBLE_INNER) + 0.5) * (h / DOUBLE_INNER)
-    xv = xs[:, None] + vs[None, :]
-    d1 = disc(xv, xs[:, None]) ** 2
-    d2 = disc(xv, xs[:, None] + h) ** 2
-    cell = (X / DOUBLE_OUTER) * (h / DOUBLE_INNER)
-    rhs = 2.0 * float((d1 + d2).sum()) * cell
-    return lhs, rhs

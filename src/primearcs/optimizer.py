@@ -163,39 +163,3 @@ def verify_closed_form(k):
         flags.append("last-three-tight")
     ok = all(s >= 0 for s in slacks.values())
     return ok, slacks, flags
-
-
-def max_feasible_k(lo=Fraction(1), hi=Fraction(2), iters: int = 80) -> Fraction:
-    """Largest k with a feasible program (c >= 0): exact rational answer.
-
-    Bisects on feasibility, then snaps the enclosing interval to the
-    simplest rational inside it and verifies exactly that it is the
-    boundary (feasible there, infeasible just above).
-    """
-    lo, hi = _f(lo), _f(hi)
-    if not solve(lo).feasible or solve(hi).feasible:
-        raise ValidationError("bisection bracket does not straddle the boundary")
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        if solve(mid).feasible:
-            lo = mid
-        else:
-            hi = mid
-        cand = _simplest_between(lo, hi)
-        if cand is not None:
-            if solve(cand).feasible and solve(cand).c == 0 and \
-                    not solve(cand + Fraction(1, 10**9)).feasible:
-                return cand
-    raise ValidationError("bisection failed to isolate the boundary")
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction | None:
-    """Smallest-denominator rational in (lo, hi], if the gap is tight."""
-    if hi - lo > Fraction(1, 100):
-        return None
-    for den in range(1, 200):
-        num = (lo * den).numerator // (lo * den).denominator + 1
-        cand = Fraction(num, den)
-        if lo < cand <= hi:
-            return cand
-    return None

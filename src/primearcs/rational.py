@@ -1,5 +1,5 @@
-"""High-precision carriers for coefficient ratios, continued fractions,
-convergents, and bounded-denominator rational approximation.
+"""High-precision carriers for coefficient ratios, continued fractions
+and their convergents.
 
 A HiReal is an element of Q or of a real quadratic field Q(sqrt(d)),
 optionally widened to an interval when it came from a decimal literal
@@ -95,11 +95,6 @@ class HiReal:
     @property
     def is_rational(self) -> bool:
         return self.q == 0
-
-    def exact_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValidationError("not a rational value")
-        return Fraction(self.p, self.r)
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Exact enclosure [lo, hi] of the value."""
@@ -332,54 +327,3 @@ def continued_fraction(x: HiReal, n_terms: int) -> list[Convergent]:
             break
         lo, hi = 1 / hi_frac, 1 / lo_frac
     return convs
-
-
-def dirichlet_approx(x: HiReal, q_bound: int) -> Convergent:
-    """Best rational a/q with 1 <= q <= q_bound and |x - a/q| <= 1/(q*q_bound).
-
-    Realized as the deepest continued-fraction convergent whose denominator
-    stays within the bound; the law of best approximation makes it optimal
-    among all denominators up to q_bound.
-    """
-    if q_bound < 1:
-        raise ValidationError("q_bound must be >= 1")
-    best: Convergent | None = None
-    depth = 64
-    while True:
-        try:
-            convs = continued_fraction(x, depth)
-        except PrecisionError as exc:
-            if exc.max_depth is None or exc.max_depth < 0:
-                raise
-            convs = continued_fraction(x, exc.max_depth + 1)
-        for c in convs:
-            if c.q <= q_bound:
-                best = c
-            else:
-                return _ensure_dirichlet(best, x, q_bound)
-        if len(convs) < depth:
-            return _ensure_dirichlet(best, x, q_bound)  # terminated (rational)
-        depth *= 2
-
-
-def _ensure_dirichlet(best: Convergent | None, x: HiReal, q_bound: int) -> Convergent:
-    if best is None:
-        raise PrecisionError("no convergent with denominator within bound")
-    if best.err > Fraction(1, best.q * q_bound):
-        raise PrecisionError(
-            f"declared precision too coarse to certify |x - a/q| <= "
-            f"1/(q*{q_bound})")
-    return best
-
-
-def sequence_x(q: int, k: float) -> float:
-    """Scale sequence X = q^(9k/(2k+3)) attached to a convergent denominator."""
-    if q < 2:
-        raise ValidationError("q must be >= 2")
-    if k <= 0:
-        raise ValidationError("k must be positive")
-    exponent = 9.0 * k / (2.0 * k + 3.0)
-    logx = exponent * math.log(q)
-    if logx > 709.0:
-        raise ValidationError(f"X = q^{exponent:.6f} overflows float64")
-    return math.exp(logx)

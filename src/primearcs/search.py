@@ -195,16 +195,6 @@ def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
                         elapsed=time.perf_counter() - t0)
 
 
-def _weighted_sum(inst: ProblemInstance, table: PrimeTable, X: float,
-                  eta: float, window: str) -> tuple[float, SearchReport]:
-    rep = find_solutions(inst, table, X, eta, cap=1 << 24, window=window)
-    total = 0.0
-    for r in rep.records:
-        total += (math.log(r.p1) * math.log(r.p2) * math.log(r.p3)
-                  * max(0.0, eta - abs(r.residual)))
-    return total, rep
-
-
 def weighted_solution_sum(inst: ProblemInstance, table: PrimeTable, X: float,
                           eta: float, window: str = "delta") -> float:
     """sum over triples of log p1 log p2 log p3 * max(0, eta - |residual|).
@@ -212,17 +202,9 @@ def weighted_solution_sum(inst: ProblemInstance, table: PrimeTable, X: float,
     This is the exact value the counting integral converges to as its
     truncation grows; the enumeration side of that identity.
     """
-    return _weighted_sum(inst, table, X, eta, window)[0]
-
-
-def count_bound_report(inst: ProblemInstance, table: PrimeTable, X: float,
-                       eta: float, window: str = "delta") -> dict:
-    """Both sides of the weighted-count majorization, reported not asserted.
-
-    lhs: the weighted solution sum (the value of the full counting
-    integral); rhs: eta (log X)^3 N(X) with N(X) the plain solution count
-    at width eta.
-    """
-    lhs, rep = _weighted_sum(inst, table, X, eta, window)
-    rhs = eta * math.log(X) ** 3 * rep.count
-    return {"weighted_sum": lhs, "majorant": rhs, "count": rep.count}
+    rep = find_solutions(inst, table, X, eta, cap=1 << 24, window=window)
+    total = 0.0
+    for r in rep.records:
+        total += (math.log(r.p1) * math.log(r.p2) * math.log(r.p3)
+                  * max(0.0, eta - abs(r.residual)))
+    return total

@@ -3,7 +3,6 @@ import logging
 import math
 import re
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,22 +12,20 @@ from scipy.special import sici
 from primearcs import circle
 from primearcs.circle import (ProblemInstance, _slice_pairs, _trigamma_upper,
                               _unit_slices, arc_params, bound_ghosh,
-                              bound_vaughan, classify_minor, eta_exponent,
+                              bound_vaughan, eta_exponent,
                               gauss_panels, gl12_panels, integrand,
                               integrate_I, major_arc_split, minor_arc_l2,
-                              trivial_tails, V, verify_fourier_pair,
+                              trivial_tails, verify_fourier_pair,
                               window_factors)
 from primearcs.errors import ConvergenceError, ValidationError
 from primearcs.expsums import WindowSpec, fejer_K, s_minus_u_weights, window
 from primearcs.numutil import (exp_pair_integral, expand_square, frac_phase,
                                gl_rule, grid_sum, powk_extended)
-from primearcs.rational import parse_hireal
 
 
 @pytest.fixture(scope="module")
 def inst():
-    return ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0,
-                           lambda_ratio=parse_hireal("-1/sqrt(2)"))
+    return ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -52,20 +49,6 @@ class TestInstance:
         assert any("outside" in w for w in out.warnings)
         good = ProblemInstance(1.0, -1.0, 1.0, k=1.1)
         assert good.k_in_range and good.warnings == []
-
-    def test_ratio_derived_when_missing(self):
-        inst = ProblemInstance(1.0, -2.0, 1.0, k=1.05)
-        assert inst.lambda_ratio.to_float() == pytest.approx(-0.5)
-
-    @pytest.mark.parametrize("l1,l2", [(1.0, 1e20),
-                                       (-1.2345678901234568e-05, 1.0)])
-    def test_derived_ratio_encloses_exponent_form(self, l1, l2):
-        # ratios that repr writes with an exponent keep all their digits;
-        # 1/1e20 is exactly 1e-20
-        inst = ProblemInstance(l1, l2, -1.0, k=1.05)
-        lo, hi = inst.lambda_ratio.interval()
-        assert lo <= Fraction(l1) / Fraction(l2) <= hi
-        assert inst.lambda_ratio.to_float() == l1 / l2
 
 
 class TestArcParams:
@@ -605,29 +588,6 @@ class TestMajorArc:
 
 
 class TestMinorArc:
-    def test_V_definition(self, inst, table, w500):
-        fac = window_factors(inst, table, w500)
-        for alpha in (0.0, 0.3, 1.4):
-            s1 = abs(fac[0].eval(np.array([alpha]))[0])
-            s2 = abs(fac[1].eval(np.array([alpha]))[0])
-            v = V(inst, table, w500, alpha)
-            assert v == pytest.approx(min(math.sqrt(s1), s2), rel=1e-12)
-            assert v <= s2 + 1e-12
-            assert v ** 2 <= s1 + 1e-9
-
-    def test_sup_monitor_on_grid(self, inst, table, w500):
-        arc = arc_params(inst, 500.0)
-        grid = np.linspace(arc.major[1], min(arc.R, 20.0), 64)
-        sup_v = max(V(inst, table, w500, float(a)) for a in grid)
-        comparator = 500.0 ** ((29 * 1.05 + 3) / (72 * 1.05) + inst.eps)
-        assert 0 < sup_v / comparator < math.inf
-
-    def test_partition_classify(self, inst, table, w500):
-        grid = np.linspace(0.25, 5.0, 101)
-        mask = classify_minor(inst, table, w500, grid)
-        assert mask.dtype == bool
-        assert int(mask.sum()) + int((~mask).sum()) == len(grid)
-
     def test_l2_monitors(self, inst, table, w500):
         arc = arc_params(inst, 500.0)
         rows = minor_arc_l2(inst, table, w500, 0.5, arc)

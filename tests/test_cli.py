@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from primearcs.cli import load_instance, main
+from primearcs.cli import build_parser, load_instance, main
 from primearcs.errors import ValidationError
 from primearcs.primes import _MAGIC, build_table, load_table, save_table
 
@@ -44,7 +44,6 @@ class TestInstanceParsing:
         inst = load_instance(write_instance(tmp_path, GOOD_INSTANCE))
         assert inst.lambda2 == pytest.approx(-math.sqrt(2))
         assert inst.k == 1.05
-        assert inst.lambda_ratio.to_float() == pytest.approx(-1 / math.sqrt(2))
 
     def test_same_sign_rejected(self, tmp_path):
         cfg = "lambda1=1\nlambda2=2\nlambda3=3\nk=1.05\n"
@@ -62,10 +61,26 @@ class TestInstanceParsing:
         assert inst.k == 2.0
         assert "outside" in capsys.readouterr().err
 
-    def test_explicit_ratio_used(self, tmp_path):
-        cfg = GOOD_INSTANCE + "lambda_ratio = -1/sqrt(2)\n"
-        inst = load_instance(write_instance(tmp_path, cfg))
-        assert not inst.lambda_ratio.is_rational
+    @pytest.mark.parametrize("key,value", [("varpi", 0.7), ("eps", 0.02),
+                                           ("delta", 0.5)])
+    def test_optional_key_is_read(self, tmp_path, key, value):
+        # the correctly spelt optional keys replace their defaults
+        cfg = "lambda1=1\nlambda2=-sqrt(2)\nlambda3=-1\nk=1.05\n"
+        inst = load_instance(write_instance(tmp_path,
+                                            cfg + f"{key} = {value}\n"))
+        assert getattr(inst, key) == value
+
+    @pytest.mark.parametrize("line", ["vapri = 0.7", "delat = 0.5",
+                                      "lambda_ratio = -1/sqrt(2)"])
+    def test_unknown_key_is_2(self, tmp_path, table_file, line, capsys):
+        # a misspelt key used to load silently with the default value
+        path = write_instance(tmp_path, GOOD_INSTANCE + line + "\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            load_instance(path)
+        assert main(["search", "--instance", path, "--table", table_file,
+                     "--X", "150"]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -74,6 +89,17 @@ class TestSubcommands:
         assert main(["sieve", "--limit", "1000", "--out", str(out)]) == 0
         from primearcs.primes import load_table
         assert load_table(str(out)).count == 168
+
+    @pytest.mark.parametrize("segment", ["0", "-1"])
+    def test_sieve_has_no_segment_option(self, tmp_path, segment):
+        # --segment 0 made build_table loop forever and a negative one
+        # raised a numpy traceback; the option is gone, so argparse
+        # refuses it with exit 2 before anything runs
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sieve", "--limit", "1000", "--out",
+                                       str(tmp_path / "p.bin"),
+                                       "--segment", segment])
+        assert exc.value.code == 2
 
     def test_expsum_csv(self, tmp_path, table_file):
         out = tmp_path / "s.csv"

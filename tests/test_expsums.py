@@ -15,9 +15,9 @@ from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec,
                                _legendre_fraction, _power_series,
                                eval_S, eval_T, eval_T_grid, eval_T_range,
                                eval_U, eval_U_range, fejer_K, fejer_hat,
-                               fourth_moment_S2, s_minus_u_l1_bound, window)
-from primearcs.numutil import (TWO_PI, e_of, exp_pair_integral, frac_phase,
-                               fsum_complex, powk_extended)
+                               s_minus_u_weights, window)
+from primearcs.numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
+                               frac_phase, fsum_complex, powk_extended)
 from primearcs.primes import build_table
 
 # |T - U| <= C (1 + |alpha| X) on matched windows; fitted once on the grid
@@ -116,7 +116,7 @@ class TestU:
 
     def test_s_minus_u_pointwise_bound(self, table):
         w = WindowSpec(X=400, k=1.2, delta=0.1)
-        bound = s_minus_u_l1_bound(table, w)
+        bound = math.fsum(np.abs(s_minus_u_weights(table, w)[1]))
         for alpha in (0.0, 0.31, 2.7, 15.1):
             diff = abs(eval_S(table, w, alpha) - eval_U(w, alpha))
             assert diff <= bound + 1e-9
@@ -465,17 +465,22 @@ class TestFejer:
 
 
 class TestFourthMoment:
+    """int |S_2|^4 = int |S_2^2|^2 in the closed form that minor_arc_l2 and
+    trivial_tails use: exp_pair_integral of expand_square's S_2^2."""
+
     # an empty range, and at X = 50 an empty window: no prime in [8, 10]
     @pytest.mark.parametrize("X,lo,hi", [(100, 0.7, 0.7), (50, 0.0, 1.0)])
     def test_degenerate(self, table, X, lo, hi):
-        w = WindowSpec(X=X, k=2, delta=0.1)
-        assert fourth_moment_S2(table, w, lo, hi) == 0.0
+        win = window(2.0, X, 2.0 * X, table)
+        assert exp_pair_integral(*expand_square(win.powers[0], win.weights),
+                                 lo, hi) == 0.0
 
     def test_parseval_oracle(self, table):
         # X=100: primes 11, 13; over [0,1] the integral collapses to the
         # squared-coefficient sum of S_2^2
-        w = WindowSpec(X=100, k=2, delta=0.1)
-        val = fourth_moment_S2(table, w, 0.0, 1.0)
+        win = window(2.0, 100.0, 200.0, table)
+        val = exp_pair_integral(*expand_square(win.powers[0], win.weights),
+                                0.0, 1.0)
         l11, l13 = math.log(11), math.log(13)
         want = l11 ** 4 + 4 * (l11 * l13) ** 2 + l13 ** 4
         assert val == pytest.approx(want, rel=1e-9)
@@ -483,10 +488,9 @@ class TestFourthMoment:
     def test_quadrature_cross_check(self, table):
         # generic interval: compare the pairwise closed form against a
         # dense direct quadrature of |S_2|^4
-        w = WindowSpec(X=60, k=2, delta=0.1)
         lo, hi = 0.2, 0.9
-        val = fourth_moment_S2(table, w, lo, hi)
-        ps, _, logs = window(2.0, 60.0, 120.0, table)
+        ps, (p2, _), logs = window(2.0, 60.0, 120.0, table)
+        val = exp_pair_integral(*expand_square(p2, logs), lo, hi)
         alphas = np.linspace(lo, hi, 200001)
         s = np.zeros_like(alphas, dtype=complex)
         for p, lg in zip(ps, logs):
@@ -497,18 +501,6 @@ class TestFourthMoment:
         w_s[2:-1:2] = 2
         oracle = float((np.abs(s) ** 4 * w_s).sum() * h / 3)
         assert val == pytest.approx(oracle, rel=1e-6)
-
-    def test_ratio_monitor_logged(self, table):
-        # ratio to X log^2 X recorded across scales: finite and positive
-        for X in (100.0, 1000.0, 10000.0):
-            w = WindowSpec(X=X, k=2, delta=0.1)
-            val = fourth_moment_S2(table, w, 0.0, 1.0)
-            ratio = val / (X * math.log(X) ** 2)
-            assert 0 < ratio < math.inf
-
-    def test_requires_k2(self, table):
-        with pytest.raises(ValidationError):
-            fourth_moment_S2(table, WindowSpec(X=100, k=1, delta=0.1), 0, 1)
 
 
 def test_window_selectors(table):

@@ -11,10 +11,8 @@ from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, s_minus_u_weights
 from primearcs.meansquare import (PIECE_GL, MeanSquareQuery, _breakpoints,
                                   _increment_square, _l2_grid,
-                                  _piecewise_square,
-                                  double_integral_bound_check, l2_diff,
-                                  selberg_J, selberg_J_relative,
-                                  theta_psi_discrepancy)
+                                  _piecewise_square, l2_diff, selberg_J,
+                                  selberg_J_relative, theta_psi_discrepancy)
 from primearcs.numutil import exp_pair_integral, gl_rule, powk_extended
 from primearcs.primes import PrimeTable, build_table, is_prime
 
@@ -426,9 +424,8 @@ class TestL2Diff:
         assert rep.value == pytest.approx(18.544691793, rel=1e-9)
 
     def test_small_Y_bound(self, table):
-        from primearcs.expsums import s_minus_u_l1_bound
         w = WindowSpec(X=200.0, k=1.0, delta=0.1)
-        mass = s_minus_u_l1_bound(table, w)
+        mass = math.fsum(np.abs(s_minus_u_weights(table, w)[1]))
         for Y in (1e-5, 1e-4, 1e-3):
             rep = l2_diff(table, w, Y, method="pairwise-exact")
             assert 0 <= rep.value <= 2 * Y * mass ** 2 + 1e-12
@@ -456,7 +453,6 @@ class TestL2Diff:
 
     def test_grid_logs_one_pass_and_error(self, table, caplog):
         from primearcs.circle import gl12_panels
-        from primearcs.expsums import s_minus_u_weights
         w = WindowSpec(X=36200.0, k=1.05, delta=0.1)
         Y = 36200.0 ** -0.65
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
@@ -475,12 +471,11 @@ class TestL2Diff:
         assert rep.est_error == pytest.approx(2.0 * float(m.group(3)), rel=1e-3)
 
     def test_table_limit_refused(self, table):
-        from primearcs.expsums import s_minus_u_l1_bound
         w = WindowSpec(X=2e5, k=1.0, delta=0.1)  # window reaches 4e5 > limit
         with pytest.raises(ValidationError, match="table limit"):
             l2_diff(table, w, 0.01)
         with pytest.raises(ValidationError, match="table limit"):
-            s_minus_u_l1_bound(table, w)
+            s_minus_u_weights(table, w)
 
     def test_grid_memory_bounded(self):
         # a block of P holds about 2^21 phases and one of Q 2^17 (7.5 MiB
@@ -527,8 +522,3 @@ def test_query_validation():
     q = MeanSquareQuery(X=100, k=1.0, h=2.0)
     assert q.C_density == pytest.approx(2.4)
 
-
-def test_double_integral_majorant(table):
-    lhs, rhs = double_integral_bound_check(
-        table, MeanSquareQuery(X=50.0, k=1.0, h=5.0))
-    assert lhs <= rhs * (1 + 0.05)  # quadrature slack on the rhs grid

@@ -5,7 +5,7 @@ import pytest
 
 from primearcs.errors import ValidationError
 from primearcs.optimizer import (build_constraints, closed_form_exponents,
-                                 max_feasible_k, solve, verify_closed_form)
+                                 solve, verify_closed_form)
 
 
 def test_constraint_count_always_six():
@@ -114,8 +114,11 @@ def test_eta_exponent_cross_module_consistency():
         assert eta_exponent(k, 0) == -sol.c
 
 
-def test_max_feasible_k_exact():
-    assert max_feasible_k() == Fraction(33, 29)
+def test_feasibility_boundary_at_33_29():
+    # k = 33/29 is the largest feasible k: c = 0 there, infeasible above
+    edge = solve(Fraction(33, 29))
+    assert edge.feasible and edge.c == 0
+    assert not solve(Fraction(33, 29) + Fraction(1, 10**9)).feasible
 
 
 def test_invalid_k():

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from primearcs.errors import PrecisionError, ValidationError
-from primearcs.rational import (HiReal, continued_fraction, dirichlet_approx,
-                                parse_hireal, sequence_x)
+from primearcs.rational import HiReal, continued_fraction, parse_hireal
 
 
 def test_parse_forms():
-    assert parse_hireal("7/3").exact_fraction() == Fraction(7, 3)
+    assert parse_hireal("7/3").interval() == (Fraction(7, 3), Fraction(7, 3))
     assert parse_hireal("sqrt(2)").to_float() == pytest.approx(math.sqrt(2), rel=1e-15)
     assert parse_hireal("-sqrt(2)").to_float() == pytest.approx(-math.sqrt(2), rel=1e-15)
     assert parse_hireal("(1+sqrt(5))/2").to_float() == pytest.approx(
@@ -71,60 +70,6 @@ def test_cf_decimal_literal_depth_limit():
     with pytest.raises(PrecisionError) as exc:
         continued_fraction(x, 30)
     assert exc.value.max_depth is not None
-
-
-def test_dirichlet_examples():
-    c = dirichlet_approx(parse_hireal("sqrt(2)"), 10)
-    assert (c.a, c.q) == (7, 5)
-    assert abs(5 * math.sqrt(2) - 7) <= 1 / 10
-
-    c = dirichlet_approx(parse_hireal("1/2"), 100)
-    assert (c.a, c.q) == (1, 2)
-    assert c.err == 0
-
-    pi50 = HiReal.from_decimal_literal(
-        "3.14159265358979323846264338327950288419716939937510", 50)
-    c = dirichlet_approx(pi50, 200)
-    assert (c.a, c.q) == (355, 113)
-
-
-def test_dirichlet_brute_force_oracle():
-    """Exhaustive min over q <= Q of |q x - a| must pick the same q."""
-    for expr, qbound in (("sqrt(2)", 50), ("sqrt(5)", 120), ("(1+sqrt(5))/2", 80),
-                         ("sqrt(3)", 1000)):
-        x = parse_hireal(expr)
-        xf = x.to_float()
-        c = dirichlet_approx(x, qbound)
-        best_q, best_res = None, math.inf
-        for q in range(1, qbound + 1):
-            res = abs(q * xf - round(q * xf))
-            if res < best_res - 1e-15:
-                best_q, best_res = q, res
-        assert c.q == best_q
-        assert c.a == round(c.q * xf)
-
-
-def test_dirichlet_bound_certificate():
-    for expr in ("sqrt(2)", "sqrt(7)", "(1+sqrt(5))/2"):
-        x = parse_hireal(expr)
-        for qb in (10, 100, 10**4):
-            c = dirichlet_approx(x, qb)
-            assert 1 <= c.q <= qb
-            assert c.err <= Fraction(1, c.q * qb)
-
-
-def test_sequence_x():
-    assert sequence_x(100, 1.1) == pytest.approx(100 ** (9 * 1.1 / 5.2), rel=1e-14)
-    assert sequence_x(2, 1.0) == pytest.approx(2 ** 1.8, rel=1e-14)
-    # exponent tends to 4.5 from below as k grows
-    assert sequence_x(7, 1e9) / 7 ** 4.5 == pytest.approx(1.0, rel=1e-6)
-    qs = [2, 5, 17, 100, 1000]
-    vals = [sequence_x(q, 1.05) for q in qs]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValidationError):
-        sequence_x(1, 1.0)
-    with pytest.raises(ValidationError):
-        sequence_x(10**300, 33.0)
 
 
 def test_hireal_interval_encloses_value():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from primearcs import expsums
 from primearcs.circle import ProblemInstance
 from primearcs.errors import ValidationError
-from primearcs.search import (brute_force_solutions, count_bound_report,
-                              find_solutions, residual, admissible_threshold,
+from primearcs.search import (brute_force_solutions, find_solutions,
+                              residual, admissible_threshold,
                               weighted_solution_sum)
 
 
@@ -214,13 +214,6 @@ def test_weighted_sum_consistency(table):
     manual = sum(math.log(r.p1) * math.log(r.p2) * math.log(r.p3)
                  * (eta - abs(r.residual)) for r in rep.records)
     assert total == pytest.approx(manual, rel=1e-12)
-
-
-def test_count_bound_report(table):
-    inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
-    out = count_bound_report(inst, table, 500.0, 0.5)
-    assert out["count"] > 0
-    assert out["weighted_sum"] > 0 and out["majorant"] > 0
 
 
 def test_residual_helper(table):
