@@ -59,7 +59,7 @@ def load_instance(path: str) -> circle.ProblemInstance:
             "has no solutions otherwise)")
     inst = circle.ProblemInstance(
         lambda1=lam["lambda1"], lambda2=lam["lambda2"], lambda3=lam["lambda3"],
-        k=float(rational.parse_hireal(raw["k"]).to_float()),
+        k=rational.parse_hireal(raw["k"]).to_float(),
         varpi=_number(raw.get("varpi", 0.0), "varpi"),
         eps=_number(raw.get("eps", 0.01), "eps"),
         delta=_number(raw.get("delta", 0.1), "delta"))
@@ -156,8 +156,7 @@ def _cmd_meansquare(args) -> int:
     table = load_table(args.table)
     q = meansquare.MeanSquareQuery(
         X=_number(args.X, "--X"), k=_number(args.k, "--k"), h=args.h,
-        rel_delta=args.rel_delta, Y=args.Y, use_psi=args.psi, C_density=args.C,
-        rh_mode=args.rh)
+        rel_delta=args.rel_delta, Y=args.Y, use_psi=args.psi, rh_mode=args.rh)
     if args.Y is not None:
         w = expsums.WindowSpec(X=q.X, k=q.k)
         rep = meansquare.l2_diff(table, w, q.Y)
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", type=float)
     p.add_argument("--psi", action="store_true")
     p.add_argument("--rh", action="store_true")
-    p.add_argument("--C", type=float, default=12.0 / 5.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_meansquare)
 

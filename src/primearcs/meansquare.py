@@ -29,6 +29,9 @@ from .primes import PrimeTable
 PAIRWISE_CAP = 20_000  # max window size for the O(N^2) exact method
 # _piecewise_square: Gauss nodes per piece, and pieces per x-range at least
 PIECE_GL, MAX_PIECES_FRAC = 6, 64
+# Huxley's zero-density exponent C: the unconditional comparator holds for
+# X^(1 - 2/(C k)) <= h <= X
+C_DENSITY = 12 / 5
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,6 @@ class MeanSquareQuery:
     rel_delta: float | None = None
     Y: float | None = None
     use_psi: bool = False
-    C_density: float = 12.0 / 5.0
     rh_mode: bool = False
 
     def __post_init__(self):
@@ -204,7 +206,7 @@ def _short_interval_comparator(q: MeanSquareQuery) -> tuple[float, str]:
             return 0.0, "comparator-out-of-range"
         decay = math.exp(-((math.log(X) / log_log) ** (1.0 / 3.0)))
         comp = h * h * X ** (2.0 / k - 1.0) * decay
-        lo = X ** (1.0 - 2.0 / (q.C_density * k))
+        lo = X ** (1.0 - 2.0 / (C_DENSITY * k))
     note = "" if lo <= h <= X else "comparator-out-of-range"
     return comp, note
 

@@ -89,32 +89,43 @@ class PrimeTable:
 
     def theta(self, x: float) -> float:
         """theta(x) = sum_{p <= x} log p: theta_many at the one point x."""
-        if x < 0 or x > self.limit:
-            raise ValidationError(f"theta: x={x} outside [0, {self.limit}]")
+        if x < 0:
+            raise ValidationError(f"theta: x={x} below 0")
         return float(self.theta_many([x])[0])
 
     def theta_many(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized theta for float arrays within [0, limit]: theta_prefix
-        at the count of primes <= floor(x), searched with int64 keys."""
-        n = np.floor(np.asarray(x, dtype=np.float64)).astype(np.int64)
+        """Vectorized theta for float arrays up to the limit (0 below 2):
+        theta_prefix at the count of primes <= floor(x), searched with
+        int64 keys."""
+        n = np.floor(self._upto_limit(x, "theta_many")).astype(np.int64)
         i = np.searchsorted(self.primes, n, side="right")
         return np.where(i > 0, self.theta_prefix[i - 1], 0.0)
 
     def psi(self, x: float) -> float:
         """psi(x) = theta(x) + (psi - theta)(x): the vector evaluators at
         the one point x."""
-        if x < 0 or x > self.limit:
-            raise ValidationError(f"psi: x={x} outside [0, {self.limit}]")
+        if x < 0:
+            raise ValidationError(f"psi: x={x} below 0")
         xs = [x]
         return float((self.theta_many(xs) + self.psi_minus_theta_many(xs))[0])
 
     def psi_minus_theta_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized psi(x) - theta(x) (proper prime-power mass only) for
-        float arrays within [0, limit]: floor(x) searched among
+        float arrays up to the limit (0 below 4): floor(x) searched among
         jumps(0, max floor(x), proper=True).  No float root is taken."""
-        n = np.floor(np.maximum(np.asarray(x, dtype=np.float64), 0.0))
-        q, F = self.jumps(0, min(n.max(initial=0.0), self.limit), proper=True)
+        n = np.floor(np.maximum(self._upto_limit(x, "psi_minus_theta_many"),
+                                0.0))
+        q, F = self.jumps(0, n.max(initial=0.0), proper=True)
         return F[np.searchsorted(q, n, side="right")]
+
+    def _upto_limit(self, x, name: str) -> np.ndarray:
+        """x as a float64 array; ValidationError if an entry passes the
+        limit, where the table no longer knows every prime."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.max(initial=-np.inf) > self.limit:
+            raise ValidationError(f"{name}: x={x.max()} past table limit "
+                                  f"{self.limit}")
+        return x
 
     def jumps(self, lo: float, hi: float,
               proper: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -173,29 +184,28 @@ def _iroot(n: int, m: int) -> int:
     return r
 
 
-def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
-                max_bytes: int = MEMORY_BUDGET) -> PrimeTable:
+def build_table(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes up to limit (inclusive).
 
-    Memory stays near segment_size bytes plus the output arrays; an
-    estimate of the output size is checked against max_bytes up front.
+    Memory stays near DEFAULT_SEGMENT bytes plus the output arrays; an
+    estimate of the output size is checked against MEMORY_BUDGET up front.
     """
     if limit < 2:
         raise ValidationError(f"build_table: limit must be >= 2, got {limit}")
     if limit >= 1 << 63:
         raise ValidationError("build_table: limit must fit in a signed 64-bit integer")
     est = int(1.3 * limit / max(math.log(limit), 1.0)) + 64
-    if est * 16 + segment_size > max_bytes:
+    if est * 16 + DEFAULT_SEGMENT > MEMORY_BUDGET:
         raise ResourceLimitError(
             f"build_table: ~{est} primes at limit {limit} exceed the "
-            f"{max_bytes}-byte budget")
+            f"{MEMORY_BUDGET}-byte budget")
     root = math.isqrt(limit)
     base = _small_primes(max(root, 2))
     base = base[base.astype(np.int64) ** 2 <= limit]
     out = []
     start = 2
     while start <= limit:
-        stop = min(start + segment_size - 1, limit)
+        stop = min(start + DEFAULT_SEGMENT - 1, limit)
         seg = np.ones(stop - start + 1, dtype=bool)
         for p in base:
             p = int(p)
@@ -211,93 +221,35 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
 
 
 # ------------------------------ binary format -------------------------------
-# "DPT1" | u64 limit | u64 count | varint-encoded prime gaps | f64 prefix[]
+# "DPT1" | u64 limit | u64 count.  A table is its limit: load_table sieves
+# again, as fast as reading stored primes and checking their theta prefix.
+# Files from earlier versions carry the prime gaps and theta prefix after
+# the header; those bytes are not read.
 
 _MAGIC = b"DPT1"
 
 
-def _encode_varints(values: np.ndarray) -> bytes:
-    """LEB128 bytes of nonnegative int64 values: 7-bit groups, low first,
-    the high bit set on every byte but a value's last."""
-    v = np.asarray(values, dtype=np.int64)
-    nbytes = np.ones(v.shape, dtype=np.int64)
-    rest = v >> 7
-    while np.any(rest):
-        nbytes += rest != 0
-        rest >>= 7
-    first = np.cumsum(nbytes) - nbytes
-    out = np.empty(int(nbytes.sum()), dtype=np.uint8)
-    for j in range(int(nbytes.max(initial=0))):
-        live = nbytes > j
-        more = (nbytes[live] > j + 1) << 7
-        out[first[live] + j] = ((v[live] >> 7 * j) & 0x7F) | more
-    return out.tobytes()
-
-
-def _decode_varints(data: bytes, count: int) -> np.ndarray:
-    """Inverse of _encode_varints: each value ends at a byte with its high
-    bit clear; bytes after the last such terminator are ignored."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(b < 0x80)
-    if len(ends) > count:
-        raise TableIntegrityError("varint stream longer than declared count")
-    if len(ends) != count:
-        raise TableIntegrityError(
-            f"varint stream ended after {len(ends)} of {count} primes")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # 9 groups of 7 bits are the most an int64 can hold
-    if np.any(ends - starts >= 9):
-        raise TableIntegrityError("varint value overflows 64 bits")
-    pos = np.arange(ends[-1] + 1) - np.repeat(starts, ends - starts + 1)
-    parts = (b[:ends[-1] + 1] & 0x7F).astype(np.int64) << (7 * pos)
-    return np.add.reduceat(parts, starts)
-
-
 def save_table(table: PrimeTable, path: str) -> None:
-    gaps = np.diff(table.primes, prepend=np.int64(0))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", table.limit, table.count))
-        fh.write(_encode_varints(gaps))
-        fh.write(table.theta_prefix.astype("<f8").tobytes())
+        fh.write(_MAGIC + struct.pack("<QQ", table.limit, table.count))
 
 
 def load_table(path: str) -> PrimeTable:
+    """build_table at the header's limit; TableIntegrityError on bad magic,
+    a truncated header, or a prime count other than the header's."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            head = fh.read(20)
     except OSError as exc:
         raise ValidationError(f"cannot read prime table {path}: "
                               f"{exc.strerror or exc}") from exc
-    if data[:4] != _MAGIC:
+    if head[:4] != _MAGIC:
         raise TableIntegrityError(f"{path}: bad magic bytes")
-    if len(data) < 20:
+    if len(head) < 20:
         raise TableIntegrityError(f"{path}: truncated header")
-    limit, count = struct.unpack_from("<QQ", data, 4)
-    tail = data[20:]
-    prefix_bytes = 8 * count
-    if len(tail) < prefix_bytes:
-        raise TableIntegrityError(f"{path}: truncated file")
-    gaps = _decode_varints(tail[:-prefix_bytes] if count else tail, count)
-    primes = np.cumsum(gaps)
-    theta_prefix = np.frombuffer(tail[len(tail) - prefix_bytes:], dtype="<f8").copy()
-    table = PrimeTable(limit=int(limit), primes=primes, theta_prefix=theta_prefix)
-    _validate_table(table, path)
+    limit, count = struct.unpack_from("<QQ", head, 4)
+    table = build_table(limit)
+    if table.count != count:
+        raise TableIntegrityError(f"{path}: header says {count} primes up to "
+                                  f"{limit}, the sieve finds {table.count}")
     return table
-
-
-def _validate_table(table: PrimeTable, path: str) -> None:
-    p = table.primes
-    if len(p) == 0 or p[0] != 2:
-        raise TableIntegrityError(f"{path}: prime list does not start at 2")
-    if np.any(np.diff(p) <= 0) or p[-1] > table.limit:
-        raise TableIntegrityError(f"{path}: prime list not increasing within limit")
-    # the whole prefix, recomputed as build_table makes it; the slack
-    # allows for a libm whose log differs in the last bit
-    want = compensated_cumsum(np.log(p.astype(np.float64)))
-    ok = np.abs(table.theta_prefix - want) <= 1e-12 * np.maximum(want, 1.0)
-    if not ok.all():
-        raise TableIntegrityError(f"{path}: theta prefix inconsistent with "
-                                  f"primes at index {int(np.argmin(ok))}")

@@ -33,7 +33,7 @@ class HiReal:
 
     Internally (p + q*sqrt(d)) / r with integer p, q, r plus an interval
     half-width ``uncertainty`` (zero for exact inputs).  Supports the
-    arithmetic needed to combine coefficient ratios: +, -, *, /, negation.
+    arithmetic parse_hireal combines two HiReals with: +, -, *, /, negation.
     """
 
     __slots__ = ("p", "q", "d", "r", "uncertainty")
@@ -54,12 +54,10 @@ class HiReal:
 
     # ---- constructors ----
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "HiReal":
-        return cls(f.numerator, 0, 1, f.denominator)
-
-    @classmethod
     def from_decimal_literal(cls, text: str, digits: int | None = None) -> "HiReal":
-        """Decimal string with ``digits`` trustworthy significant digits.
+        """Decimal string, plain or in exponent form (``2.5e-1``), with
+        ``digits`` trustworthy significant digits: by default those written
+        in the mantissa.
 
         The value is the literal read exactly; the uncertainty is half a
         unit in the last declared digit.
@@ -67,7 +65,7 @@ class HiReal:
         text = text.strip()
         exact = Fraction(text)
         if digits is None:
-            mantissa = text.lstrip("+-0.").replace(".", "")
+            mantissa = re.split("[eE]", text)[0].lstrip("+-0.").replace(".", "")
             digits = len(mantissa) if mantissa else 1
         if exact == 0:
             scale = Fraction(1)
@@ -91,11 +89,7 @@ class HiReal:
             return cls(root)
         return cls(0, 1, d, 1)
 
-    # ---- predicates / views ----
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
+    # ---- views ----
     def interval(self) -> tuple[Fraction, Fraction]:
         """Exact enclosure [lo, hi] of the value."""
         if self.q == 0:
@@ -112,26 +106,15 @@ class HiReal:
         lo, hi = self.interval()
         return float((lo + hi) / 2)
 
-    __float__ = to_float
-
     def __repr__(self):
-        if self.is_rational:
+        if self.q == 0:
             core = f"{Fraction(self.p, self.r)}"
         else:
             core = f"({self.p} + {self.q}*sqrt({self.d}))/{self.r}"
         tag = "" if self.uncertainty == 0 else f" ± {float(self.uncertainty):.1e}"
         return f"HiReal({core}{tag})"
 
-    # ---- arithmetic (stays inside one quadratic field) ----
-    def _coerce(self, other) -> "HiReal":
-        if isinstance(other, HiReal):
-            return other
-        if isinstance(other, int):
-            return HiReal(other)
-        if isinstance(other, Fraction):
-            return HiReal.from_fraction(other)
-        raise TypeError(f"cannot combine HiReal with {type(other)!r}")
-
+    # ---- arithmetic with another HiReal (inside one quadratic field) ----
     def _common_d(self, other: "HiReal") -> int:
         if self.q == 0:
             return other.d
@@ -140,29 +123,19 @@ class HiReal:
         raise ValidationError(
             f"mixed radicands sqrt({self.d}) and sqrt({other.d}) are unsupported")
 
-    def _unc_add(self, other: "HiReal") -> Fraction:
-        return self.uncertainty + other.uncertainty
-
     def __neg__(self):
         return HiReal(-self.p, -self.q, self.d, self.r, self.uncertainty)
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def __add__(self, o: "HiReal") -> "HiReal":
         d = self._common_d(o)
         p = self.p * o.r + o.p * self.r
         q = self.q * o.r + o.q * self.r
-        return HiReal(p, q, d, self.r * o.r, self._unc_add(o))
+        return HiReal(p, q, d, self.r * o.r, self.uncertainty + o.uncertainty)
 
-    __radd__ = __add__
+    def __sub__(self, o: "HiReal") -> "HiReal":
+        return self + (-o)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
+    def __mul__(self, o: "HiReal") -> "HiReal":
         d = self._common_d(o)
         # (p1 + q1 s)(p2 + q2 s) = p1 p2 + q1 q2 d + (p1 q2 + q1 p2) s
         p = self.p * o.p + self.q * o.q * d
@@ -170,8 +143,6 @@ class HiReal:
         unc = (self.uncertainty * abs(o) + o.uncertainty * abs(self)
                + self.uncertainty * o.uncertainty)
         return HiReal(p, q, d, self.r * o.r, unc)
-
-    __rmul__ = __mul__
 
     def __abs__(self) -> Fraction:
         lo, hi = self.interval()
@@ -192,21 +163,21 @@ class HiReal:
                          self.uncertainty / (bound * bound))
         return inv
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+    def __truediv__(self, o: "HiReal") -> "HiReal":
+        return self * o.inverse()
 
 
 # --------------------------- expression parsing ------------------------------
 
-_TOKEN = re.compile(r"\s*(sqrt|\d+\.\d+|\d+|[()+\-*/])")
+# a decimal exponent has at most two digits: Fraction reads a literal
+# exactly, and 1e999999999 would cost it a billion-digit power of ten
+_TOKEN = re.compile(
+    r"\s*(sqrt|\d+(?:\.\d+)?(?:[eE][+-]?\d{1,2}(?!\d))?|[()+\-*/])")
 
 
 def parse_hireal(text: str) -> HiReal:
     """Parse expressions like ``-sqrt(2)``, ``(1+sqrt(5))/2``, ``355/113``,
-    ``1.41421356237`` into a HiReal.
+    ``1.41421356237``, ``2.5e-1`` into a HiReal.
 
     Decimal literals carry their written number of significant digits as
     the declared precision; everything else is exact.
@@ -258,10 +229,10 @@ def parse_hireal(text: str) -> HiReal:
             if i + 3 >= len(tokens) or tokens[i + 1] != "(" or tokens[i + 3] != ")":
                 raise ValidationError(f"sqrt expects an integer argument in {text!r}")
             return HiReal.sqrt_of(int(tokens[i + 2])), i + 4
-        if "." in tok:
-            return HiReal.from_decimal_literal(tok), i + 1
         if tok.isdigit():
             return HiReal(int(tok)), i + 1
+        if tok[0].isdigit():
+            return HiReal.from_decimal_literal(tok), i + 1
         raise ValidationError(f"unexpected token {tok!r} in {text!r}")
 
     val, i = parse_expr(0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from primearcs import primes
 from primearcs.cli import build_parser, load_instance, main
 from primearcs.errors import ValidationError
-from primearcs.primes import _MAGIC, build_table, load_table, save_table
+from primearcs.primes import build_table, load_table, save_table
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,16 @@ class TestSubcommands:
             build_parser().parse_args(["sieve", "--limit", "1000", "--out",
                                        str(tmp_path / "p.bin"),
                                        "--segment", segment])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("C", ["0", "2.4"])
+    def test_meansquare_has_no_C_option(self, table_file, C):
+        # --C 0 died with a ZeroDivisionError traceback (exit 1); nothing
+        # set another value than 12/5, now meansquare.C_DENSITY
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["meansquare", "--table", table_file,
+                                       "--X", "1e4", "--k", "2", "--h", "500",
+                                       "--C", C])
         assert exc.value.code == 2
 
     def test_expsum_csv(self, tmp_path, table_file):
@@ -209,6 +221,21 @@ class TestSubcommands:
         assert rows[0] == "p1,p2,p3,residual"
         assert len(rows) > 1
 
+    def test_search_exponent_form_instance(self, tmp_path, table_file):
+        # 2.5e-1 and 105e-2 are the same decimal literals as 0.25 and 1.05
+        csvs = []
+        for lam1, k in (("0.25", "1.05"), ("2.5e-1", "105e-2")):
+            cfg = (f"lambda1 = {lam1}\nlambda2 = -sqrt(2)/4\nlambda3 = -1/4\n"
+                   f"k = {k}\n")
+            out = tmp_path / f"{lam1}.csv"
+            assert main(["search", "--instance",
+                         write_instance(tmp_path, cfg, f"{lam1}.cfg"),
+                         "--table", table_file, "--X", "150",
+                         "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) > 10
+
     def test_search_meta_reports_join(self, tmp_path, table_file):
         inst = write_instance(tmp_path, GOOD_INSTANCE)
         out = tmp_path / "sol.csv"
@@ -303,10 +330,32 @@ class TestExitCodes:
 
     def test_truncated_table_header_is_2(self, tmp_path, capsys):
         path = tmp_path / "short.bin"
-        path.write_bytes(_MAGIC + bytes(3))
+        path.write_bytes(primes._MAGIC + bytes(3))
         assert main(["expsum", "--table", str(path), "--X", "100", "--k", "1",
                      "--alpha-grid", "0:1:3", "--which", "S"]) == 2
         assert "truncated header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head,code,message", [
+        (b"NOPE" + bytes(16), 2, "bad magic"),
+        (primes._MAGIC + bytes(9), 2, "truncated header"),
+        (primes._MAGIC + struct.pack("<QQ", 5000, 668), 2, "the sieve finds"),
+        (primes._MAGIC + struct.pack("<QQ", 10**12, 0), 4, "budget")])
+    def test_bad_table_header(self, tmp_path, head, code, message, capsys):
+        # the header's limit comes from outside: past the budget it is
+        # refused before the sieve allocates anything
+        path = tmp_path / "t.bin"
+        path.write_bytes(head)
+        argv = ["search", "--instance", write_instance(tmp_path, GOOD_INSTANCE),
+                "--table", str(path), "--X", "150"]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == code
+        assert message in capsys.readouterr().err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("command,flags", [
         ("expsum", {"--alpha-grid": "0:x:3"}),

@@ -9,8 +9,8 @@ import pytest
 
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, s_minus_u_weights
-from primearcs.meansquare import (PIECE_GL, MeanSquareQuery, _breakpoints,
-                                  _increment_square, _l2_grid,
+from primearcs.meansquare import (C_DENSITY, PIECE_GL, MeanSquareQuery,
+                                  _breakpoints, _increment_square, _l2_grid,
                                   _piecewise_square, l2_diff, selberg_J,
                                   selberg_J_relative, theta_psi_discrepancy)
 from primearcs.numutil import exp_pair_integral, gl_rule, powk_extended
@@ -519,6 +519,5 @@ def test_query_validation():
         MeanSquareQuery(X=100, k=1.0, h=1.0, Y=0.2)
     with pytest.raises(ValidationError):
         MeanSquareQuery(X=100, k=1.0, Y=0.7)
-    q = MeanSquareQuery(X=100, k=1.0, h=2.0)
-    assert q.C_density == pytest.approx(2.4)
+    assert C_DENSITY == pytest.approx(2.4)
 

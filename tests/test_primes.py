@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from primearcs.errors import (ResourceLimitError, TableIntegrityError,
                               ValidationError)
-from primearcs.primes import (_MAGIC, PrimeTable, _decode_varints,
-                              _encode_varints, build_table, is_prime,
-                              load_table, save_table)
+from primearcs.primes import (_MAGIC, DEFAULT_SEGMENT, build_table,
+                              is_prime, load_table, save_table)
+
+# written by a save_table that stored the prime gaps and the theta prefix
+# after the 20-byte header
+OLD_FORMAT_TABLE = Path(__file__).parent / "data" / "table_1000_gaps_prefix.bin"
 
 
 def simple_sieve(limit):
@@ -31,9 +35,9 @@ def test_limit_below_minimum():
 
 
 def test_against_second_sieve():
-    mine = build_table(10**5, segment_size=1 << 12).primes
-    oracle = simple_sieve(10**5)
-    assert np.array_equal(mine, oracle)
+    # three full segments and a short fourth
+    limit = 3 * DEFAULT_SEGMENT + 17
+    assert np.array_equal(build_table(limit).primes, simple_sieve(limit))
 
 
 def test_prime_count_1e6(table_large):
@@ -41,8 +45,8 @@ def test_prime_count_1e6(table_large):
 
 
 def test_resource_budget():
-    with pytest.raises(ResourceLimitError):
-        build_table(10**9, max_bytes=10**6)
+    with pytest.raises(ResourceLimitError, match="budget"):
+        build_table(10**12)
 
 
 def test_theta_values(table):
@@ -70,9 +74,16 @@ def test_theta_many_matches_jumps_search(table):
         assert np.array_equal(table.theta_many(np.array([x])), want), x
 
 
-def test_theta_out_of_range(table):
+@pytest.mark.parametrize("name", ["theta", "psi", "theta_many",
+                                  "psi_minus_theta_many"])
+def test_theta_out_of_range(table, name):
+    # past the limit the table no longer knows every prime; the vector
+    # forms answered theta(limit) there
+    fn = getattr(table, name)
+    arg = (lambda x: x) if name in ("theta", "psi") else (lambda x: [1.0, x])
+    assert np.all(np.isfinite(fn(arg(float(table.limit)))))
     with pytest.raises(ValidationError):
-        table.theta(table.limit + 1)
+        fn(arg(table.limit + 1))
 
 
 def test_psi_values(table):
@@ -203,60 +214,33 @@ def test_is_prime_matches_sieve(table):
 def test_table_roundtrip(tmp_path, table):
     path = tmp_path / "t.bin"
     save_table(table, str(path))
+    assert path.stat().st_size == 20
     back = load_table(str(path))
     assert back.limit == table.limit
     assert np.array_equal(back.primes, table.primes)
     assert np.array_equal(back.theta_prefix, table.theta_prefix)
 
 
-def test_table_corruption_detected(tmp_path, table):
+def test_old_format_table_loads():
+    # the bytes after the header are not read; the table is sieved again
+    assert OLD_FORMAT_TABLE.stat().st_size > 20
+    back, want = load_table(str(OLD_FORMAT_TABLE)), build_table(1000)
+    assert back.limit == want.limit == 1000
+    assert np.array_equal(back.primes, want.primes)
+    assert np.array_equal(back.theta_prefix, want.theta_prefix)
+
+
+@pytest.mark.parametrize("offset", [5, 12])
+def test_table_corruption_detected(tmp_path, table, offset):
+    # a bit flip in the header's limit (offset 5) or count (offset 12):
+    # the sieve at the stored limit finds another count
     path = tmp_path / "t.bin"
     save_table(table, str(path))
     blob = bytearray(path.read_bytes())
-    blob[25] ^= 0xFF  # flip bits inside the gap stream
+    blob[offset] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(TableIntegrityError):
+    with pytest.raises(TableIntegrityError, match="the sieve finds"):
         load_table(str(path))
-
-
-def test_table_prefix_corruption_detected(tmp_path, table):
-    # one interior prefix entry off by 1e-6: the gaps decode and the primes
-    # stay increasing, so only recomputing the whole prefix sees it
-    prefix = table.theta_prefix.copy()
-    prefix[len(prefix) // 3 + 1] += 1e-6
-    path = tmp_path / "t.bin"
-    save_table(PrimeTable(table.limit, table.primes, prefix), str(path))
-    with pytest.raises(TableIntegrityError, match=f"index {len(prefix) // 3 + 1}"):
-        load_table(str(path))
-
-
-def test_varint_roundtrip():
-    rng = np.random.default_rng(5)
-    for values in (np.array([], dtype=np.int64), np.array([0, 1, 127, 128]),
-                   np.array([16383, 16384, 2 ** 62, 2 ** 63 - 1]),
-                   rng.integers(0, 2 ** 63 - 1, 500), rng.integers(0, 300, 500)):
-        data = _encode_varints(values)
-        assert np.array_equal(_decode_varints(data, len(values)), values)
-    # LEB128 layout: low group first, high bit on all but the last byte
-    assert _encode_varints(np.array([300, 5])) == bytes([0xAC, 0x02, 0x05])
-
-
-def test_varint_truncated_stream():
-    data = _encode_varints(np.array([3, 300, 70000]))
-    with pytest.raises(TableIntegrityError, match="ended after 2 of 3"):
-        _decode_varints(data[:-1], 3)
-    with pytest.raises(TableIntegrityError, match="ended after 3 of 4"):
-        _decode_varints(data, 4)
-
-
-def test_varint_overlong_stream():
-    data = _encode_varints(np.array([3, 300, 70000]))
-    with pytest.raises(TableIntegrityError, match="longer than declared count"):
-        _decode_varints(data, 2)
-    with pytest.raises(TableIntegrityError, match="longer than declared count"):
-        _decode_varints(data + b"\x01", 3)
-    with pytest.raises(TableIntegrityError, match="overflows"):
-        _decode_varints(b"\xff" * 10 + b"\x01", 1)
 
 
 def test_table_bad_magic(tmp_path):

@@ -18,6 +18,20 @@ def test_parse_forms():
     assert parse_hireal("3.25").to_float() == pytest.approx(3.25)
 
 
+@pytest.mark.parametrize("text,plain", [("2.5e-1", "0.25"), ("1e-3", "0.001"),
+                                        ("105E-2", "1.05"), ("-2.50e+1", "-25.0")])
+def test_parse_exponent_form(text, plain):
+    # the significant digits are the mantissa's, so the value and its
+    # declared precision are the plain literal's
+    assert parse_hireal(text).interval() == parse_hireal(plain).interval()
+
+
+@pytest.mark.parametrize("bad", ["2.5e", "1e100", "1e-100"])
+def test_parse_rejects_long_or_missing_exponent(bad):
+    with pytest.raises(ValidationError, match="cannot parse"):
+        parse_hireal(bad)
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "sqrt(-1)", "sqrt(2) + sqrt(3)", "1 +", "(1", "x+1"):
         with pytest.raises((ValidationError, ZeroDivisionError)):
