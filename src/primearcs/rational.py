@@ -104,7 +104,10 @@ class HiReal:
 
     def to_float(self) -> float:
         lo, hi = self.interval()
-        return float((lo + hi) / 2)
+        try:
+            return float((lo + hi) / 2)
+        except OverflowError:
+            raise ValidationError("value beyond the float range") from None
 
     def __repr__(self):
         if self.q == 0:
@@ -190,6 +193,8 @@ def parse_hireal(text: str) -> HiReal:
             if text[pos:].strip():
                 raise ValidationError(f"cannot parse {text!r} at position {pos}")
             break
+        if len(m.group(1)) > 4000:  # int() reads at most 4300 digits
+            raise ValidationError("a number literal has over 4000 characters")
         tokens.append(m.group(1))
         pos = m.end()
     if not tokens:

@@ -1,14 +1,14 @@
 """Enumeration of prime triples satisfying the target inequality.
 
-find_solutions is a blocked band join over the three prime windows of
-expsums.window (p1, p2 and p3 with p_j^(k_j) in the range, their powers
-as double-double (hi, lo) pairs, ascending): each block of (p1, p2) pairs
-finds by binary search the p3 whose k-th power lies within the threshold
-band of the value that solves the equation for it.  The join's candidates
-are re-checked with a double-double residual, so near-threshold
-classifications are stable and completeness follows from the band, not
-from a guard.  brute_force_solutions is the exhaustive triple loop used
-as the completeness oracle.
+find_solutions joins the three prime windows of expsums.window (p1, p2
+and p3 with p_j^(k_j) in the range, their powers as double-double
+(hi, lo) pairs, ascending) by solving for p1, in which the inequality is
+linear: each (p2, p3) pair gives the integers in the threshold band of
+the solving p1, and a bitmap of the p1 window keeps the primes among
+them.  Those candidates are re-checked with a double-double residual,
+so near-threshold classifications are stable and completeness follows
+from the band, not from a guard.  brute_force_solutions is the
+exhaustive triple loop used as the completeness oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .numutil import dd_from_longdouble, powk_extended, two_prod, two_sum
 from .primes import PrimeTable
 
-_BLOCK = 1 << 12  # (p1, p2) pairs joined at a time: bounds the working set
+_BLOCK = 1 << 14  # (p2, p3) pairs joined at a time: bounds the working set
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class SolutionRecord:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """count: triples within the threshold (the join's hits); pairs: (p1, p2)
-    pairs joined; candidates: triples whose residual was re-checked."""
+    """count: triples within the threshold (the join's hits); pairs: (p2, p3)
+    pairs joined; candidates: prime p1 values whose residual was re-checked."""
     X: float
     threshold: float
     count: int
@@ -99,12 +99,12 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
     """Complete enumeration of triples with |residual| <= threshold.
 
     p1 runs over primes with p1 in the window, p2 over primes with p2^2
-    in it, p3 over primes with p3^k in it.  Each (p1, p2) pair is joined
-    to the sorted values p3^k that lie within threshold/|lambda3|, widened
-    by a rounding slack, of -(lambda1 p1 + lambda2 p2^2 + varpi)/lambda3;
-    only those candidates get the double-double residual.  Ties at the
-    threshold count as solutions.  Records come in ascending (p1, p2, p3)
-    order, so a capped report keeps the cap smallest triples.
+    in it, p3 over primes with p3^k in it.  Each (p2, p3) pair is joined
+    to the integers within threshold/|lambda1|, widened by a rounding
+    slack, of c = -(lambda2 p2^2 + lambda3 p3^k + varpi)/lambda1; only
+    the primes of the p1 window among them get the double-double residual.
+    Ties at the threshold count as solutions.  Records come in ascending
+    (p1, p2, p3) order, so a capped report keeps the cap smallest triples.
     """
     if threshold < 0 or cap < 0:
         raise ValidationError("threshold and cap must be nonnegative")
@@ -116,49 +116,54 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
         raise ValidationError(
             f"table limit {table.limit} below window top {hi:.0f} "
             f"or p3 range top {hi ** (1.0 / k):.0f}")
-    (p1s, (p1f, _), _), (p2s, (p2sq, _), _), (p3s, (p3k_hi, p3k_lo), _) = (
+    (p1s, _, _), (p2s, (p2sq, _), _), (p3s, (p3k_hi, p3k_lo), _) = (
         expsums.window(kj, lo, hi, table) for kj in (1.0, 2.0, k))
     if len(p1s) == 0 or len(p2s) == 0 or len(p3s) == 0:
         return SearchReport(X, threshold, 0, (), elapsed=time.perf_counter() - t0,
                             diagnostics="empty variable window")
-    # the float t and p3k_hi are off by a few ulps of the terms' size;
+    # c is off by a few ulps of the terms' size over |lambda1|;
     # 1e-12 of it keeps every triple within the threshold a candidate
     slack = 1e-12 * ((abs(l1) + abs(l2) + abs(l3)) * hi + abs(varpi)
-                     + threshold) / abs(l3)
-    width = threshold / abs(l3) + slack
+                     + threshold) / abs(l1)
+    width = threshold / abs(l1) + slack
+    p1_min, p1_max = int(p1s[0]), int(p1s[-1])
+    is_p1 = np.zeros(p1_max - p1_min + 1, dtype=bool)
+    is_p1[p1s - p1_min] = True
+    # c = q2 + q3 for (p2, p3).  A tile holds at most _BLOCK pairs, fewer at
+    # a wide threshold, so that its ranges hold at most 16 _BLOCK integers
+    q2 = -(l2 * p2sq + varpi) / l1
+    q3 = -(l3 / l1) * p3k_hi
+    n2, n3 = len(p2s), len(p3s)
+    tile = int(max(1, min(_BLOCK, 16 * _BLOCK // (2 * width + 1))))
+    cols, rows = min(n3, tile), max(1, tile // n3)
+    hits, candidates = [], 0
+    for r0 in range(0, n2, rows):
+        for j0 in range(0, n3, cols):
+            c = q2[r0:r0 + rows, None] + q3[j0:j0 + cols]
+            a = c - width
+            np.ceil(a, out=a)  # the pair's integers: a ... floor(c + width)
+            np.floor(np.add(c, width, out=c), out=c)
+            live = np.flatnonzero((a <= c) & (a <= p1_max) & (c >= p1_min))
+            a = np.maximum(a.take(live), p1_min).astype(np.int64)
+            n = np.minimum(c.take(live), p1_max).astype(np.int64) - a + 1
+            pair = np.repeat(np.arange(len(live)), n)
+            p1 = np.arange(len(pair)) + (a + n - np.cumsum(n))[pair]
+            keep = np.nonzero(is_p1[p1 - p1_min])[0]
+            p1, f = p1[keep], live[pair[keep]]
+            i2, j3 = r0 + f // c.shape[1], j0 + f % c.shape[1]
+            res = _residual_arrays(l1, p1.astype(np.float64), l2, p2sq[i2],
+                                   l3, p3k_hi[j3], p3k_lo[j3], varpi)
+            good = np.abs(res) <= threshold
+            candidates += len(p1)
+            hits.append((p1[good], p2s[i2[good]], p3s[j3[good]], res[good]))
+    p1, p2, p3, res = (np.concatenate(h) for h in zip(*hits))
+    order = np.lexsort((p3, p2, p1))[:cap]
     thr_exp = eta_exponent(k, inst.eps)
-    n2 = len(p2s)
-    n_pairs = len(p1s) * n2
-    records: list[SolutionRecord] = []
-    count = candidates = 0
-    start = 0
-    while start < n_pairs:
-        i1, i2 = np.divmod(np.arange(start, min(start + _BLOCK, n_pairs)), n2)
-        t = -(l1 * p1f[i1] + l2 * p2sq[i2] + varpi) / l3
-        first = np.searchsorted(p3k_hi, t - width, side="left")
-        n = np.searchsorted(p3k_hi, t + width, side="right") - first
-        # at a wide threshold, cut the block to bound its candidate count
-        m = max(1, int(np.searchsorted(np.cumsum(n), 16 * _BLOCK,
-                                       side="right")))
-        start += m
-        i1, i2, first, n = i1[:m], i2[:m], first[:m], n[:m]
-        pair = np.repeat(np.arange(len(n)), n)
-        if len(pair) == 0:
-            continue
-        j3 = first[pair] + np.arange(len(pair)) - (np.cumsum(n) - n)[pair]
-        i1, i2 = i1[pair], i2[pair]
-        res = _residual_arrays(l1, p1f[i1], l2, p2sq[i2], l3,
-                               p3k_hi[j3], p3k_lo[j3], varpi)
-        good = np.nonzero(np.abs(res) <= threshold)[0]
-        candidates += len(pair)
-        count += len(good)
-        good = good[:cap - len(records)]
-        for a, b, c, r in zip(p1s[i1[good]].tolist(), p2s[i2[good]].tolist(),
-                              p3s[j3[good]].tolist(), res[good].tolist()):
-            records.append(SolutionRecord(
-                a, b, c, r, abs(r) <= max(a, b, c) ** thr_exp))
-    return SearchReport(X, threshold, count, tuple(records), count > cap,
-                        time.perf_counter() - t0, pairs=n_pairs,
+    records = tuple(
+        SolutionRecord(a, b, c, r, abs(r) <= max(a, b, c) ** thr_exp)
+        for a, b, c, r in zip(*(x[order].tolist() for x in (p1, p2, p3, res))))
+    return SearchReport(X, threshold, len(p1), records, len(p1) > cap,
+                        time.perf_counter() - t0, pairs=n2 * n3,
                         candidates=candidates)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from primearcs import primes
+from primearcs import expsums, primes
 from primearcs.cli import build_parser, load_instance, main
 from primearcs.errors import ValidationError
 from primearcs.primes import build_table, load_table, save_table
@@ -246,8 +246,11 @@ class TestSubcommands:
         table = load_table(table_file)
         n1 = len(table.primes_in_range(50, 500))
         n2 = len(table.primes_in_range(math.sqrt(50), math.sqrt(500)))
-        assert int(meta["pairs"]) == n1 * n2
+        n3 = len(expsums.window(1.05, 50.0, 500.0, table)[0])
+        # the join pairs each p2 with each p3 and re-checks prime p1 values
+        assert int(meta["pairs"]) == n2 * n3
         assert 0 < int(meta["count"]) <= int(meta["candidates"])
+        assert int(meta["candidates"]) < n1 * n2
         assert meta["truncated"] == "False"
 
     def test_arcs_json(self, tmp_path, table_file):
@@ -395,6 +398,29 @@ class TestExitCodes:
         assert main(["search", "--instance", write_instance(tmp_path, cfg),
                      "--table", table_file, "--X", "150"]) == 2
         assert f"{field}: not a number: 'abc'" in capsys.readouterr().err
+
+    def test_coefficient_beyond_float_range_is_2(self, tmp_path, table_file,
+                                                 capsys):
+        # 10^400 parses exactly but has no float; it raised OverflowError
+        cfg = GOOD_INSTANCE.replace("lambda1 = 1", "lambda1 = 1" + "0" * 400)
+        assert main(["search", "--instance", write_instance(tmp_path, cfg),
+                     "--table", table_file, "--X", "150"]) == 2
+        assert "beyond the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "approx"])
+    def test_overlong_literal_is_2(self, tmp_path, table_file, command,
+                                   capsys):
+        # int() reads at most 4300 digits: a 5000-digit literal raised
+        # ValueError inside parse_hireal
+        literal = "1" + "0" * 4999
+        if command == "search":
+            cfg = GOOD_INSTANCE.replace("lambda1 = 1", f"lambda1 = {literal}")
+            argv = ["search", "--instance", write_instance(tmp_path, cfg),
+                    "--table", table_file, "--X", "150"]
+        else:
+            argv = ["approx", "--lambda-ratio", literal]
+        assert main(argv) == 2
+        assert "over 4000 characters" in capsys.readouterr().err
 
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import random
@@ -5,10 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primearcs import expsums
+from primearcs import expsums, search
 from primearcs.circle import ProblemInstance
 from primearcs.errors import ValidationError
-from primearcs.search import (brute_force_solutions, find_solutions,
+from primearcs.search import (_BLOCK, brute_force_solutions, find_solutions,
                               residual, admissible_threshold,
                               weighted_solution_sum)
 
@@ -24,6 +25,13 @@ def triples(report):
 
 def rows(report):
     return [(r.p1, r.p2, r.p3, r.residual) for r in report.records]
+
+
+def oracle_records(report):
+    """The records as brute_force_solutions makes them: it does not set
+    within_admissible_width."""
+    return [dataclasses.replace(r, within_admissible_width=False)
+            for r in report.records]
 
 
 class TestFindSolutions:
@@ -65,14 +73,37 @@ class TestFindSolutions:
         # the cap keeps the lexicographically smallest triples
         assert capped.records == full.records[:3]
 
-    def test_wide_threshold_matches_brute(self, table):
-        # ~40 candidates for each of ~2000 pairs: one block of pairs
-        # holds them all and is cut to bound its candidate count
+    def test_wide_threshold_matches_brute(self, table, monkeypatch):
+        # 2 * 600 + 1 integers for each of ~1500 (p2, p3) pairs: one tile
+        # of _BLOCK pairs would hold every pair, so the join cuts its tiles
+        # to bound their candidate integers, one residual call per tile
         inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.3)
+        calls = []
+        residual_arrays = search._residual_arrays
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return residual_arrays(*args)
+
+        monkeypatch.setattr(search, "_residual_arrays", counting)
         fast = find_solutions(inst, table, 2000.0, 600.0)
+        monkeypatch.undo()
         brute = brute_force_solutions(inst, table, 2000.0, 600.0)
-        assert fast.pairs < 4096 and fast.candidates > 16 * 4096
+        assert fast.pairs < _BLOCK and len(calls) > 1
+        assert sum(calls) == fast.candidates and max(calls) <= 16 * _BLOCK
         assert rows(fast) == rows(brute)
+
+    def test_criterion11_instance_pinned(self, table):
+        # criterion 11's instance at X = 1e5, with the values that the
+        # independent (p1, p2)-pair join found, bit for bit
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
+        rep = find_solutions(inst, table, 1e5, 0.1)
+        assert (rep.count, rep.truncated) == (1345, False)
+        assert rows(rep)[0] == (24683, 101, 6607, -0.018610201422839312)
+        assert rows(rep)[-1] == (99961, 179, 32507, -0.0009060472601813974)
+        assert math.fsum(r.residual for r in rep.records) == 0.442937590936636
+        assert sum(r.p1 + r.p2 + r.p3 for r in rep.records) == 122902457
+        assert all(r.within_admissible_width for r in rep.records)
 
     def test_p3_range_beyond_table_rejected(self, table):
         inst = ProblemInstance(1.0, -1.0, 1.0, k=0.5, varpi=0.0)
@@ -175,6 +206,59 @@ class TestBruteForce:
             r = fast.records[len(fast.records) // 2]
             tie = find_solutions(inst, table, X, abs(r.residual), window=window)
             assert r in tie.records
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(l1=st.floats(0.01, 3.0),
+           mag=st.tuples(*[st.floats(0.4, 3.0)] * 2),
+           signs=st.tuples(*[st.sampled_from([-1, 1])] * 3),
+           k=st.floats(1.0, 1.3), varpi=st.floats(-2.0, 2.0),
+           band=st.floats(0.0, 40.0), X=st.floats(200.0, 3000.0),
+           window=st.sampled_from(["delta", "dyadic"]))
+    def test_wide_band_matches_brute(self, table, l1, mag, signs, k, varpi,
+                                     band, X, window):
+        # p1 within threshold/|lambda1| of the solving value: up to 40 on
+        # either side, from |lambda1| = 0.01 at small thresholds to
+        # threshold 20 at |lambda1| >= 0.5
+        lam = [s * m for s, m in zip(signs, (l1,) + mag)]
+        if all(l > 0 for l in lam) or all(l < 0 for l in lam):
+            lam[2] = -lam[2]
+        inst = ProblemInstance(*lam, k=k, varpi=varpi)
+        thr = min(20.0, band * l1)
+        fast = find_solutions(inst, table, X, thr, window=window)
+        brute = brute_force_solutions(inst, table, X, thr, window=window)
+        assert (fast.count, fast.truncated) == (brute.count, False)
+        assert oracle_records(fast) == list(brute.records)
+
+    @pytest.mark.parametrize("lam,X,window,hit", [
+        ((1.0, 2.0, -1.0), 40.0, "delta", (17, 2, 5)),
+        ((1.0, 2.0, -1.0), 900.0, "delta", (191, 13, 23)),
+        ((-2.0, 1.0, 1.0), 1500.0, "dyadic", (2029, 43, 47)),
+        ((-2.0, 1.0, 1.0), 5000.0, "dyadic", (5641, 71, 79))])
+    def test_exact_hits_at_threshold_zero(self, table, lam, X, window, hit):
+        # integer residuals at k = 2: threshold 0 keeps the exact hits,
+        # 17 + 2*2^2 - 5^2 = 0 and -2*2029 + 43^2 + 47^2 = 0 among them
+        inst = ProblemInstance(*lam, k=2.0, varpi=0.0)
+        fast = find_solutions(inst, table, X, 0.0, window=window)
+        brute = brute_force_solutions(inst, table, X, 0.0, window=window)
+        assert hit in triples(fast)
+        assert oracle_records(fast) == list(brute.records)
+        assert all(r.residual == 0.0 for r in fast.records)
+
+    @pytest.mark.parametrize("lambda3,X,window,ends", [
+        (1.0, 1999.0, "delta", (211, 1999)),
+        (0.5, 1009.0, "dyadic", (1009, 2017))])
+    def test_p1_at_window_ends(self, table, lambda3, X, window, ends):
+        # the first and last primes of the p1 window are solutions, and the
+        # bands of their pairs reach past the window's ends
+        inst = ProblemInstance(1.0, -math.sqrt(2.0), lambda3, k=1.05,
+                               varpi=0.3)
+        p1s = expsums.window(1.0, *((0.1 * X, X) if window == "delta"
+                                    else (X, 2 * X)), table)[0]
+        assert (p1s[0], p1s[-1]) == ends
+        fast = find_solutions(inst, table, X, 3.0, window=window)
+        brute = brute_force_solutions(inst, table, X, 3.0, window=window)
+        assert {ends[0], ends[-1]} <= {r.p1 for r in fast.records}
+        assert oracle_records(fast) == list(brute.records)
 
     def test_guard(self, exact_inst, table):
         with pytest.raises(ValidationError):
