@@ -168,7 +168,7 @@ def _cmd_meansquare(args) -> int:
         rep = meansquare.selberg_J(table, q)
         param = q.h
     meta = _meta("mean_square", psi=args.psi, rh=args.rh,
-                 est_error=rep.est_error)
+                 est_error=rep.est_error, note=rep.note)
     _write_csv(args.out, meta,
                ["X", "k", "param", "value", "comparator", "ratio", "method"],
                [(q.X, q.k, param, rep.value, rep.comparator, rep.ratio,
@@ -214,7 +214,9 @@ def _cmd_arcs(args) -> int:
         tails = circle.trivial_tails(inst, table, w, arc.R, tol=args.tol * 1e3)
         payload["trivial"] = {"values": list(tails.values),
                               "comparators": list(tails.comparators),
-                              "ratios": list(tails.ratios)}
+                              "ratios": list(tails.ratios),
+                              "start": list(tails.start),
+                              "slices": list(tails.slices)}
     _write_json(args.out, payload)
     return 0
 
@@ -232,8 +234,8 @@ def _cmd_search(args) -> int:
     meta = _meta("solution_search", X=X, threshold=threshold,
                  count=rep.count, truncated=rep.truncated, pairs=rep.pairs,
                  candidates=rep.candidates, window=args.window)
-    rows = [(r.p1, r.p2, r.p3, r.residual) for r in rep.records]
-    _write_csv(args.out, meta, ["p1", "p2", "p3", "residual"], rows)
+    _write_csv(args.out, meta, list(search.SolutionRecord._fields),
+               rep.records)
     return 0
 
 

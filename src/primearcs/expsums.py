@@ -56,8 +56,10 @@ class WindowSpec:
             raise ValidationError(f"WindowSpec: k must be positive, got {self.k}")
 
 
-# Windows kept per prime table, and integer windows kept by the module.
-WINDOW_CACHE_SIZE = 4
+# Windows kept per prime table, and integer windows kept by the module;
+# 16 holds the 9 windows of the benchmark's search round and the 6 of
+# its arcs round, so no window is rebuilt within a round.
+WINDOW_CACHE_SIZE = 16
 # An integer window's build holds each candidate as int64 with its 16-byte
 # extended power, and then the kept int64 and the power's float64 hi and lo.
 _BYTES_PER_CANDIDATE = 48

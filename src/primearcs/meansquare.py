@@ -61,7 +61,6 @@ class MeanSquareQuery:
 
 @dataclass(frozen=True)
 class MeanSquareReport:
-    query: MeanSquareQuery
     value: float
     comparator: float
     ratio: float
@@ -160,8 +159,8 @@ def _require_table(table: PrimeTable, needed: float, what: str):
             f"{what}: table limit {table.limit} below required {needed:.0f}")
 
 
-def _report(q, value, comparator, note="", method="piecewise-exact", **extra):
-    return MeanSquareReport(q, value, comparator,
+def _report(value, comparator, note="", method="piecewise-exact", **extra):
+    return MeanSquareReport(value, comparator,
                             value / comparator if comparator > 0 else math.inf,
                             method, note, **extra)
 
@@ -189,7 +188,7 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery,
 
     value = _increment_square(table, k, smooth, x_lo, x_hi, h, 1.0,
                               (False, True) if q.use_psi else (False,))
-    return _report(q, value, *_short_interval_comparator(q))
+    return _report(value, *_short_interval_comparator(q))
 
 
 def _short_interval_comparator(q: MeanSquareQuery) -> tuple[float, str]:
@@ -227,7 +226,7 @@ def theta_psi_discrepancy(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRe
     value = _increment_square(table, k, np.zeros_like, X, 2.0 * X,
                               shift, factor, (True,))
     comparator = (h * X ** (1.0 / k + 1.0)) if relative else (h * X ** (1.0 / k))
-    return _report(q, value, comparator)
+    return _report(value, comparator)
 
 
 def selberg_J_relative(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareReport:
@@ -256,7 +255,7 @@ def selberg_J_relative(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRepor
     X, rt = q.X, 1.0 / q.k
     plain = value(X, q.k, q.rel_delta)
     inner = value(X ** rt, 1.0, (1.0 + q.rel_delta) ** rt - 1.0)
-    return _report(q, plain, *_short_interval_comparator(q),
+    return _report(plain, *_short_interval_comparator(q),
                    substituted=X ** (1.0 - rt) * inner)
 
 
@@ -293,8 +292,7 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     else:
         raise ValidationError(f"unknown method {method!r}")
     comparator = _truncated_l2_comparator(table, w, Y)
-    return _report(MeanSquareQuery(X=w.X, k=w.k, Y=Y), value, comparator,
-                   method=method, est_error=est_error)
+    return _report(value, comparator, method=method, est_error=est_error)
 
 
 def _l2_spectrum(freqs: np.ndarray, coeffs: np.ndarray, Y: float):

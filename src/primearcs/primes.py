@@ -3,8 +3,9 @@
 A PrimeTable is an immutable sieve product: the ascending primes up to a
 limit together with the compensated prefix sums of log p.  PrimeTable.jumps
 is the one source for where theta and psi - theta jump (the primes, the
-exact int64 proper prime powers p^m) and their values there; theta(x) and
-(psi - theta)(x) are a binary search of it plus one lookup.
+exact int64 proper prime powers p^m) and their values there;
+theta_many(x) and psi_minus_theta_many(x) are a binary search of it plus
+one lookup per x.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ class PrimeTable:
     """Immutable sieve output; safe for concurrent readers.
 
     The sieve data (limit, primes, theta_prefix) never changes after
-    construction; jumps reads theta and psi - theta from it.  ``windows``
+    construction; jumps reads theta and psi - theta from it, and
+    theta_many and psi_minus_theta_many evaluate them on float arrays
+    (psi is their sum).  ``windows``
     is derived data: expsums.window keeps the prime windows it builds from
     this table there (a few, read-only), so they live and die with the
     table.  It takes no part in comparison or repr.
@@ -87,12 +90,6 @@ class PrimeTable:
     def count(self) -> int:
         return len(self.primes)
 
-    def theta(self, x: float) -> float:
-        """theta(x) = sum_{p <= x} log p: theta_many at the one point x."""
-        if x < 0:
-            raise ValidationError(f"theta: x={x} below 0")
-        return float(self.theta_many([x])[0])
-
     def theta_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized theta for float arrays up to the limit (0 below 2):
         theta_prefix at the count of primes <= floor(x), searched with
@@ -100,14 +97,6 @@ class PrimeTable:
         n = np.floor(self._upto_limit(x, "theta_many")).astype(np.int64)
         i = np.searchsorted(self.primes, n, side="right")
         return np.where(i > 0, self.theta_prefix[i - 1], 0.0)
-
-    def psi(self, x: float) -> float:
-        """psi(x) = theta(x) + (psi - theta)(x): the vector evaluators at
-        the one point x."""
-        if x < 0:
-            raise ValidationError(f"psi: x={x} below 0")
-        xs = [x]
-        return float((self.theta_many(xs) + self.psi_minus_theta_many(xs))[0])
 
     def psi_minus_theta_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorized psi(x) - theta(x) (proper prime-power mass only) for

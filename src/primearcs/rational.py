@@ -153,7 +153,7 @@ class HiReal:
 
     def inverse(self) -> "HiReal":
         if self.p == 0 and self.q == 0:
-            raise ZeroDivisionError("inverse of zero")
+            raise ValidationError("division by zero")
         # r / (p + q s) = r (p - q s) / (p^2 - q^2 d)
         norm = self.p * self.p - self.q * self.q * self.d
         inv = HiReal(self.r * self.p, -self.r * self.q, self.d, norm)
@@ -231,7 +231,8 @@ def parse_hireal(text: str) -> HiReal:
                 raise ValidationError(f"unbalanced parentheses in {text!r}")
             return val, i + 1
         if tok == "sqrt":
-            if i + 3 >= len(tokens) or tokens[i + 1] != "(" or tokens[i + 3] != ")":
+            if (i + 3 >= len(tokens) or tokens[i + 1] != "("
+                    or not tokens[i + 2].isdigit() or tokens[i + 3] != ")"):
                 raise ValidationError(f"sqrt expects an integer argument in {text!r}")
             return HiReal.sqrt_of(int(tokens[i + 2])), i + 4
         if tok.isdigit():

@@ -7,15 +7,16 @@ linear: each (p2, p3) pair gives the integers in the threshold band of
 the solving p1, and a bitmap of the p1 window keeps the primes among
 them.  Those candidates are re-checked with a double-double residual,
 so near-threshold classifications are stable and completeness follows
-from the band, not from a guard.  brute_force_solutions is the
-exhaustive triple loop used as the completeness oracle.
+from the band, not from a guard.  A solution record is the (p1, p2, p3,
+residual) row that ``primearcs search`` writes.  brute_force_solutions is
+the exhaustive triple loop used as the completeness oracle.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,26 +29,27 @@ from .primes import PrimeTable
 _BLOCK = 1 << 14  # (p2, p3) pairs joined at a time: bounds the working set
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
+    """One triple within the threshold and its double-double residual."""
+
     p1: int
     p2: int
     p3: int
     residual: float
-    within_admissible_width: bool = False
 
 
 @dataclass(frozen=True)
 class SearchReport:
-    """count: triples within the threshold (the join's hits); pairs: (p2, p3)
-    pairs joined; candidates: prime p1 values whose residual was re-checked."""
+    """count: triples within the threshold (the join's hits); records: the
+    smallest of them in ascending (p1, p2, p3) order, the search CSV's rows;
+    truncated: records holds fewer than count; pairs: (p2, p3) pairs joined;
+    candidates: prime p1 values whose residual was re-checked.  An empty
+    variable window gives count 0 and no records."""
     X: float
     threshold: float
     count: int
     records: tuple[SolutionRecord, ...]
     truncated: bool = False
-    elapsed: float = 0.0
-    diagnostics: str = ""
     pairs: int = 0
     candidates: int = 0
 
@@ -75,15 +77,6 @@ def _residual_arrays(l1: float, p1, l2: float, p2sq: np.ndarray,
     return hi2 + (lo + lo2)
 
 
-def residual(inst: ProblemInstance, p1: int, p2: int, p3: int) -> float:
-    """Double-double residual of one triple."""
-    nk_hi, nk_lo = dd_from_longdouble(powk_extended(np.asarray([p3]), inst.k))
-    out = _residual_arrays(inst.lambda1, float(p1), inst.lambda2,
-                           np.asarray([float(p2) ** 2]), inst.lambda3,
-                           nk_hi, nk_lo, inst.varpi)
-    return float(out[0])
-
-
 def admissible_threshold(inst: ProblemInstance, X: float) -> float:
     """X^(-(33-29k)/(72k) + eps): the admissible width at the window top.
 
@@ -108,7 +101,6 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
     """
     if threshold < 0 or cap < 0:
         raise ValidationError("threshold and cap must be nonnegative")
-    t0 = time.perf_counter()
     lo, hi = _window_bounds(inst, X, window)
     k = inst.k
     l1, l2, l3, varpi = inst.lambda1, inst.lambda2, inst.lambda3, inst.varpi
@@ -119,8 +111,7 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
     (p1s, _, _), (p2s, (p2sq, _), _), (p3s, (p3k_hi, p3k_lo), _) = (
         expsums.window(kj, lo, hi, table) for kj in (1.0, 2.0, k))
     if len(p1s) == 0 or len(p2s) == 0 or len(p3s) == 0:
-        return SearchReport(X, threshold, 0, (), elapsed=time.perf_counter() - t0,
-                            diagnostics="empty variable window")
+        return SearchReport(X, threshold, 0, ())
     # c is off by a few ulps of the terms' size over |lambda1|;
     # 1e-12 of it keeps every triple within the threshold a candidate
     slack = 1e-12 * ((abs(l1) + abs(l2) + abs(l3)) * hi + abs(varpi)
@@ -158,13 +149,10 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
             hits.append((p1[good], p2s[i2[good]], p3s[j3[good]], res[good]))
     p1, p2, p3, res = (np.concatenate(h) for h in zip(*hits))
     order = np.lexsort((p3, p2, p1))[:cap]
-    thr_exp = eta_exponent(k, inst.eps)
-    records = tuple(
-        SolutionRecord(a, b, c, r, abs(r) <= max(a, b, c) ** thr_exp)
-        for a, b, c, r in zip(*(x[order].tolist() for x in (p1, p2, p3, res))))
+    records = tuple(map(SolutionRecord._make,
+                        zip(*(x[order].tolist() for x in (p1, p2, p3, res)))))
     return SearchReport(X, threshold, len(p1), records, len(p1) > cap,
-                        time.perf_counter() - t0, pairs=n2 * n3,
-                        candidates=candidates)
+                        pairs=n2 * n3, candidates=candidates)
 
 
 def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
@@ -173,7 +161,6 @@ def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
     """Exhaustive triple loop; the completeness oracle for find_solutions."""
     if X > 10**4:
         raise ValidationError("brute force is guarded to X <= 10^4")
-    t0 = time.perf_counter()
     lo, hi = _window_bounds(inst, X, window)
     k = inst.k
     p1s = table.primes_in_range(max(2.0, lo), hi)
@@ -195,9 +182,8 @@ def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
             for j in np.nonzero(good)[0]:
                 records.append(SolutionRecord(p1, p2, int(p3s[j]),
                                               float(res[j])))
-    records.sort(key=lambda r: (r.p1, r.p2, r.p3))
-    return SearchReport(X, threshold, len(records), tuple(records),
-                        elapsed=time.perf_counter() - t0)
+    records.sort()
+    return SearchReport(X, threshold, len(records), tuple(records))
 
 
 def weighted_solution_sum(inst: ProblemInstance, table: PrimeTable, X: float,

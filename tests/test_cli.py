@@ -193,12 +193,15 @@ class TestSubcommands:
         assert float(data[1].split(",")[3]) == pytest.approx(1767.957276, rel=1e-8)
 
     def test_meansquare_below_e(self, tmp_path, table_file):
-        # no unconditional comparator at X <= e: the value with ratio inf
+        # no unconditional comparator at X <= e: the value with ratio inf,
+        # and the comparator's note in the metadata
         out = tmp_path / "m.csv"
         assert main(["meansquare", "--table", table_file, "--X", "2.5", "--k",
                      "1", "--h", "1", "--out", str(out)]) == 0
-        row = Path(out).read_text().splitlines()[-1].split(",")
+        lines = Path(out).read_text().splitlines()
+        row = lines[-1].split(",")
         assert float(row[3]) >= 0 and row[4:6] == ["0.0", "inf"]
+        assert "# note=comparator-out-of-range" in lines
 
     def test_approx_json_roundtrip(self, tmp_path):
         out = tmp_path / "cf.json"
@@ -262,6 +265,11 @@ class TestSubcommands:
         payload = json.loads(Path(out).read_text())
         assert "params" in payload and "trivial" in payload
         assert payload["params"]["R"] > payload["params"]["P"] / 150
+        # each tail's first sliced integer and its slice count
+        for key in ("start", "slices"):
+            values = payload["trivial"][key]
+            assert len(values) == 3, key
+            assert all(isinstance(v, int) and v > 0 for v in values), key
 
     def test_exponents_json(self, tmp_path):
         out = tmp_path / "e.json"
@@ -421,6 +429,23 @@ class TestExitCodes:
             argv = ["approx", "--lambda-ratio", literal]
         assert main(argv) == 2
         assert "over 4000 characters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "approx"])
+    @pytest.mark.parametrize("expr,message", [
+        ("1/0", "division by zero"), ("0.0/0.0", "division by zero"),
+        ("sqrt(2.5)", "sqrt expects an integer argument")])
+    def test_bad_coefficient_expression_is_2(self, tmp_path, table_file,
+                                             command, expr, message, capsys):
+        # these exited 1 with a ZeroDivisionError or ValueError traceback
+        if command == "search":
+            cfg = GOOD_INSTANCE.replace("lambda2 = -sqrt(2)",
+                                        f"lambda2 = {expr}")
+            argv = ["search", "--instance", write_instance(tmp_path, cfg),
+                    "--table", table_file, "--X", "150"]
+        else:
+            argv = ["approx", "--lambda-ratio", expr]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",

@@ -49,17 +49,22 @@ def test_resource_budget():
         build_table(10**12)
 
 
+def psi(table, x):
+    """psi = theta + (psi - theta) on a float array."""
+    return table.theta_many(x) + table.psi_minus_theta_many(x)
+
+
 def test_theta_values(table):
-    assert table.theta(1.9) == 0.0
-    assert table.theta(2) == pytest.approx(math.log(2), rel=1e-15)
-    assert table.theta(10) == pytest.approx(
+    vals = table.theta_many([1.9, 2.0, 10.0])
+    assert vals[0] == 0.0
+    assert vals[1] == pytest.approx(math.log(2), rel=1e-15)
+    assert vals[2] == pytest.approx(
         sum(math.log(p) for p in (2, 3, 5, 7)), rel=1e-14)
 
 
 def test_theta_monotone(table):
-    xs = np.linspace(0, 10**4, 400)
-    vals = [table.theta(x) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    vals = table.theta_many(np.linspace(0, 10**4, 400))
+    assert np.all(np.diff(vals) >= 0)
 
 
 def test_theta_many_matches_jumps_search(table):
@@ -74,35 +79,35 @@ def test_theta_many_matches_jumps_search(table):
         assert np.array_equal(table.theta_many(np.array([x])), want), x
 
 
-@pytest.mark.parametrize("name", ["theta", "psi", "theta_many",
-                                  "psi_minus_theta_many"])
+@pytest.mark.parametrize("name", ["theta_many", "psi_minus_theta_many"])
 def test_theta_out_of_range(table, name):
     # past the limit the table no longer knows every prime; the vector
     # forms answered theta(limit) there
     fn = getattr(table, name)
-    arg = (lambda x: x) if name in ("theta", "psi") else (lambda x: [1.0, x])
-    assert np.all(np.isfinite(fn(arg(float(table.limit)))))
+    assert np.all(np.isfinite(fn([1.0, float(table.limit)])))
     with pytest.raises(ValidationError):
-        fn(arg(table.limit + 1))
+        fn([1.0, table.limit + 1])
 
 
 def test_psi_values(table):
-    assert table.psi(2) == pytest.approx(math.log(2), rel=1e-15)
     lam = {2: math.log(2), 3: math.log(3), 4: math.log(2), 5: math.log(5),
            7: math.log(7), 8: math.log(2), 9: math.log(3)}
-    assert table.psi(10) == pytest.approx(sum(lam.values()), rel=1e-13)
-    assert table.psi(9) - table.theta(9) == pytest.approx(
+    two, ten = psi(table, [2.0, 10.0])
+    assert two == pytest.approx(math.log(2), rel=1e-15)
+    assert ten == pytest.approx(sum(lam.values()), rel=1e-13)
+    assert table.psi_minus_theta_many([9.0])[0] == pytest.approx(
         2 * math.log(2) + math.log(3), rel=1e-13)
 
 
 def test_psi_minus_theta_is_prime_power_mass(table):
     rng = np.random.default_rng(11)
-    for x in rng.uniform(10, 5000, size=25):
+    xs = rng.uniform(10, 5000, size=25)
+    for x, got in zip(xs, table.psi_minus_theta_many(xs)):
         direct = sum(math.log(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23,
                                            29, 31, 37, 41, 43, 47, 53, 59,
                                            61, 67)
                      for m in range(2, 64) if p ** m <= x)
-        assert table.psi(x) - table.theta(x) == pytest.approx(direct, abs=1e-9)
+        assert got == pytest.approx(direct, abs=1e-9)
 
 
 # proper prime powers p^m (m >= 2) inside the shared 300 000 table
@@ -172,9 +177,9 @@ def test_jumps_edges(table, jump_points, proper):
 
 
 def test_chebyshev_sanity(table):
-    for x in np.linspace(100, 2 * 10**5, 50):
-        th, ps = table.theta(x), table.psi(x)
-        assert th <= ps <= 1.04 * x
+    xs = np.linspace(100, 2 * 10**5, 50)
+    th, ps = table.theta_many(xs), psi(table, xs)
+    assert np.all(th <= ps) and np.all(ps <= 1.04 * xs)
 
 
 def test_primes_in_range(table):

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import math
 import random
@@ -10,8 +9,7 @@ from primearcs import expsums, search
 from primearcs.circle import ProblemInstance
 from primearcs.errors import ValidationError
 from primearcs.search import (_BLOCK, brute_force_solutions, find_solutions,
-                              residual, admissible_threshold,
-                              weighted_solution_sum)
+                              admissible_threshold, weighted_solution_sum)
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +23,6 @@ def triples(report):
 
 def rows(report):
     return [(r.p1, r.p2, r.p3, r.residual) for r in report.records]
-
-
-def oracle_records(report):
-    """The records as brute_force_solutions makes them: it does not set
-    within_admissible_width."""
-    return [dataclasses.replace(r, within_admissible_width=False)
-            for r in report.records]
 
 
 class TestFindSolutions:
@@ -60,8 +51,7 @@ class TestFindSolutions:
     def test_empty_window_diagnostic(self, table):
         inst = ProblemInstance(1.0, -1.0, 1.0, k=1.05, varpi=0.0, delta=0.9)
         rep = find_solutions(inst, table, 4.0, 0.1)
-        assert rep.count == 0
-        assert "empty" in rep.diagnostics
+        assert rep.count == 0 and rep.records == ()
 
     def test_cap_truncation(self, table):
         inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
@@ -103,7 +93,11 @@ class TestFindSolutions:
         assert rows(rep)[-1] == (99961, 179, 32507, -0.0009060472601813974)
         assert math.fsum(r.residual for r in rep.records) == 0.442937590936636
         assert sum(r.p1 + r.p2 + r.p3 for r in rep.records) == 122902457
-        assert all(r.within_admissible_width for r in rep.records)
+        # every record is within the admissible width at its largest prime,
+        # max(p1, p2, p3)^(-(33 - 29k)/(72k) + eps)
+        power = -(33 - 29 * 1.05) / (72 * 1.05) + inst.eps
+        assert all(abs(r.residual) <= max(r.p1, r.p2, r.p3) ** power
+                   for r in rep.records)
 
     def test_p3_range_beyond_table_rejected(self, table):
         inst = ProblemInstance(1.0, -1.0, 1.0, k=0.5, varpi=0.0)
@@ -227,7 +221,7 @@ class TestBruteForce:
         fast = find_solutions(inst, table, X, thr, window=window)
         brute = brute_force_solutions(inst, table, X, thr, window=window)
         assert (fast.count, fast.truncated) == (brute.count, False)
-        assert oracle_records(fast) == list(brute.records)
+        assert fast.records == brute.records
 
     @pytest.mark.parametrize("lam,X,window,hit", [
         ((1.0, 2.0, -1.0), 40.0, "delta", (17, 2, 5)),
@@ -241,7 +235,7 @@ class TestBruteForce:
         fast = find_solutions(inst, table, X, 0.0, window=window)
         brute = brute_force_solutions(inst, table, X, 0.0, window=window)
         assert hit in triples(fast)
-        assert oracle_records(fast) == list(brute.records)
+        assert fast.records == brute.records
         assert all(r.residual == 0.0 for r in fast.records)
 
     @pytest.mark.parametrize("lambda3,X,window,ends", [
@@ -258,7 +252,7 @@ class TestBruteForce:
         fast = find_solutions(inst, table, X, 3.0, window=window)
         brute = brute_force_solutions(inst, table, X, 3.0, window=window)
         assert {ends[0], ends[-1]} <= {r.p1 for r in fast.records}
-        assert oracle_records(fast) == list(brute.records)
+        assert fast.records == brute.records
 
     def test_guard(self, exact_inst, table):
         with pytest.raises(ValidationError):
@@ -281,14 +275,6 @@ class TestThreshold:
             for e in (0.0, 0.01, 0.05, 0.2)]
         assert vals == sorted(vals)
 
-    def test_per_record_flag(self, table):
-        inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
-        rep = find_solutions(inst, table, 2000.0, 0.5)
-        for r in rep.records:
-            want = abs(r.residual) <= max(r.p1, r.p2, r.p3) ** (
-                -(33 - 29 * 1.05) / (72 * 1.05) + inst.eps)
-            assert r.within_admissible_width == want
-
 
 def test_weighted_sum_consistency(table):
     inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
@@ -298,9 +284,3 @@ def test_weighted_sum_consistency(table):
     manual = sum(math.log(r.p1) * math.log(r.p2) * math.log(r.p3)
                  * (eta - abs(r.residual)) for r in rep.records)
     assert total == pytest.approx(manual, rel=1e-12)
-
-
-def test_residual_helper(table):
-    inst = ProblemInstance(1.0, 2.0, -1.0, k=2.0, varpi=0.0)
-    assert residual(inst, 17, 2, 5) == 0.0
-    assert residual(inst, 17, 2, 7) == pytest.approx(17 + 8 - 49)
