@@ -1,7 +1,7 @@
 """Numerical toolkit for ternary prime-power Diophantine inequalities.
 
 Modules:
-    primes     - segmented sieve, Chebyshev theta/psi, 64-bit primality
+    primes     - odd-only sieve, table coverage, Chebyshev theta/psi, primality
     expsums    - exponential sums S/U, oscillatory integral T, Fejér kernel
     meansquare - short-interval mean-square integrals and comparators
     rational   - high-precision ratios and continued fractions

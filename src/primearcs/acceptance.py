@@ -295,7 +295,7 @@ def criterion_solutions_at_scale(table: PrimeTable, tol_scale=1.0) -> CriterionR
     ok = rep.count >= 1
     return _result("solutions-at-scale", ok,
                    f"count {rep.count} at threshold 0.1 "
-                   f"(first: {rep.records[0] if rep.records else 'none'})",
+                   f"(first: {tuple(rep.records[0]) if rep.records else 'none'})",
                    t0, 300.0)
 
 

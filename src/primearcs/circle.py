@@ -71,7 +71,8 @@ class ProblemInstance:
     def warnings(self) -> list[str]:
         out = []
         if not self.sign_ok:
-            out.append("coefficients all share one sign: no solutions exist")
+            out.append("coefficients all share one sign: at most finitely "
+                       "many solutions")
         if not self.k_in_range:
             out.append(f"k={self.k} outside the supported range "
                        f"({K_RANGE[0]}, {K_RANGE[1]:.6f})")
@@ -383,7 +384,6 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     out = {name: v.real for name, v in vals.items()}
     out["est_error"] = err
     out["t_est_error"] = t_est[0]
-    out["arc"] = arc
     return out
 
 

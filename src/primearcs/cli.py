@@ -26,9 +26,10 @@ def load_instance(path: str) -> circle.ProblemInstance:
     """Parse a key=value instance file into a validated ProblemInstance.
 
     Coefficient values may be exact expression strings (sqrt(2), 7/3,
-    decimal literals).  Rejects a key outside _INSTANCE_KEYS and a
-    coefficient set that shares one sign; warns (stderr) when k falls
-    outside the supported exponent range.
+    decimal literals).  Rejects a key outside _INSTANCE_KEYS, what
+    ProblemInstance refuses (a zero coefficient) and a coefficient set that
+    shares one sign (not sign_ok); warns (stderr) when k falls outside the
+    supported exponent range.
     """
     p = Path(path)
     if not p.exists():
@@ -48,21 +49,16 @@ def load_instance(path: str) -> circle.ProblemInstance:
     for req in ("lambda1", "lambda2", "lambda3", "k"):
         if req not in raw:
             raise ValidationError(f"instance file missing required field {req!r}")
-    lam = {key: rational.parse_hireal(raw[key]).to_float()
-           for key in ("lambda1", "lambda2", "lambda3")}
-    if 0.0 in lam.values():
-        raise ValidationError("all three coefficients must be nonzero")
-    signs = [v > 0 for v in lam.values()]
-    if all(signs) or not any(signs):
-        raise ValidationError(
-            "coefficients must not all be of the same sign (the inequality "
-            "has no solutions otherwise)")
     inst = circle.ProblemInstance(
-        lambda1=lam["lambda1"], lambda2=lam["lambda2"], lambda3=lam["lambda3"],
-        k=rational.parse_hireal(raw["k"]).to_float(),
+        *(rational.parse_hireal(raw[key]).to_float()
+          for key in ("lambda1", "lambda2", "lambda3", "k")),
         varpi=_number(raw.get("varpi", 0.0), "varpi"),
         eps=_number(raw.get("eps", 0.01), "eps"),
         delta=_number(raw.get("delta", 0.1), "delta"))
+    if not inst.sign_ok:
+        raise ValidationError(
+            "coefficients must not all be of the same sign (with one sign "
+            "the inequality has at most finitely many solutions)")
     for warning in inst.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return inst
@@ -203,8 +199,7 @@ def _cmd_arcs(args) -> int:
                           "trivial": arc.trivial}}
     piece = args.piece
     if piece in ("major", "all"):
-        out = circle.major_arc_split(inst, table, w, eta, tol=args.tol)
-        payload["major"] = {k2: v for k2, v in out.items() if k2 != "arc"}
+        payload["major"] = circle.major_arc_split(inst, table, w, eta, tol=args.tol)
     if piece in ("minor", "all"):
         rows = circle.minor_arc_l2(inst, table, w, eta, arc)
         holder_comp = eta * X ** ((65 * inst.k + 39) / (72 * inst.k) + inst.eps)

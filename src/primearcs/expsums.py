@@ -114,14 +114,10 @@ def _build_window(k: float, lo: float, hi: float,
     else:
         if hi < lo:
             raise ValidationError("window: inverted bounds")
-        p_lo = lo ** (1.0 / k)
-        p_hi = hi ** (1.0 / k)
-        if p_hi > table.limit * (1 + 1e-12):
-            raise ValidationError(
-                f"prime table limit {table.limit} too small; need primes up "
-                f"to {p_hi:.0f}")
-        cand = table.primes_in_range(max(2.0, math.floor(p_lo) - 1),
-                                     min(table.limit, math.ceil(p_hi) + 1))
+        table.require(k, hi, f"prime window [{lo:g}, {hi:g}]")
+        cand = table.primes_in_range(max(2.0, math.floor(lo ** (1.0 / k)) - 1),
+                                     min(table.limit,
+                                         math.ceil(hi ** (1.0 / k)) + 1))
     pk = powk_extended(cand, k)
     mask = np.asarray((pk >= lo) & (pk <= hi))
     values, pk = cand[mask], pk[mask]
@@ -310,9 +306,7 @@ def s_minus_u_weights(table: PrimeTable, w: WindowSpec):
     ns = win.values
     if len(ns) == 0:
         return win, np.array([])
-    if ns[-1] > table.limit:
-        raise ValidationError(
-            f"table limit {table.limit} below the window's largest integer {ns[-1]}")
+    table.require(w.k, 2.0 * w.X, "S - U weights")
     prime_mask = np.isin(ns, table.primes_in_range(2, float(ns[-1])))
     ell = np.where(prime_mask, np.log(ns.astype(np.float64)), 0.0)
     return win, ell - 1.0

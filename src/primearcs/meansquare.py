@@ -80,12 +80,12 @@ def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
     or not): at x = q^k and (q^k - shift)/factor, from one powering of the
     q from one below the smaller range's lower root up.  Returns them and
     a run (end, F from its crossings at or below x_lo on, the view of the
-    breakpoints holding its crossings) per table and end.  Refuses a table
-    below the larger upper root: the one table check of every operation.
+    breakpoints holding its crossings) per table and end.  Refuses
+    (PrimeTable.require) a table short of the larger upper end.
     """
     ends = (x_lo, x_lo * factor + shift, x_hi, x_hi * factor + shift)
+    table.require(k, max(ends[2:]), "mean square")
     root = max(ends[2:]) ** (1.0 / k)
-    _require_table(table, root, "mean square")
     lo = math.floor(min(ends[:2]) ** (1.0 / k)) - 1
     parts, runs = [], []
     for proper in tables:
@@ -151,12 +151,6 @@ def _increment_square(table: PrimeTable, k: float, smooth, x_lo: float,
         return d[1] - d[0]
 
     return _piecewise_square(step, smooth, bkpts, x_lo, x_hi)
-
-
-def _require_table(table: PrimeTable, needed: float, what: str):
-    if needed > table.limit:
-        raise ValidationError(
-            f"{what}: table limit {table.limit} below required {needed:.0f}")
 
 
 def _report(value, comparator, note="", method="piecewise-exact", **extra):

@@ -1,11 +1,14 @@
-"""Segmented prime sieving and exact Chebyshev-function evaluation.
+"""Prime sieving over the odd numbers and exact Chebyshev-function
+evaluation.
 
 A PrimeTable is an immutable sieve product: the ascending primes up to a
-limit together with the compensated prefix sums of log p.  PrimeTable.jumps
-is the one source for where theta and psi - theta jump (the primes, the
-exact int64 proper prime powers p^m) and their values there;
-theta_many(x) and psi_minus_theta_many(x) are a binary search of it plus
-one lookup per x.
+limit together with the compensated prefix sums of log p.
+PrimeTable.require is the one rule for what a table covers: every prime p
+with p^k <= hi exactly when (limit + 1)^k > hi in extended precision.
+PrimeTable.jumps is the one source for where theta and psi - theta jump
+(the primes, the exact int64 proper prime powers p^m) and their values
+there; theta_many(x) and psi_minus_theta_many(x) are a binary search of it
+plus one lookup per x.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, TableIntegrityError, ValidationError
-from .numutil import compensated_cumsum
+from .numutil import compensated_cumsum, powk_extended
 
-DEFAULT_SEGMENT = 1 << 20
 # Bytes an up-front size estimate may reach before a build is refused
 # with ResourceLimitError (prime tables, integer windows of expsums).
 MEMORY_BUDGET = 8 << 30
@@ -54,15 +56,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
-
-
 @dataclass(frozen=True)
 class PrimeTable:
     """Immutable sieve output; safe for concurrent readers.
@@ -70,7 +63,8 @@ class PrimeTable:
     The sieve data (limit, primes, theta_prefix) never changes after
     construction; jumps reads theta and psi - theta from it, and
     theta_many and psi_minus_theta_many evaluate them on float arrays
-    (psi is their sum).  ``windows``
+    (psi is their sum).  require refuses every bound the table does not
+    cover, for these and for every caller.  ``windows``
     is derived data: expsums.window keeps the prime windows it builds from
     this table there (a few, read-only), so they live and die with the
     table.  It takes no part in comparison or repr.
@@ -108,13 +102,20 @@ class PrimeTable:
         return F[np.searchsorted(q, n, side="right")]
 
     def _upto_limit(self, x, name: str) -> np.ndarray:
-        """x as a float64 array; ValidationError if an entry passes the
-        limit, where the table no longer knows every prime."""
+        """x as a float64 array, refused (require) past the primes the
+        table knows."""
         x = np.asarray(x, dtype=np.float64)
-        if x.max(initial=-np.inf) > self.limit:
-            raise ValidationError(f"{name}: x={x.max()} past table limit "
-                                  f"{self.limit}")
+        self.require(1, x.max(initial=-np.inf), name)
         return x
+
+    def require(self, k: float, hi: float, what: str) -> None:
+        """ValidationError naming what unless the table holds every prime p
+        with p^k <= hi, that is unless (limit + 1)^k > hi, the power taken
+        exactly in extended precision (numutil.powk_extended)."""
+        if powk_extended(self.limit + 1, k) <= hi:
+            raise ValidationError(
+                f"{what}: the primes p with p^{k:g} <= {hi:g} run past "
+                f"table limit {self.limit}")
 
     def jumps(self, lo: float, hi: float,
               proper: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +125,7 @@ class PrimeTable:
         F holds theta_prefix's entries, or the same compensated prefix of
         log p over the proper powers from 4 up.  lo > hi gives no q and
         F = [value below lo]."""
-        if hi > self.limit:
-            raise ValidationError(f"jumps: hi={hi} past table limit {self.limit}")
+        self.require(1, hi, "jumps")
         if proper:
             qs, base = self._proper_powers(math.floor(max(lo, hi, 0)))
             pref = compensated_cumsum(np.log(base.astype(np.float64)))
@@ -174,37 +174,32 @@ def _iroot(n: int, m: int) -> int:
 
 
 def build_table(limit: int) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to limit (inclusive).
+    """Sieve of Eratosthenes over the odd numbers up to limit (inclusive).
 
-    Memory stays near DEFAULT_SEGMENT bytes plus the output arrays; an
-    estimate of the output size is checked against MEMORY_BUDGET up front.
+    One byte per odd number: odd[i] marks 2i + 1, and each odd prime
+    p <= sqrt(limit) crosses out p^2, p^2 + 2p, ...  The sieve and an
+    estimate of the output size are checked against MEMORY_BUDGET up front.
     """
     if limit < 2:
         raise ValidationError(f"build_table: limit must be >= 2, got {limit}")
     if limit >= 1 << 63:
         raise ValidationError("build_table: limit must fit in a signed 64-bit integer")
     est = int(1.3 * limit / max(math.log(limit), 1.0)) + 64
-    if est * 16 + DEFAULT_SEGMENT > MEMORY_BUDGET:
+    if est * 16 + limit // 2 > MEMORY_BUDGET:
         raise ResourceLimitError(
             f"build_table: ~{est} primes at limit {limit} exceed the "
             f"{MEMORY_BUDGET}-byte budget")
-    root = math.isqrt(limit)
-    base = _small_primes(max(root, 2))
-    base = base[base.astype(np.int64) ** 2 <= limit]
-    out = []
-    start = 2
-    while start <= limit:
-        stop = min(start + DEFAULT_SEGMENT - 1, limit)
-        seg = np.ones(stop - start + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            if p * p > stop:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            seg[first - start::p] = False
-        out.append(np.nonzero(seg)[0].astype(np.int64) + start)
-        start = stop + 1
-    primes = np.concatenate(out)
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = False
+    # in place, so the build holds no second copy of the primes
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    del odd
+    primes *= 2
+    primes += 1
+    primes[0] = 2  # odd[0], the number 1, stands in for 2
     theta_prefix = compensated_cumsum(np.log(primes.astype(np.float64)))
     return PrimeTable(limit=int(limit), primes=primes, theta_prefix=theta_prefix)
 

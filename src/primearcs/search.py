@@ -104,10 +104,6 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
     lo, hi = _window_bounds(inst, X, window)
     k = inst.k
     l1, l2, l3, varpi = inst.lambda1, inst.lambda2, inst.lambda3, inst.varpi
-    if hi > table.limit or powk_extended(table.limit + 1, k) <= hi:
-        raise ValidationError(
-            f"table limit {table.limit} below window top {hi:.0f} "
-            f"or p3 range top {hi ** (1.0 / k):.0f}")
     (p1s, _, _), (p2s, (p2sq, _), _), (p3s, (p3k_hi, p3k_lo), _) = (
         expsums.window(kj, lo, hi, table) for kj in (1.0, 2.0, k))
     if len(p1s) == 0 or len(p2s) == 0 or len(p3s) == 0:

@@ -80,6 +80,13 @@ def test_criterion_11_solutions_at_scale(table_large):
     report(acceptance.criterion_solutions_at_scale(table_large))
 
 
+def test_criterion_11_detail_prints_the_row(table_large):
+    # the first solution as its (p1, p2, p3, residual) numbers, not the
+    # repr of the record class that holds them
+    detail = acceptance.criterion_solutions_at_scale(table_large).detail
+    assert "(first: (" in detail and "Record" not in detail
+
+
 def test_tolerance_override_reports_measured_values(table_large):
     # tightening the tolerance by 10^12 must flip a criterion to FAIL and
     # keep the measured-vs-required numbers in the detail line

@@ -52,6 +52,22 @@ class TestInstanceParsing:
         with pytest.raises(ValidationError, match="sign"):
             load_instance(write_instance(tmp_path, cfg))
 
+    def test_one_sign_search_is_2(self, tmp_path, table_file, capsys):
+        # the instance has the solution (17, 3, 11); the refusal says one
+        # sign allows at most finitely many, not that there are none
+        cfg = "lambda1=1\nlambda2=1\nlambda3=1\nk=1.1\nvarpi=-40\n"
+        assert main(["search", "--instance", write_instance(tmp_path, cfg),
+                     "--table", table_file, "--X", "60",
+                     "--threshold", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "sign" in err and "finitely many" in err
+        assert "no solutions" not in err
+
+    def test_zero_coefficient_rejected(self, tmp_path):
+        cfg = "lambda1=1\nlambda2=0\nlambda3=-3\nk=1.05\n"
+        with pytest.raises(ValidationError, match="nonzero"):
+            load_instance(write_instance(tmp_path, cfg))
+
     def test_missing_field_named(self, tmp_path):
         cfg = "lambda1=1\nlambda2=-1\nk=1.05\n"
         with pytest.raises(ValidationError, match="lambda3"):

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from primearcs.errors import (ResourceLimitError, TableIntegrityError,
                               ValidationError)
-from primearcs.primes import (_MAGIC, DEFAULT_SEGMENT, build_table,
-                              is_prime, load_table, save_table)
+from primearcs.expsums import window
+from primearcs.numutil import powk_extended
+from primearcs.primes import (_MAGIC, build_table, is_prime, load_table,
+                              save_table)
 
 # written by a save_table that stored the prime gaps and the theta prefix
 # after the 20-byte header
@@ -35,9 +37,41 @@ def test_limit_below_minimum():
 
 
 def test_against_second_sieve():
-    # three full segments and a short fourth
-    limit = 3 * DEFAULT_SEGMENT + 17
+    # an odd limit past 3 million, against the sieve over all integers
+    limit = 3 * (1 << 20) + 17
     assert np.array_equal(build_table(limit).primes, simple_sieve(limit))
+
+
+def test_every_small_limit_against_is_prime():
+    # even and odd limits, and prime squares (9, 25, ..., 361) at the limit
+    for limit in range(2, 401):
+        want = [n for n in range(limit + 1) if is_prime(n)]
+        assert build_table(limit).primes.tolist() == want, limit
+
+
+@pytest.mark.parametrize("k", [1, 2, 1.05])
+def test_require_is_exact(table, k):
+    # (limit + 1)^k, rounded up to a float, is refused; the float below it
+    # is accepted, as no integer lies between limit and its root
+    exact = powk_extended(table.limit + 1, k)
+    top = float(exact)
+    if top < exact:
+        top = np.nextafter(top, np.inf)
+    with pytest.raises(ValidationError, match="table limit"):
+        table.require(k, top, "probe")
+    table.require(k, float(np.nextafter(top, 0.0)), "probe")
+
+
+def test_root_inside_last_unit_is_served(table):
+    # a bound whose root lies in (limit, limit + 1) names no prime past the
+    # limit: the window and theta there are those at the limit
+    for k in (1.0, 2.0, 1.05):
+        at = float(powk_extended(table.limit, k))
+        past = float(powk_extended(table.limit + 0.5, k))
+        got, want = window(k, 1e3, past, table), window(k, 1e3, at, table)
+        assert np.array_equal(got.values, want.values), k
+    assert np.array_equal(table.theta_many([table.limit + 0.5]),
+                          table.theta_many([float(table.limit)]))
 
 
 def test_prime_count_1e6(table_large):

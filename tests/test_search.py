@@ -48,6 +48,17 @@ class TestFindSolutions:
         rep = find_solutions(inst, table, 300.0, thr)
         assert rep.count == 0
 
+    def test_one_sign_instance_can_have_solutions(self, table):
+        # one sign gives at most finitely many solutions, not none:
+        # 17 + 3^2 + 11^1.1 - 40 = -0.0192
+        inst = ProblemInstance(1.0, 1.0, 1.0, k=1.1, varpi=-40.0)
+        rep = find_solutions(inst, table, 60.0, 0.5)
+        residuals = {r[:3]: r.residual for r in rep.records}
+        assert residuals[(17, 3, 11)] == pytest.approx(-0.0192, abs=1e-4)
+        assert not inst.sign_ok
+        assert [w for w in inst.warnings if "sign" in w]
+        assert not [w for w in inst.warnings if "no solutions" in w]
+
     def test_empty_window_diagnostic(self, table):
         inst = ProblemInstance(1.0, -1.0, 1.0, k=1.05, varpi=0.0, delta=0.9)
         rep = find_solutions(inst, table, 4.0, 0.1)
@@ -102,7 +113,7 @@ class TestFindSolutions:
     def test_p3_range_beyond_table_rejected(self, table):
         inst = ProblemInstance(1.0, -1.0, 1.0, k=0.5, varpi=0.0)
         # p1 and p2^2 fit the table, p3 up to 2000^2 does not
-        with pytest.raises(ValidationError, match="p3"):
+        with pytest.raises(ValidationError, match=r"p\^0\.5"):
             find_solutions(inst, table, 2000.0, 0.5)
 
     def test_threshold_monotonicity(self, table):
