@@ -178,7 +178,7 @@ def _cmd_approx(args) -> int:
     payload = {
         "meta": _meta("continued_fraction", expression=args.lambda_ratio,
                       terms=args.terms),
-        "convergents": [{"a": c.a, "q": c.q, "err": c.err_float}
+        "convergents": [{"a": c.a, "q": c.q, "err": float(c.err)}
                         for c in convs],
     }
     _write_json(args.out, payload)

@@ -50,8 +50,9 @@ require_extended_longdouble()
 
 # ----------------------------- double-double --------------------------------
 # Dekker / Knuth error-free transforms on float64 scalars or arrays.  The
-# search module's residuals use them to stay exact to ~2^-100 near the
-# threshold.
+# search module's residuals use them: every term but the extended-precision
+# lambda3 n^k is carried exactly, so a residual is off by a few 2^-64 of
+# |lambda3| n^k plus half an ulp of its own.
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 

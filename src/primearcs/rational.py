@@ -1,12 +1,17 @@
-"""High-precision carriers for coefficient ratios, continued fractions
-and their convergents.
+"""Balls that carry coefficient ratios, continued fractions and their
+convergents.
 
-A HiReal is an element of Q or of a real quadratic field Q(sqrt(d)),
-optionally widened to an interval when it came from a decimal literal
-with a declared number of significant digits.  Continued-fraction terms
-are emitted from exact Fraction-interval arithmetic and stop as soon as
-the floor of the interval becomes ambiguous, so no partial quotient is
-ever silently wrong.
+A HiReal is a ball: an exact Fraction centre and radius, as in the
+midpoint-radius arithmetic of Johansson's Arb (IEEE Trans. Computers 66,
+2017).  Integers and their quotients are exact, sqrt(d) of a non-square
+is an enclosure of width 2^-_SQRT_BITS, and a decimal literal carries
+half a unit in its last declared digit.  An inexact result is rounded
+outward, so the bits a long product carries stay bounded.  Surds of any
+radicands mix; a surd used twice (``sqrt(2)*sqrt(2)``) is an enclosure
+of its value, not the value.  Continued-fraction terms are emitted from
+exact Fraction-interval arithmetic and stop as soon as the floor of the
+interval becomes ambiguous, so no partial quotient is ever silently
+wrong.
 """
 
 from __future__ import annotations
@@ -14,43 +19,46 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import PrecisionError, ValidationError
 
-_SQRT_BITS = 4096  # fractional bits carried for surd enclosures
+_SQRT_BITS = 4096  # width 2^-_SQRT_BITS of a surd; bits of a rounded centre
+_RAD_BITS = 64  # significant bits of a rounded radius
 
 
-def _sqrt_interval(d: int, bits: int = _SQRT_BITS) -> tuple[Fraction, Fraction]:
-    """Enclosure [lo, hi] of sqrt(d) with hi - lo = 2^-bits."""
-    s = math.isqrt(d << (2 * bits))
-    lo = Fraction(s, 1 << bits)
-    return lo, lo + Fraction(1, 1 << bits)
+def _dyadic(x: Fraction, bits: int, up: bool = False) -> Fraction:
+    """Nonzero x rounded to about ``bits`` significant bits: to nearest,
+    or up."""
+    shift = bits - x.numerator.bit_length() + x.denominator.bit_length()
+    a = x.numerator << max(shift, 0)
+    b = x.denominator << max(-shift, 0)
+    n = -(-a // b) if up else (2 * a + b) // (2 * b)
+    return Fraction(n, 1 << shift) if shift >= 0 else Fraction(n << -shift)
 
 
 class HiReal:
-    """Exact or declared-precision real number.
-
-    Internally (p + q*sqrt(d)) / r with integer p, q, r plus an interval
-    half-width ``uncertainty`` (zero for exact inputs).  Supports the
-    arithmetic parse_hireal combines two HiReals with: +, -, *, /, negation.
+    """The ball [mid - rad, mid + rad] with an exact Fraction centre and
+    radius.  Supports the arithmetic parse_hireal combines two HiReals
+    with: +, -, *, /, negation.
     """
 
-    __slots__ = ("p", "q", "d", "r", "uncertainty")
+    __slots__ = ("mid", "rad")
 
-    def __init__(self, p: int, q: int = 0, d: int = 1, r: int = 1,
-                 uncertainty: Fraction = Fraction(0)):
-        if r == 0:
-            raise ZeroDivisionError("HiReal with zero denominator")
-        if d < 1:
-            raise ValidationError("HiReal radicand must be a positive integer")
-        if q == 0:
-            d = 1
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
-        self.p, self.q, self.d, self.r = p // g, q // g, d, r // g
-        self.uncertainty = uncertainty
+    def __init__(self, mid, rad=Fraction(0)):
+        self.mid, self.rad = Fraction(mid), Fraction(rad)
+
+    @classmethod
+    def _rounded(cls, mid: Fraction, rad: Fraction) -> "HiReal":
+        """The ball (mid, rad), rounded outward when it is inexact: the
+        centre to _SQRT_BITS bits, its error added to the radius, and
+        that rounded up to _RAD_BITS bits."""
+        if rad and mid:
+            rounded = _dyadic(mid, _SQRT_BITS)
+            rad = _dyadic(rad + abs(rounded - mid), _RAD_BITS, up=True)
+            mid = rounded
+        return cls(mid, rad)
 
     # ---- constructors ----
     @classmethod
@@ -59,121 +67,72 @@ class HiReal:
         ``digits`` trustworthy significant digits: by default those written
         in the mantissa.
 
-        The value is the literal read exactly; the uncertainty is half a
-        unit in the last declared digit.
+        The centre is the literal read exactly; the radius is half a unit
+        in the last declared digit (half of 1 for a zero).
         """
-        text = text.strip()
-        exact = Fraction(text)
+        d = Decimal(text.strip())
         if digits is None:
-            mantissa = re.split("[eE]", text)[0].lstrip("+-0.").replace(".", "")
-            digits = len(mantissa) if mantissa else 1
-        if exact == 0:
-            scale = Fraction(1)
-        else:
-            mag = abs(exact)
-            if mag >= 1:
-                exp10 = len(str(mag.numerator // mag.denominator))
-            else:
-                exp10 = 1 - next(i for i in range(1, 10**6) if mag * 10**i >= 1)
-            scale = Fraction(10) ** (exp10 - digits)
-        out = cls(exact.numerator, 0, 1, exact.denominator,
-                  uncertainty=scale / 2)
-        return out
+            digits = len(d.as_tuple().digits)
+        scale = Fraction(10) ** (d.adjusted() + 1 - digits) if d else 1
+        return cls(Fraction(d), Fraction(scale) / 2)
 
     @classmethod
     def sqrt_of(cls, d: int) -> "HiReal":
+        """The exact root of a square, else the ball over [s, s + 1] /
+        2^_SQRT_BITS with s = floor(sqrt(d) 2^_SQRT_BITS)."""
         if d < 0:
             raise ValidationError("sqrt of a negative integer is not real")
         root = math.isqrt(d)
         if root * root == d:
             return cls(root)
-        return cls(0, 1, d, 1)
+        s = math.isqrt(d << (2 * _SQRT_BITS))
+        unit = 1 << (_SQRT_BITS + 1)
+        return cls(Fraction(2 * s + 1, unit), Fraction(1, unit))
 
     # ---- views ----
     def interval(self) -> tuple[Fraction, Fraction]:
         """Exact enclosure [lo, hi] of the value."""
-        if self.q == 0:
-            mid = Fraction(self.p, self.r)
-            lo = hi = mid
-        else:
-            slo, shi = _sqrt_interval(self.d)
-            a = Fraction(self.p) + self.q * (slo if self.q > 0 else shi)
-            b = Fraction(self.p) + self.q * (shi if self.q > 0 else slo)
-            lo, hi = a / self.r, b / self.r
-        return lo - self.uncertainty, hi + self.uncertainty
+        return self.mid - self.rad, self.mid + self.rad
 
     def to_float(self) -> float:
-        lo, hi = self.interval()
         try:
-            return float((lo + hi) / 2)
+            return float(self.mid)
         except OverflowError:
             raise ValidationError("value beyond the float range") from None
 
     def __repr__(self):
-        if self.q == 0:
-            core = f"{Fraction(self.p, self.r)}"
-        else:
-            core = f"({self.p} + {self.q}*sqrt({self.d}))/{self.r}"
-        tag = "" if self.uncertainty == 0 else f" ± {float(self.uncertainty):.1e}"
-        return f"HiReal({core}{tag})"
+        if not self.rad:
+            return f"HiReal({self.mid})"
+        return f"HiReal({float(self.mid)!r} ± {float(self.rad):.1e})"
 
-    # ---- arithmetic with another HiReal (inside one quadratic field) ----
-    def _common_d(self, other: "HiReal") -> int:
-        if self.q == 0:
-            return other.d
-        if other.q == 0 or other.d == self.d:
-            return self.d
-        raise ValidationError(
-            f"mixed radicands sqrt({self.d}) and sqrt({other.d}) are unsupported")
-
+    # ---- ball arithmetic ----
     def __neg__(self):
-        return HiReal(-self.p, -self.q, self.d, self.r, self.uncertainty)
+        return HiReal(-self.mid, self.rad)
 
     def __add__(self, o: "HiReal") -> "HiReal":
-        d = self._common_d(o)
-        p = self.p * o.r + o.p * self.r
-        q = self.q * o.r + o.q * self.r
-        return HiReal(p, q, d, self.r * o.r, self.uncertainty + o.uncertainty)
+        return HiReal._rounded(self.mid + o.mid, self.rad + o.rad)
 
     def __sub__(self, o: "HiReal") -> "HiReal":
         return self + (-o)
 
     def __mul__(self, o: "HiReal") -> "HiReal":
-        d = self._common_d(o)
-        # (p1 + q1 s)(p2 + q2 s) = p1 p2 + q1 q2 d + (p1 q2 + q1 p2) s
-        p = self.p * o.p + self.q * o.q * d
-        q = self.p * o.q + self.q * o.p
-        unc = (self.uncertainty * abs(o) + o.uncertainty * abs(self)
-               + self.uncertainty * o.uncertainty)
-        return HiReal(p, q, d, self.r * o.r, unc)
-
-    def __abs__(self) -> Fraction:
-        lo, hi = self.interval()
-        return max(abs(lo), abs(hi))
-
-    def inverse(self) -> "HiReal":
-        if self.p == 0 and self.q == 0:
-            raise ValidationError("division by zero")
-        # r / (p + q s) = r (p - q s) / (p^2 - q^2 d)
-        norm = self.p * self.p - self.q * self.q * self.d
-        inv = HiReal(self.r * self.p, -self.r * self.q, self.d, norm)
-        if self.uncertainty:
-            lo, hi = self.interval()
-            if lo <= 0 <= hi:
-                raise PrecisionError("inverse of an interval containing zero")
-            bound = min(abs(lo), abs(hi))
-            inv = HiReal(inv.p, inv.q, inv.d, inv.r,
-                         self.uncertainty / (bound * bound))
-        return inv
+        return HiReal._rounded(
+            self.mid * o.mid,
+            self.rad * abs(o.mid) + o.rad * abs(self.mid) + self.rad * o.rad)
 
     def __truediv__(self, o: "HiReal") -> "HiReal":
-        return self * o.inverse()
+        if not o.mid:
+            raise ValidationError("division by zero")
+        m = abs(o.mid)
+        if m <= o.rad:
+            raise PrecisionError("inverse of an interval containing zero")
+        return self * HiReal(1 / o.mid, o.rad / (m * (m - o.rad)))
 
 
 # --------------------------- expression parsing ------------------------------
 
-# a decimal exponent has at most two digits: Fraction reads a literal
-# exactly, and 1e999999999 would cost it a billion-digit power of ten
+# a decimal exponent has at most two digits: a literal is read as an
+# exact Fraction, and 1e999999999 would cost it a billion-digit power of ten
 _TOKEN = re.compile(
     r"\s*(sqrt|\d+(?:\.\d+)?(?:[eE][+-]?\d{1,2}(?!\d))?|[()+\-*/])")
 
@@ -183,7 +142,8 @@ def parse_hireal(text: str) -> HiReal:
     ``1.41421356237``, ``2.5e-1`` into a HiReal.
 
     Decimal literals carry their written number of significant digits as
-    the declared precision; everything else is exact.
+    the declared precision, and sqrt of a non-square is an enclosure;
+    integers and their quotients are exact.
     """
     tokens = []
     pos = 0
@@ -241,7 +201,10 @@ def parse_hireal(text: str) -> HiReal:
             return HiReal.from_decimal_literal(tok), i + 1
         raise ValidationError(f"unexpected token {tok!r} in {text!r}")
 
-    val, i = parse_expr(0)
+    try:
+        val, i = parse_expr(0)
+    except RecursionError:
+        raise ValidationError("expression nested too deeply") from None
     if i != len(tokens):
         raise ValidationError(f"trailing tokens in {text!r}")
     return val
@@ -256,10 +219,6 @@ class Convergent:
     a: int
     q: int
     err: Fraction  # upper bound on |x - a/q| over the input enclosure
-
-    @property
-    def err_float(self) -> float:
-        return float(self.err)
 
 
 def continued_fraction(x: HiReal, n_terms: int) -> list[Convergent]:

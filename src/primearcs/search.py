@@ -71,10 +71,10 @@ def _residual_arrays(l1: float, p1, l2: float, p2sq: np.ndarray,
     t, te = two_prod(l3, nk_hi)
     te = te + l3 * nk_lo
     hi, lo = two_sum(s, t)
-    lo = lo + e + te
-    c = l1 * p1 + varpi  # exact to 0.5 ulp; p1, varpi small against 2^53
+    c, ce = two_prod(l1, p1)
+    c, ve = two_sum(c, varpi)
     hi2, lo2 = two_sum(hi, c)
-    return hi2 + (lo + lo2)
+    return hi2 + (lo + e + te + ce + ve + lo2)
 
 
 def admissible_threshold(inst: ProblemInstance, X: float) -> float:

@@ -463,6 +463,27 @@ class TestExitCodes:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "approx"])
+    @pytest.mark.parametrize("expr", [
+        pytest.param("(" * 400 + "1" + ")" * 400, id="400-parentheses"),
+        pytest.param("-" * 1500 + "1", id="1500-minuses")])
+    def test_deep_nesting_is_2(self, tmp_path, table_file, command, expr,
+                               capsys):
+        # the recursive parser ended in a RecursionError traceback (exit 1)
+        if command == "search":
+            cfg = GOOD_INSTANCE.replace("lambda1 = 1", f"lambda1 = {expr}")
+            argv = ["search", "--instance", write_instance(tmp_path, cfg),
+                    "--table", table_file, "--X", "150"]
+        else:
+            argv = ["approx", f"--lambda-ratio={expr}"]
+        assert main(argv) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_surd_used_twice_is_ambiguous(self, capsys):
+        # a ball encloses sqrt(2)*sqrt(2) but does not know it is 2
+        assert main(["approx", "--lambda-ratio", "sqrt(2)*sqrt(2)"]) == 2
+        assert "partial quotient 0 is ambiguous" in capsys.readouterr().err
+
     def test_bad_grid_is_2(self, table_file):
         assert main(["expsum", "--table", table_file, "--X", "100", "--k", "1",
                      "--alpha-grid", "0:1", "--which", "S"]) == 2

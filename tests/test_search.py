@@ -2,6 +2,7 @@ import decimal
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +134,19 @@ class TestFindSolutions:
             exact = (decimal.Decimal(r.p1) + lam2 * decimal.Decimal(r.p2) ** 2
                      - p3k)
             assert abs(float(exact) - r.residual) < 1e-9
+
+    def test_residuals_exact_at_irrational_lambda1(self, table):
+        # lambda1 p1 + varpi was rounded to float64: 4.0e-11 off at X = 1e5
+        inst = ProblemInstance(math.pi, -math.sqrt(2.0), -math.e, k=1.05,
+                               varpi=0.3)
+        rep = find_solutions(inst, table, 1e5, 0.05)
+        assert rep.count == len(rep.records) > 500
+        with mpmath.workdps(60):
+            l1, l2, l3, k, varpi = map(mpmath.mpf, (
+                inst.lambda1, inst.lambda2, inst.lambda3, inst.k, inst.varpi))
+            worst = max(abs(l1 * r.p1 + l2 * r.p2 ** 2 + l3 * mpmath.power(r.p3, k)
+                            + varpi - r.residual) for r in rep.records)
+        assert worst < 1e-12
 
     def test_negated_instance_symmetry(self, table):
         inst = ProblemInstance(1.3, -math.sqrt(2.0), -0.7, k=1.08, varpi=0.4)
