@@ -5,7 +5,8 @@ prime triples to an integral over the real line, split into a major arc
 around zero, a pair of intermediate arcs, and the trivial tail.  All
 exponential sums in this module run over the window delta*X <= p^k <= X
 (the window the counting identity and the T integrals live on; the
-verbatim dyadic sums stay in expsums).
+verbatim dyadic sums stay in expsums).  A factor sum w_j e(f_j alpha) is
+an ExpSumFactor, summed on panel nodes by its eval_panels only.
 
 The bounded arcs are integrated by gauss_panels, one GL12 pass sized by
 the rule's remainder bound on their band-limited spectra, which meansquare's
@@ -17,12 +18,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError, require_tol
 from .expsums import (WindowSpec, eval_S_range, eval_T_grid, fejer_K,
                       fejer_hat, window)
-from .numutil import (e_of, exp_pair_integral, expand_square, fsum_complex,
+from .numutil import (exp_pair_integral, expand_square, fsum_complex,
                       fsum_real, gl_rule, grid_sum, pair_blocks)
 from .primes import PrimeTable
 
@@ -126,12 +129,11 @@ def arc_params(inst: ProblemInstance, X: float) -> ArcParams:
 
 # --------------------------- exponential-sum factors -------------------------
 
-class ExpSumFactor:
-    """One factor sum w_j e(f_j alpha), with a panel-factorized grid path."""
+class ExpSumFactor(NamedTuple):
+    """One factor sum w_j e(f_j alpha): its scaled frequencies and weights."""
 
-    def __init__(self, freqs: np.ndarray, weights: np.ndarray):
-        self.freqs = np.asarray(freqs, dtype=np.float64)
-        self.weights = np.asarray(weights, dtype=np.float64)
+    freqs: np.ndarray
+    weights: np.ndarray
 
     @property
     def max_freq(self) -> float:
@@ -141,58 +143,19 @@ class ExpSumFactor:
     def mass(self) -> float:
         return float(np.sum(np.abs(self.weights)))
 
-    def eval(self, alphas: np.ndarray) -> np.ndarray:
-        alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-        out = np.empty(len(alphas), dtype=complex)
-        chunk = max(1, (1 << 21) // max(1, len(self.freqs)))
-        for i in range(0, len(alphas), chunk):
-            out[i:i + chunk] = (e_of(self.freqs[None, :], alphas[i:i + chunk, None])
-                                @ self.weights.astype(complex))
-        return out
-
     def eval_panels(self, centers: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """Values on nodes centers[:, None] + offs[None, :]; the centres must
         be evenly spaced (gauss_panels' are), so grid_sum shares phases."""
         return grid_sum(self.freqs, self.weights, centers, offs)
 
 
-def _window_forms(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
-                  scales) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(freqs, coeffs) of S_1, S_2 and S_k on the common window
-    delta*X <= p^kj <= X, the frequencies of factor j scaled by scales[j]."""
-    lo, hi = w.delta * w.X, w.X
-    out = []
-    for scale, kj in zip(scales, (1.0, 2.0, inst.k)):
-        win = window(kj, lo, hi, table)
-        out.append((win.powers[0] * scale, win.weights))
-    return out
-
-
-def window_factors(inst: ProblemInstance, table: PrimeTable,
-                   w: WindowSpec) -> list[ExpSumFactor]:
-    """The three scaled factors on the common window delta*X <= p^kj <= X."""
-    return [ExpSumFactor(f, c)
-            for f, c in _window_forms(inst, table, w, inst.lambdas)]
-
-
-def _l2_forms(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
-              scales) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(freqs, coeffs) of |S_1|^2, |S_2^2|^2 and |S_k|^2: _window_forms with
-    the second one (p^2, whatever k is) squared by expand_square."""
-    f1, f2, fk = _window_forms(inst, table, w, scales)
-    return [f1, expand_square(*f2), fk]
-
-
-def integrand(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
-              eta: float, alpha: float) -> complex:
-    """Pointwise S_1(l1 a) S_2(l2 a) S_k(l3 a) K_eta(a) e(varpi a)."""
-    k = inst.k
-    lo, hi = w.delta * w.X, w.X
-    s1 = eval_S_range(table, 1.0, lo, hi, inst.lambda1 * alpha)
-    s2 = eval_S_range(table, 2.0, lo, hi, inst.lambda2 * alpha)
-    sk = eval_S_range(table, k, lo, hi, inst.lambda3 * alpha)
-    kern = fejer_K(eta, alpha)
-    return s1 * s2 * sk * kern * complex(e_of(inst.varpi, alpha))
+def window_factors(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
+                   scales=None) -> list[ExpSumFactor]:
+    """S_1, S_2 and S_k on the common window delta*X <= p^kj <= X, the
+    frequencies of factor j scaled by scales[j] (the lambdas by default)."""
+    wins = (window(kj, w.delta * w.X, w.X, table) for kj in (1.0, 2.0, inst.k))
+    return [ExpSumFactor(win.powers[0] * scale, win.weights)
+            for scale, win in zip(scales or inst.lambdas, wins)]
 
 
 # ------------------------------ panel quadrature -----------------------------
@@ -520,8 +483,9 @@ def trivial_tails(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     require_tol(tol)
     X, k = w.X, inst.k
     values, starts, slices = [], [], []
-    for lam, (freqs, coeffs) in zip(inst.lambdas,
-                                    _l2_forms(inst, table, w, (1.0,) * 3)):
+    f1, f2, fk = window_factors(inst, table, w, (1.0,) * 3)
+    for lam, (freqs, coeffs) in zip(
+            inst.lambdas, (f1, ExpSumFactor(*expand_square(*f2)), fk)):
         n0 = max(2, math.ceil(abs(lam) * R))
         val, used = _sliced_tail(freqs, coeffs, n0, tol)
         values.append(val)
@@ -552,8 +516,9 @@ def minor_arc_l2(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     R = arc.R
     X, k = w.X, inst.k
     rows = []
+    f1, f2, fk = window_factors(inst, table, w)
     for (freqs, coeffs), comp in zip(
-            _l2_forms(inst, table, w, inst.lambdas),
+            (f1, ExpSumFactor(*expand_square(*f2)), fk),
             (eta * X * math.log(X), eta * X * math.log(X) ** 2,
              eta * X ** (1.0 / k) * math.log(X) ** 3)):
         cut = min(R, max(a0, 1.0 / eta))

@@ -279,17 +279,13 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
 
 # ------------------------------ Fejér kernel ---------------------------------
 
-def fejer_K(eta: float, alpha, sin=None) -> np.ndarray | float:
-    """K_eta(alpha) = (sin(pi eta alpha) / (pi alpha))^2, with K(0) = eta^2;
-    sin, where given, holds sin(pi eta alpha) on alpha."""
+def fejer_K(eta: float, alpha: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """K_eta(alpha) = (sin(pi eta alpha) / (pi alpha))^2, with K(0) = eta^2,
+    from sin, which holds sin(pi eta alpha) on the array alpha."""
     if eta <= 0:
         raise ValidationError("eta must be positive")
-    arr = np.asarray(alpha, dtype=np.float64)
-    safe = np.where(arr == 0.0, 1.0, arr)
-    if sin is None:
-        sin = np.sin(math.pi * eta * safe)
-    vals = np.where(arr == 0.0, eta * eta, (sin / (math.pi * safe)) ** 2)
-    return float(vals) if np.isscalar(alpha) else vals
+    safe = np.where(alpha == 0.0, 1.0, alpha)
+    return np.where(alpha == 0.0, eta * eta, (sin / (math.pi * safe)) ** 2)
 
 
 def fejer_hat(eta: float, t: float) -> float:

@@ -161,8 +161,7 @@ def _report(value, comparator, note="", method="piecewise-exact", **extra):
 
 # ------------------------------- operations ----------------------------------
 
-def selberg_J(table: PrimeTable, q: MeanSquareQuery,
-              x_range: tuple[float, float] | None = None) -> MeanSquareReport:
+def selberg_J(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareReport:
     """J_k(X, h) = int_X^2X (F((x+h)^(1/k)) - F(x^(1/k)) - drift)^2 dx.
 
     F is theta (or psi when the query says so) and drift is the smooth
@@ -174,13 +173,12 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery,
     if q.h < 0:
         raise ValidationError("h must be nonnegative")
     X, k, h = q.X, q.k, q.h
-    x_lo, x_hi = x_range if x_range is not None else (X, 2.0 * X)
     rt = 1.0 / k
 
     def smooth(x):
         return (x + h) ** rt - x ** rt
 
-    value = _increment_square(table, k, smooth, x_lo, x_hi, h, 1.0,
+    value = _increment_square(table, k, smooth, X, 2.0 * X, h, 1.0,
                               (False, True) if q.use_psi else (False,))
     return _report(value, *_short_interval_comparator(q))
 
@@ -270,46 +268,43 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
     if not 0 < Y <= 0.5:
         raise ValidationError("Y must lie in (0, 1/2]")
     win, coeffs = s_minus_u_weights(table, w)
-    ns, freqs = win.values, win.powers[0]
+    factor, n = ExpSumFactor(win.powers[0], coeffs), len(win.values)
     if method == "auto":
-        n = len(ns)
         cheaper = n < 2 or (n - 1) / 2.0 <= 12 * gl12_panels(
-            0.0, Y, *_l2_spectrum(freqs, coeffs, Y))[0]
+            0.0, Y, *_l2_spectrum(factor, Y))[0]
         method = "pairwise-exact" if n <= PAIRWISE_CAP and cheaper else "grid"
     if method == "pairwise-exact":
-        if len(ns) > PAIRWISE_CAP:
+        if n > PAIRWISE_CAP:
             raise ValidationError(
-                f"pairwise method refused for {len(ns)} > {PAIRWISE_CAP} integers")
-        value, est_error = exp_pair_integral(freqs, coeffs, -Y, Y), None
+                f"pairwise method refused for {n} > {PAIRWISE_CAP} integers")
+        value, est_error = exp_pair_integral(*factor, -Y, Y), None
     elif method == "grid":
-        value, est_error = _l2_grid(freqs, coeffs, Y)
+        value, est_error = _l2_grid(factor, Y)
     else:
         raise ValidationError(f"unknown method {method!r}")
     comparator = _truncated_l2_comparator(table, w, Y)
     return _report(value, comparator, method=method, est_error=est_error)
 
 
-def _l2_spectrum(freqs: np.ndarray, coeffs: np.ndarray, Y: float):
+def _l2_spectrum(factor: ExpSumFactor, Y: float):
     """(f_max, mass, tol) of |S|^2 on [0, Y]: the frequency spread, (sum
     |c|)^2, and 1e-9 of the diagonal (Parseval) term 2Y sum c^2."""
-    return (float(freqs.max() - freqs.min()), float(np.sum(np.abs(coeffs))) ** 2,
-            2e-9 * Y * float(np.dot(coeffs, coeffs)))
+    return (float(np.ptp(factor.freqs)), factor.mass ** 2,
+            2e-9 * Y * float(np.dot(factor.weights, factor.weights)))
 
 
-def _l2_grid(freqs: np.ndarray, coeffs: np.ndarray,
-             Y: float) -> tuple[float, float]:
+def _l2_grid(factor: ExpSumFactor, Y: float) -> tuple[float, float]:
     """2 * int_0^Y |sum c_j e(f_j a)|^2 da by gauss_panels on _l2_spectrum,
     whose bound fixes the panel count, so no node budget applies.  Returns
     the value and the driver's error estimate, both doubled."""
-    if len(freqs) == 0:
+    if len(factor.freqs) == 0:
         return 0.0, 0.0
-    factor = ExpSumFactor(freqs, coeffs)
 
     def parts(centers, offs):
         s = factor.eval_panels(centers, offs)
         return {"L2": s.real ** 2 + s.imag ** 2}
 
-    vals, err = gauss_panels(parts, 0.0, Y, *_l2_spectrum(freqs, coeffs, Y),
+    vals, err = gauss_panels(parts, 0.0, Y, *_l2_spectrum(factor, Y),
                              math.inf)
     return 2.0 * vals["L2"].real, 2.0 * err
 

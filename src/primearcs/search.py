@@ -27,6 +27,7 @@ from .numutil import dd_from_longdouble, powk_extended, two_prod, two_sum
 from .primes import PrimeTable
 
 _BLOCK = 1 << 14  # (p2, p3) pairs joined at a time: bounds the working set
+_SLACK_MARGIN = 2.0 ** 10  # find_solutions' band slack over _band_error_bound
 
 
 class SolutionRecord(NamedTuple):
@@ -77,6 +78,25 @@ def _residual_arrays(l1: float, p1, l2: float, p2sq: np.ndarray,
     return hi2 + (lo + e + te + ce + ve + lo2)
 
 
+def _band_centres(l1: float, l2: float, l3: float, varpi: float,
+                  p2sq: np.ndarray, p3k_hi: np.ndarray):
+    """(q2, q3): p1 = q2_i + q3_j solves lambda1 p1 + lambda2 p2_i^2 +
+    lambda3 p3_j^k + varpi = 0, in float64."""
+    return -(l2 * p2sq + varpi) / l1, -(l3 / l1) * p3k_hi
+
+
+def _band_error_bound(l1: float, l2: float, l3: float, varpi: float,
+                      hi: float, width: float) -> float:
+    """10 2^-53 (S + width), a bound on |fl(c -/+ width) - (c_exact -/+
+    width)| for c = q2 + q3 of _band_centres.  S = ((|l2| + |l3|) hi +
+    |varpi|)/|l1| bounds |c| and its terms, so each of ten roundings errs
+    by at most 2^-53 (S + width): l2 p2^2, + varpi and / l1; l3 / l1 and
+    its product; p2^2 and p3^k to float64; the extended p3^k (a few
+    2^-64); q2 + q3; c -/+ width.  Second-order terms are left out."""
+    size = ((abs(l2) + abs(l3)) * hi + abs(varpi)) / abs(l1) + width
+    return 10 * 2.0 ** -53 * size
+
+
 def admissible_threshold(inst: ProblemInstance, X: float) -> float:
     """X^(-(33-29k)/(72k) + eps): the admissible width at the window top.
 
@@ -108,18 +128,16 @@ def find_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
         expsums.window(kj, lo, hi, table) for kj in (1.0, 2.0, k))
     if len(p1s) == 0 or len(p2s) == 0 or len(p3s) == 0:
         return SearchReport(X, threshold, 0, ())
-    # c is off by a few ulps of the terms' size over |lambda1|;
-    # 1e-12 of it keeps every triple within the threshold a candidate
-    slack = 1e-12 * ((abs(l1) + abs(l2) + abs(l3)) * hi + abs(varpi)
-                     + threshold) / abs(l1)
-    width = threshold / abs(l1) + slack
+    # a slack of _SLACK_MARGIN times the band ends' rounding bound, about
+    # 1.1e-12 (S + width), keeps every triple within the threshold a candidate
+    width = threshold / abs(l1)
+    width += _SLACK_MARGIN * _band_error_bound(l1, l2, l3, varpi, hi, width)
     p1_min, p1_max = int(p1s[0]), int(p1s[-1])
     is_p1 = np.zeros(p1_max - p1_min + 1, dtype=bool)
     is_p1[p1s - p1_min] = True
     # c = q2 + q3 for (p2, p3).  A tile holds at most _BLOCK pairs, fewer at
     # a wide threshold, so that its ranges hold at most 16 _BLOCK integers
-    q2 = -(l2 * p2sq + varpi) / l1
-    q3 = -(l3 / l1) * p3k_hi
+    q2, q3 = _band_centres(l1, l2, l3, varpi, p2sq, p3k_hi)
     n2, n3 = len(p2s), len(p3s)
     tile = int(max(1, min(_BLOCK, 16 * _BLOCK // (2 * width + 1))))
     cols, rows = min(n3, tile), max(1, tile // n3)

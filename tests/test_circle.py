@@ -10,17 +10,17 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 from primearcs import circle
-from primearcs.circle import (ProblemInstance, _slice_pairs, _trigamma_upper,
-                              _unit_slices, arc_params, bound_ghosh,
-                              bound_vaughan, eta_exponent,
-                              gauss_panels, gl12_panels, integrand,
-                              integrate_I, major_arc_split, minor_arc_l2,
-                              trivial_tails, verify_fourier_pair,
-                              window_factors)
+from primearcs.circle import (ExpSumFactor, ProblemInstance, _slice_pairs,
+                              _trigamma_upper, _unit_slices, arc_params,
+                              bound_ghosh, bound_vaughan, eta_exponent,
+                              gauss_panels, gl12_panels, integrate_I,
+                              major_arc_split, minor_arc_l2, trivial_tails,
+                              verify_fourier_pair, window_factors)
 from primearcs.errors import ConvergenceError, ValidationError
-from primearcs.expsums import WindowSpec, fejer_K, s_minus_u_weights, window
+from primearcs.expsums import WindowSpec, s_minus_u_weights, window
 from primearcs.numutil import (exp_pair_integral, expand_square, frac_phase,
                                gl_rule, grid_sum, powk_extended)
+from pointwise import factor_values, fejer_K, integrand
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +87,9 @@ class TestIntegrand:
         eta = 0.5
         val = integrand(inst, table, w500, eta, 0.0)
         fac = window_factors(inst, table, w500)
-        want = (fac[0].eval(np.array([0.0]))[0].real
-                * fac[1].eval(np.array([0.0]))[0].real
-                * fac[2].eval(np.array([0.0]))[0].real * eta ** 2)
+        want = (factor_values(fac[0], np.array([0.0]))[0].real
+                * factor_values(fac[1], np.array([0.0]))[0].real
+                * factor_values(fac[2], np.array([0.0]))[0].real * eta ** 2)
         assert val.imag == 0
         assert val.real == pytest.approx(want, rel=1e-12)
 
@@ -129,14 +129,15 @@ class TestExpSumFactor:
         for alpha in (100.0, 5000.0):
             centers = alpha + 2.0 ** -10 * np.arange(100)
             got = fac.eval_panels(centers, offs)
-            want = fac.eval((centers[:, None] + offs[None, :]).ravel())
+            nodes = (centers[:, None] + offs[None, :]).ravel()
+            want = factor_values(fac, nodes)
             assert np.max(np.abs(got.ravel() - want)) <= 1e-9 * fac.mass
 
     def test_two_level_panels_match_extended_eval(self, inst, table, caplog):
         # lambda1 and lambda3 factors at X = 1e4 (f*alpha reaches 5e7 cycles
         # at alpha = 5000); centres a + (2i+1) hw and GL12 offsets as
         # gauss_panels makes them; n = 1, 2, fewer centres than offsets,
-        # and R both dividing n and not.  The oracle is eval's per-node
+        # and R both dividing n and not.  The oracle is a per-node
         # extended reduction, with the nodes themselves in extended
         # precision: rounding c + o to float64 alone moves the sum by up to
         # 1e-8 of its mass here.  With R > 1 the nodes are c_{Rq} + r h + o,
@@ -172,6 +173,29 @@ class TestExpSumFactor:
         assert {(1, 1), (2, 1), (7, 1)} <= seen
         assert any(R > 1 and n % R == 0 for n, R in seen)
         assert any(R > 1 and n % R for n, R in seen)
+
+    def test_panel_callers_go_through_eval_panels(self, inst, table,
+                                                  monkeypatch):
+        # the benchmark's layer trace times and counts factor sums by
+        # wrapping ExpSumFactor.eval_panels, so every panel caller must
+        # evaluate its factors there
+        from primearcs.meansquare import l2_diff
+        calls = []
+        original = ExpSumFactor.eval_panels
+
+        def spy(factor, centers, offs):
+            calls[-1] += 1
+            return original(factor, centers, offs)
+
+        monkeypatch.setattr(ExpSumFactor, "eval_panels", spy)
+        w = WindowSpec(X=300.0, k=1.05)
+        for run in (
+                lambda: integrate_I(inst, table, w, 0.5, [(0.0, 1.0)], 1e-3),
+                lambda: major_arc_split(inst, table, w, 0.5, 1e-2),
+                lambda: l2_diff(table, w, 0.01, method="grid")):
+            calls.append(0)
+            run()
+        assert all(n > 0 for n in calls), calls
 
     def test_frequency_blocks_bounded(self):
         # 2^18 frequencies on 20 offsets would make an 84 MB Q at R = 1; in

@@ -229,6 +229,16 @@ class TestSubcommands:
         again = json.loads(json.dumps(payload))
         assert again == payload
 
+    def test_approx_negative_ratio(self, tmp_path):
+        # "--lambda-ratio -sqrt(2)" reads the value as an option (exit 2);
+        # written with "=" it is the value
+        out = tmp_path / "cf.json"
+        assert main(["approx", "--lambda-ratio=-sqrt(2)", "--terms", "3",
+                     "--out", str(out)]) == 0
+        payload = json.loads(Path(out).read_text())
+        assert [(c["a"], c["q"]) for c in payload["convergents"]] == [
+            (-2, 1), (-1, 1), (-3, 2)]
+
     def test_search_auto_threshold(self, tmp_path, table_file):
         inst = write_instance(tmp_path, GOOD_INSTANCE)
         out = tmp_path / "sol.csv"

@@ -14,11 +14,12 @@ from primearcs.errors import ConvergenceError, ValidationError
 from primearcs.expsums import (WINDOW_CACHE_SIZE, WindowSpec,
                                _legendre_fraction, _power_series,
                                eval_S, eval_T, eval_T_grid, eval_T_range,
-                               eval_U, eval_U_range, fejer_K, fejer_hat,
+                               eval_U, eval_U_range, fejer_hat,
                                s_minus_u_weights, window)
 from primearcs.numutil import (TWO_PI, e_of, exp_pair_integral, expand_square,
                                frac_phase, fsum_complex, powk_extended)
 from primearcs.primes import build_table
+from pointwise import fejer_K
 
 # |T - U| <= C (1 + |alpha| X) on matched windows; fitted once on the grid
 # below and frozen.

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from primearcs.circle import ExpSumFactor
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, s_minus_u_weights
 from primearcs.meansquare import (C_DENSITY, PIECE_GL, MeanSquareQuery,
@@ -15,6 +16,12 @@ from primearcs.meansquare import (C_DENSITY, PIECE_GL, MeanSquareQuery,
                                   selberg_J_relative, theta_psi_discrepancy)
 from primearcs.numutil import exp_pair_integral, gl_rule, powk_extended
 from primearcs.primes import PrimeTable, build_table, is_prime
+
+
+def drift(k, h):
+    """selberg_J's smooth part (x+h)^(1/k) - x^(1/k)."""
+    rt = 1.0 / k
+    return lambda x: (x + h) ** rt - x ** rt
 
 
 def count_fn(table, use_psi):
@@ -248,10 +255,16 @@ class TestSelbergJ:
         (1000.0, 1.3, 40.0, False, (3.0, 1000.0))])
     def test_mpmath_piece_oracle(self, table, X, k, h, use_psi, x_range):
         # the same pieces and step values, the smooth part and the square
-        # integrated in 30 digits: only the piece rule's error is left
+        # integrated in 30 digits: only the piece rule's error is left.
+        # selberg_J integrates over [X, 2X]; the range (3, 1000), which
+        # starts near 0, goes to _increment_square with its smooth part
         q = MeanSquareQuery(X=X, k=k, h=h, use_psi=use_psi)
-        got = selberg_J(table, q, x_range=x_range).value
-        x_lo, x_hi = x_range if x_range is not None else (X, 2.0 * X)
+        if x_range is None:
+            got, (x_lo, x_hi) = selberg_J(table, q).value, (X, 2.0 * X)
+        else:
+            x_lo, x_hi = x_range
+            got = _increment_square(table, k, drift(k, h), x_lo, x_hi, h, 1.0,
+                                    (False, True) if use_psi else (False,))
         want = mpmath_selberg(table, k, h, x_lo, x_hi, use_psi)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -264,8 +277,9 @@ class TestSelbergJ:
     def test_additivity_over_ranges(self, table):
         q = MeanSquareQuery(X=1000, k=1.0, h=40)
         full = selberg_J(table, q).value
-        left = selberg_J(table, q, x_range=(1000.0, 1500.0)).value
-        right = selberg_J(table, q, x_range=(1500.0, 2000.0)).value
+        left, right = (_increment_square(table, 1.0, drift(1.0, 40.0), a, b,
+                                         40.0)
+                       for a, b in ((1000.0, 1500.0), (1500.0, 2000.0)))
         assert left + right == pytest.approx(full, rel=1e-12)
 
     def test_comparator_branches(self, table):
@@ -485,7 +499,7 @@ class TestL2Diff:
         coeffs = np.cos(freqs)
         tracemalloc.start()
         try:
-            value, _ = _l2_grid(freqs, coeffs, 0.5)
+            value, _ = _l2_grid(ExpSumFactor(freqs, coeffs), 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,9 +9,9 @@ by name, or as an Attribute off a name bound to its module
 property, an annotated dataclass or NamedTuple field) counts as read when
 some src/ or benchmark tree loads an Attribute of its name outside the
 member's own definition, or when benchmark/tracing.py's LAYERS patches it.
-Docstrings and comments are not syntax, so they never count.  The only
-names exempt are the test oracles below, which exist to be compared
-against.
+Docstrings and comments are not syntax, so they never count.  No name
+is exempt: the pointwise oracles the tests compare against live in
+tests/pointwise.py.
 """
 
 import ast
@@ -23,11 +23,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "primearcs").glob("*.py"))
 BENCH = sorted((ROOT / "benchmark").glob("*.py"))
-
-# the pointwise counting integrand, the oracle for integrate_I's panels
-ORACLES = {"circle.integrand"}
-# the pointwise factor sum, the oracle for eval_panels
-MEMBER_ORACLES = {"circle.ExpSumFactor.eval"}
 
 
 def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
@@ -104,8 +99,7 @@ def unreached_names(src=SRC, bench=BENCH) -> list[str]:
     imports = {path: _imported_names(tree) for path, tree in trees.items()}
     return [f"{path.stem}.{name}" for path in src
             for name, defn in _public_definitions(trees[path]).items()
-            if f"{path.stem}.{name}" not in ORACLES
-            and not _reached(name, path, defn, reads, imports)]
+            if not _reached(name, path, defn, reads, imports)]
 
 
 def _members(cls: ast.ClassDef) -> dict[str, ast.stmt]:
@@ -152,10 +146,8 @@ def unread_members(src=SRC, bench=BENCH) -> list[str]:
             for name, defn in _members(cls).items():
                 own = sum(_attribute_read(node) and node.attr == name
                           for node in ast.walk(defn))
-                qualname = f"{path.stem}.{cls.name}.{name}"
-                if (reads[name] == own and name not in traced
-                        and qualname not in MEMBER_ORACLES):
-                    out.append(qualname)
+                if reads[name] == own and name not in traced:
+                    out.append(f"{path.stem}.{cls.name}.{name}")
     return out
 
 
@@ -198,7 +190,7 @@ DELETED = ["circle.V", "circle.classify_minor", "search.count_bound_report",
            "meansquare.double_integral_bound_check", "expsums.fourth_moment_S2",
            "expsums.s_minus_u_l1_bound", "rational.dirichlet_approx",
            "rational.sequence_x", "optimizer.max_feasible_k",
-           "search.residual"]
+           "search.residual", "circle.integrand"]
 
 
 def _copies(directory, paths, stem, edit):

@@ -1,16 +1,20 @@
 import decimal
 import math
 import random
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from primearcs import expsums, search
 from primearcs.circle import ProblemInstance
 from primearcs.errors import ValidationError
-from primearcs.search import (_BLOCK, brute_force_solutions, find_solutions,
-                              admissible_threshold, weighted_solution_sum)
+from primearcs.search import (_BLOCK, _SLACK_MARGIN, _band_centres,
+                              _band_error_bound, brute_force_solutions,
+                              find_solutions, admissible_threshold,
+                              weighted_solution_sum)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,33 @@ class TestFindSolutions:
             worst = max(abs(l1 * r.p1 + l2 * r.p2 ** 2 + l3 * mpmath.power(r.p3, k)
                             + varpi - r.residual) for r in rep.records)
         assert worst < 1e-12
+
+    def test_band_ends_within_rounding_bound(self, table):
+        # 4000 sampled (p2, p3) pairs at X = 1e5: the float64 band ends
+        # c -/+ width against c in exact Fractions (p3^k to 50 digits).
+        # The worst end was 2.0 2^-53 S off (c itself 1.6 2^-53 S), inside
+        # the bound's 10 2^-53 (S + width)
+        l1, l2, l3, k, varpi = math.pi, -math.sqrt(2.0), -math.e, 1.05, 0.3
+        X, threshold = 1e5, 0.05
+        (p2s, (p2sq, _), _), (p3s, (p3k_hi, _), _) = (
+            expsums.window(kj, 0.1 * X, X, table) for kj in (2.0, k))
+        width = threshold / abs(l1)
+        bound = _band_error_bound(l1, l2, l3, varpi, X, width)
+        width += _SLACK_MARGIN * bound
+        q2, q3 = _band_centres(l1, l2, l3, varpi, p2sq, p3k_hi)
+        rng = np.random.default_rng(11)
+        worst = 0
+        with mpmath.workdps(50):
+            for i, j in zip(rng.integers(len(p2s), size=4000),
+                            rng.integers(len(p3s), size=4000)):
+                p3k = Fraction(mpmath.nstr(mpmath.power(int(p3s[j]),
+                                                        mpmath.mpf(k)), 50))
+                exact = -(Fraction(l2) * int(p2s[i]) ** 2 + Fraction(l3) * p3k
+                          + Fraction(varpi)) / Fraction(l1)
+                c, w = q2[i] + q3[j], Fraction(width)
+                worst = max(worst, abs(Fraction(c - width) - (exact - w)),
+                            abs(Fraction(c + width) - (exact + w)))
+        assert 0 < worst <= bound
 
     def test_negated_instance_symmetry(self, table):
         inst = ProblemInstance(1.3, -math.sqrt(2.0), -0.7, k=1.08, varpi=0.4)
