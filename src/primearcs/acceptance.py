@@ -1,7 +1,9 @@
-"""The acceptance suite: eleven end-to-end checks, each with the
-tolerance and runtime budget it must meet.  ``run_all`` executes every
-criterion and returns structured results; the CLI prints them as a
-pass/fail table and pytest asserts them individually.
+"""The acceptance suite: eleven end-to-end checks, each held to one fixed
+tolerance and one runtime budget.  A check returns (ok, detail), and its
+@_criterion decorator times it into a CriterionResult that FAILs past the
+budget.  ``run_all`` runs every criterion on one table of the primes to
+TABLE_LIMIT (criterion 11 needs p1 <= X = 1e6); the CLI prints the
+results as a pass/fail table and pytest asserts them individually.
 
 Empirical monitor constants (criterion 8) are frozen in
 ``data/frozen_monitors.json`` and asserted against twice their recorded
@@ -11,6 +13,7 @@ value.  Only an explicit ``record=True`` (``verify-all
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -25,6 +28,7 @@ from . import circle, expsums, meansquare, optimizer, rational, search
 from .primes import PrimeTable, build_table, is_prime
 
 _FROZEN_PATH = Path(__file__).parent / "data" / "frozen_monitors.json"
+TABLE_LIMIT = 1_050_000
 
 
 @dataclass
@@ -41,12 +45,21 @@ class CriterionResult:
                 "budget_seconds": self.budget}
 
 
-def _result(name, ok, detail, t0, budget) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    if elapsed > budget:
-        ok = False
-        detail += f"; RUNTIME {elapsed:.1f}s exceeds {budget:.0f}s budget"
-    return CriterionResult(name, bool(ok), detail, elapsed, budget)
+def _criterion(name: str, budget: float):
+    """Make a check returning (ok, detail) a criterion returning its timed
+    CriterionResult, which FAILs when the check runs past budget seconds."""
+    def wrap(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail = check(*args, **kwargs)
+            elapsed = time.perf_counter() - t0
+            if elapsed > budget:
+                ok = False
+                detail += f"; RUNTIME {elapsed:.1f}s exceeds {budget:.0f}s budget"
+            return CriterionResult(name, bool(ok), detail, elapsed, budget)
+        return run
+    return wrap
 
 
 def load_frozen() -> dict:
@@ -62,9 +75,9 @@ def _store_frozen(frozen: dict) -> None:
 
 # --------------------------------- criteria ----------------------------------
 
-def criterion_lp_closed_form(tol_scale=1.0) -> CriterionResult:
+@_criterion("lp-closed-form", 1.0)
+def criterion_lp_closed_form():
     """1: exact rational equality of the solver with the closed forms."""
-    t0 = time.perf_counter()
     rng = random.Random(424243)
     ks = [Fraction(1), Fraction(11, 10), Fraction(33, 29)]
     lo, hi = Fraction(1), Fraction(33, 29)
@@ -76,15 +89,13 @@ def criterion_lp_closed_form(tol_scale=1.0) -> CriterionResult:
         want = optimizer.closed_form_exponents(k)
         if not sol.feasible or (sol.inv_a, sol.b, sol.c) != want:
             bad.append(str(k))
-    ok = not bad
-    return _result("lp-closed-form", ok,
-                   f"{len(ks)} values of k checked, mismatches: {bad or 'none'}",
-                   t0, 1.0)
+    return (not bad,
+            f"{len(ks)} values of k checked, mismatches: {bad or 'none'}")
 
 
-def criterion_parseval(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
+@_criterion("parseval-identity", 5.0)
+def criterion_parseval(table: PrimeTable):
     """2: exact discrete identity of the truncated L2 at k=1, Y=1/2."""
-    t0 = time.perf_counter()
     worst = 0.0
     for X in (10, 100, 1000):
         w = expsums.WindowSpec(X=float(X), k=1.0, delta=0.1)
@@ -93,22 +104,18 @@ def criterion_parseval(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
         ell = np.array([math.log(n) if is_prime(int(n)) else 0.0 for n in ns])
         exact = float(((ell - 1.0) ** 2).sum())
         worst = max(worst, abs(rep.value - exact) / exact)
-    ok = worst <= 1e-9 * tol_scale
-    return _result("parseval-identity", ok,
-                   f"max relative deviation {worst:.2e} (tol 1e-9)", t0, 5.0)
+    return worst <= 1e-9, f"max relative deviation {worst:.2e} (tol 1e-9)"
 
 
-def criterion_fourier_pair(tol_scale=1.0) -> CriterionResult:
+@_criterion("fourier-pair", 10.0)
+def criterion_fourier_pair():
     """3: kernel/tent transform discrepancy below 3e-5 at truncation 1e4."""
-    t0 = time.perf_counter()
     worst = 0.0
     for eta in (0.1, 1.0):
         for tval in (0.0, eta / 2.0, 2.0 * eta):
             disc = circle.verify_fourier_pair(eta, tval, 1e4)
             worst = max(worst, disc)
-    ok = worst <= 3e-5 * tol_scale
-    return _result("fourier-pair", ok,
-                   f"max discrepancy {worst:.2e} (tol 3e-5)", t0, 10.0)
+    return worst <= 3e-5, f"max discrepancy {worst:.2e} (tol 3e-5)"
 
 
 def _riemann_J(table: PrimeTable, X, h, k, step) -> float:
@@ -119,9 +126,9 @@ def _riemann_J(table: PrimeTable, X, h, k, step) -> float:
     return float(vals.sum() * step)
 
 
-def criterion_meansquare_oracle(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
+@_criterion("meansquare-oracle", 30.0)
+def criterion_meansquare_oracle(table: PrimeTable):
     """4: piecewise-exact short-interval integral vs fine-grid Riemann."""
-    t0 = time.perf_counter()
     cases = ((100, 10, 1.0, 1e-3), (10**4, 200, 1.0, 1e-2),
              (10**4, 500, 2.0, 1e-2))
     worst = 0.0
@@ -130,14 +137,12 @@ def criterion_meansquare_oracle(table: PrimeTable, tol_scale=1.0) -> CriterionRe
             table, meansquare.MeanSquareQuery(X=float(X), k=k, h=float(h)))
         oracle = _riemann_J(table, X, h, k, step)
         worst = max(worst, abs(rep.value - oracle) / oracle)
-    ok = worst <= 1e-3 * tol_scale
-    return _result("meansquare-oracle", ok,
-                   f"max relative deviation {worst:.2e} (tol 1e-3)", t0, 30.0)
+    return worst <= 1e-3, f"max relative deviation {worst:.2e} (tol 1e-3)"
 
 
-def criterion_search_oracle(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
+@_criterion("search-oracle", 60.0)
+def criterion_search_oracle(table: PrimeTable):
     """5: exact agreement of the solver with brute force on 20 instances."""
-    t0 = time.perf_counter()
     rng = random.Random(971)
     mism = 0
     # the exact-hit instance: 17 + 2*4 - 25 = 0
@@ -161,10 +166,8 @@ def criterion_search_oracle(table: PrimeTable, tol_scale=1.0) -> CriterionResult
         if [(r.p1, r.p2, r.p3) for r in fa.records] != \
                 [(r.p1, r.p2, r.p3) for r in fb.records]:
             mism += 1
-    ok = hit_ok and mism == 0
-    return _result("search-oracle", ok,
-                   f"exact-hit found: {hit_ok}; mismatched instances: {mism}",
-                   t0, 60.0)
+    return (hit_ok and mism == 0,
+            f"exact-hit found: {hit_ok}; mismatched instances: {mism}")
 
 
 def _criterion6_instance():
@@ -174,41 +177,36 @@ def _criterion6_instance():
     return inst, w, 0.5
 
 
-def criterion_counting_identity(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
+@_criterion("counting-identity", 300.0)
+def criterion_counting_identity(table: PrimeTable):
     """6: truncated counting integral vs enumeration-weighted sum."""
-    t0 = time.perf_counter()
     inst, w, eta = _criterion6_instance()
     enum_val = search.weighted_solution_sum(inst, table, w.X, eta)
     a_cut = 1e3 / eta
     val = circle.integrate_I(inst, table, w, eta, [(-a_cut, a_cut)], tol=0.2)
     rel = abs(val.real - enum_val) / abs(enum_val)
-    ok = rel <= 0.01 * tol_scale
-    return _result("counting-identity", ok,
-                   f"integral {val.real:.4f} vs enumeration {enum_val:.4f}, "
-                   f"relative {rel:.2e} (tol 1e-2)", t0, 300.0)
+    return rel <= 0.01, (f"integral {val.real:.4f} vs enumeration "
+                         f"{enum_val:.4f}, relative {rel:.2e} (tol 1e-2)")
 
 
-def criterion_telescoping(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
+@_criterion("major-arc-telescoping", 300.0)
+def criterion_telescoping(table: PrimeTable):
     """7: the four major-arc pieces resum to the direct integral."""
-    t0 = time.perf_counter()
     inst, w, eta = _criterion6_instance()
     tol = 1e-3
     out = circle.major_arc_split(inst, table, w, eta, tol=tol)
     gap = abs(out["J1"] + out["J2"] + out["J3"] + out["J4"] - out["I_M"])
-    ok = gap <= 2.0 * tol * tol_scale
-    return _result("major-arc-telescoping", ok,
-                   f"|sum J - I_M| = {gap:.2e} (tol {2*tol:.0e}); "
-                   f"J1={out['J1']:.3f}", t0, 300.0)
+    return gap <= 2.0 * tol, (f"|sum J - I_M| = {gap:.2e} (tol {2*tol:.0e}); "
+                              f"J1={out['J1']:.3f}")
 
 
-def criterion_l2_shape(table: PrimeTable, tol_scale=1.0,
-                       frozen: dict | None = None,
-                       record: bool = False) -> CriterionResult:
+@_criterion("truncated-l2-shape", 600.0)
+def criterion_l2_shape(table: PrimeTable, frozen: dict | None = None,
+                       record: bool = False):
     """8: truncated-L2 / comparator ratio stable across (k, X, Y) grid.
 
     record=True stores the measured ratio as the frozen constant and
     passes if it could be written; otherwise a missing constant FAILs."""
-    t0 = time.perf_counter()
     frozen = load_frozen() if frozen is None else frozen
     ratios = {}
     for k in (1.05, 2.0):
@@ -224,23 +222,19 @@ def criterion_l2_shape(table: PrimeTable, tol_scale=1.0,
         frozen[key] = worst
         try:
             _store_frozen(frozen)
-            ok, detail = True, f"recorded ratio max {worst:.4f}"
+            return True, f"recorded ratio max {worst:.4f}"
         except OSError as exc:
-            ok, detail = False, f"ratio max {worst:.4f} not recorded: {exc}"
-    elif key not in frozen:
-        ok = False
-        detail = (f"ratio max {worst:.4f}; no frozen {key} (record it with "
-                  f"verify-all --record-monitors)")
-    else:
-        ok = worst <= 2.0 * frozen[key] * tol_scale
-        detail = (f"ratio max {worst:.4f} vs frozen {frozen[key]:.4f} "
-                  f"(limit 2x)")
-    return _result("truncated-l2-shape", ok, detail, t0, 600.0)
+            return False, f"ratio max {worst:.4f} not recorded: {exc}"
+    if key not in frozen:
+        return False, (f"ratio max {worst:.4f}; no frozen {key} (record it "
+                       f"with verify-all --record-monitors)")
+    return worst <= 2.0 * frozen[key], (f"ratio max {worst:.4f} vs frozen "
+                                        f"{frozen[key]:.4f} (limit 2x)")
 
 
-def criterion_bound_monitors(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
+@_criterion("vaughan-ghosh-monitors", 120.0)
+def criterion_bound_monitors(table: PrimeTable):
     """9: rational-approximation bound ratios <= 10 on a 100-point grid."""
-    t0 = time.perf_counter()
     X = 1e5
     qs = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
     worst_v = worst_g = 0.0
@@ -253,15 +247,14 @@ def criterion_bound_monitors(table: PrimeTable, tol_scale=1.0) -> CriterionResul
                 worst_v = max(worst_v, circle.bound_vaughan(table, X, alpha, a, q))
                 worst_g = max(worst_g, circle.bound_ghosh(table, X, alpha, a, q))
                 points += 1
-    ok = worst_v <= 10.0 * tol_scale and worst_g <= 10.0 * tol_scale
-    return _result("vaughan-ghosh-monitors", ok,
-                   f"{points} points; max ratios {worst_v:.3f} / {worst_g:.3f} "
-                   f"(limit 10)", t0, 120.0)
+    return (worst_v <= 10.0 and worst_g <= 10.0,
+            f"{points} points; max ratios {worst_v:.3f} / {worst_g:.3f} "
+            f"(limit 10)")
 
 
-def criterion_convergent_law(tol_scale=1.0) -> CriterionResult:
+@_criterion("convergent-law", 1.0)
+def criterion_convergent_law():
     """10: best-approximation law and determinant identity to 30 terms."""
-    t0 = time.perf_counter()
     rng = random.Random(5151)
     values = [rational.parse_hireal("sqrt(2)"),
               rational.parse_hireal("(1+sqrt(5))/2")]
@@ -280,40 +273,31 @@ def criterion_convergent_law(tol_scale=1.0) -> CriterionResult:
                 bad += 1
         if len(convs) < 30:
             bad += 1
-    ok = bad == 0
-    return _result("convergent-law", ok,
-                   f"{len(values)} expansions to 30 terms, violations: {bad}",
-                   t0, 1.0)
+    return bad == 0, f"{len(values)} expansions to 30 terms, violations: {bad}"
 
 
-def criterion_solutions_at_scale(table: PrimeTable, tol_scale=1.0) -> CriterionResult:
+@_criterion("solutions-at-scale", 300.0)
+def criterion_solutions_at_scale(table: PrimeTable):
     """11: the desk-scale instance has solutions at threshold 0.1, X=1e6."""
-    t0 = time.perf_counter()
-    inst = circle.ProblemInstance(
-        1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=0.0)
+    inst, _, _ = _criterion6_instance()
     rep = search.find_solutions(inst, table, 1e6, 0.1, cap=16)
-    ok = rep.count >= 1
-    return _result("solutions-at-scale", ok,
-                   f"count {rep.count} at threshold 0.1 "
-                   f"(first: {tuple(rep.records[0]) if rep.records else 'none'})",
-                   t0, 300.0)
+    first = tuple(rep.records[0]) if rep.records else "none"
+    return rep.count >= 1, (f"count {rep.count} at threshold 0.1 "
+                            f"(first: {first})")
 
 
-def run_all(table_limit: int = 1_050_000, tol_scale: float = 1.0,
-            table: PrimeTable | None = None,
-            record_monitors: bool = False) -> list[CriterionResult]:
-    if table is None:
-        table = build_table(table_limit)
+def run_all(record_monitors: bool = False) -> list[CriterionResult]:
+    table = build_table(TABLE_LIMIT)
     return [
-        criterion_lp_closed_form(tol_scale),
-        criterion_parseval(table, tol_scale),
-        criterion_fourier_pair(tol_scale),
-        criterion_meansquare_oracle(table, tol_scale),
-        criterion_search_oracle(table, tol_scale),
-        criterion_counting_identity(table, tol_scale),
-        criterion_telescoping(table, tol_scale),
-        criterion_l2_shape(table, tol_scale, record=record_monitors),
-        criterion_bound_monitors(table, tol_scale),
-        criterion_convergent_law(tol_scale),
-        criterion_solutions_at_scale(table, tol_scale),
+        criterion_lp_closed_form(),
+        criterion_parseval(table),
+        criterion_fourier_pair(),
+        criterion_meansquare_oracle(table),
+        criterion_search_oracle(table),
+        criterion_counting_identity(table),
+        criterion_telescoping(table),
+        criterion_l2_shape(table, record=record_monitors),
+        criterion_bound_monitors(table),
+        criterion_convergent_law(),
+        criterion_solutions_at_scale(table),
     ]

@@ -51,10 +51,12 @@ class ProblemInstance:
     def __post_init__(self):
         if 0.0 in (self.lambda1, self.lambda2, self.lambda3):
             raise ValidationError("all three coefficients must be nonzero")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValidationError("k must be positive")
         if not 0 < self.delta < 1:
             raise ValidationError("delta must lie in (0, 1)")
+        if not (abs(self.varpi) < math.inf and abs(self.eps) < math.inf):
+            raise ValidationError("varpi and eps must be finite")
 
     @property
     def lambdas(self) -> tuple[float, float, float]:
@@ -362,13 +364,13 @@ def bound_vaughan(table: PrimeTable, X: float, alpha: float, a: int,
     return s1 / rhs
 
 
-def bound_ghosh(table: PrimeTable, X: float, alpha: float, a: int, q: int,
-                eps: float = 0.05) -> float:
+def bound_ghosh(table: PrimeTable, X: float, alpha: float, a: int,
+                q: int) -> float:
     """|S_2(alpha)| over the dyadic window divided by
-    X^(1/2+eps) (1/q + X^(-1/4) + q/X)^(1/4)."""
+    X^(1/2+eps) (1/q + X^(-1/4) + q/X)^(1/4) at eps = 0.05."""
     _check_rational_approx(alpha, a, q)
     s2 = abs(eval_S_range(table, 2.0, X, 2.0 * X, alpha))
-    rhs = X ** (0.5 + eps) * (1.0 / q + X ** -0.25 + q / X) ** 0.25
+    rhs = X ** 0.55 * (1.0 / q + X ** -0.25 + q / X) ** 0.25
     return s2 / rhs
 
 
@@ -500,7 +502,7 @@ def trivial_tails(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
 
 
 def minor_arc_l2(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
-                 eta: float, arc: ArcParams | None = None):
+                 eta: float, arc: ArcParams):
     """Kernel-weighted minor-arc L2 majorants with their comparators.
 
     For each of |S_1(l1 a)|^2, |S_2(l2 a)|^4, |S_k(l3 a)|^2 integrates the
@@ -510,8 +512,6 @@ def minor_arc_l2(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     eta X log^j X for j = 1, 2 and eta X^(1/k) log^3 X.  Each row also
     counts the slices between cut and R.
     """
-    if arc is None:
-        arc = arc_params(inst, w.X)
     a0 = arc.major[1]
     R = arc.R
     X, k = w.X, inst.k

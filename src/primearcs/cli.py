@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,11 +66,15 @@ def load_instance(path: str) -> circle.ProblemInstance:
 
 
 def _number(text, name: str, kind=float):
-    """kind(text), with malformed text a ValidationError naming its field."""
+    """kind(text), with malformed text and a nan or infinite float a
+    ValidationError naming its field."""
     try:
-        return kind(text)
+        value = kind(text)
     except (ValueError, ArithmeticError):
         raise ValidationError(f"{name}: not a number: {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{name}: not a finite number: {text!r}")
+    return value
 
 
 def _meta(quantity: str, **params) -> dict:
@@ -132,16 +137,16 @@ def _cmd_expsum(args) -> int:
         raise ValidationError("--which S needs --table")
     table = load_table(args.table) if which == "S" else None
     w = expsums.WindowSpec(X=_number(args.X, "--X"), k=_number(args.k, "--k"),
-                           delta=args.delta)
+                           delta=_number(args.delta, "--delta"))
     grid = _parse_grid(args.alpha_grid)
-    meta = _meta(f"exp_sum_{which}", X=args.X, k=args.k, delta=args.delta)
+    meta = _meta(f"exp_sum_{which}", X=args.X, k=args.k, delta=w.delta)
     if which == "S":
         vals = [expsums.eval_S(table, w, a) for a in grid]
     elif which == "U":
         vals = [expsums.eval_U(w, a) for a in grid]
     else:
         vals, meta["est_error"] = expsums.eval_T_grid(
-            w.k, w.delta * w.X, w.X, grid, [0.0], args.tol)
+            w.k, w.delta * w.X, w.X, grid, [0.0], _number(args.tol, "--tol"))
         vals = [complex(v) for v in vals[:, 0]]
     rows = [(a, v.real, v.imag, abs(v)) for a, v in zip(grid, vals)]
     _write_csv(args.out, meta, ["alpha", "re", "im", "abs"], rows)
@@ -150,14 +155,18 @@ def _cmd_expsum(args) -> int:
 
 def _cmd_meansquare(args) -> int:
     table = load_table(args.table)
+    h, rel_delta, Y = (None if text is None else _number(text, name)
+                       for text, name in ((args.h, "--h"),
+                                          (args.rel_delta, "--rel-delta"),
+                                          (args.Y, "--Y")))
     q = meansquare.MeanSquareQuery(
-        X=_number(args.X, "--X"), k=_number(args.k, "--k"), h=args.h,
-        rel_delta=args.rel_delta, Y=args.Y, use_psi=args.psi, rh_mode=args.rh)
-    if args.Y is not None:
+        X=_number(args.X, "--X"), k=_number(args.k, "--k"), h=h,
+        rel_delta=rel_delta, Y=Y, use_psi=args.psi, rh_mode=args.rh)
+    if q.Y is not None:
         w = expsums.WindowSpec(X=q.X, k=q.k)
         rep = meansquare.l2_diff(table, w, q.Y)
         param = q.Y
-    elif args.rel_delta is not None:
+    elif q.rel_delta is not None:
         rep = meansquare.selberg_J_relative(table, q)
         param = q.rel_delta
     else:
@@ -191,22 +200,24 @@ def _cmd_arcs(args) -> int:
     X = _number(args.X, "--X")
     w = expsums.WindowSpec(X=X, k=inst.k, delta=inst.delta)
     arc = circle.arc_params(inst, X)
-    eta = arc.eta if args.eta is None else args.eta
-    payload = {"meta": _meta("arc_decomposition", X=X, k=inst.k, eta=eta),
+    tol = _number(args.tol, "--tol")
+    payload = {"meta": _meta("arc_decomposition", X=X, k=inst.k, eta=arc.eta),
                "params": {"P": arc.P, "eta": arc.eta, "R": arc.R,
                           "major": list(arc.major),
                           "minor": [list(arc.minor[0]), list(arc.minor[1])],
                           "trivial": arc.trivial}}
     piece = args.piece
     if piece in ("major", "all"):
-        payload["major"] = circle.major_arc_split(inst, table, w, eta, tol=args.tol)
+        payload["major"] = circle.major_arc_split(inst, table, w, arc.eta,
+                                                  tol=tol)
     if piece in ("minor", "all"):
-        rows = circle.minor_arc_l2(inst, table, w, eta, arc)
-        holder_comp = eta * X ** ((65 * inst.k + 39) / (72 * inst.k) + inst.eps)
+        rows = circle.minor_arc_l2(inst, table, w, arc.eta, arc)
+        holder_comp = arc.eta * X ** ((65 * inst.k + 39) / (72 * inst.k)
+                                      + inst.eps)
         payload["minor"] = {"l2_majorants": rows,
                             "holder_comparator": holder_comp}
     if piece in ("trivial", "all"):
-        tails = circle.trivial_tails(inst, table, w, arc.R, tol=args.tol * 1e3)
+        tails = circle.trivial_tails(inst, table, w, arc.R, tol=tol * 1e3)
         payload["trivial"] = {"values": list(tails.values),
                               "comparators": list(tails.comparators),
                               "ratios": list(tails.ratios),
@@ -255,11 +266,7 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     from . import acceptance
-    table_limit = _number(args.table_limit, "--table-limit",
-                          lambda s: int(float(s)))
-    results = acceptance.run_all(table_limit=table_limit,
-                                 tol_scale=args.tol_scale,
-                                 record_monitors=args.record_monitors)
+    results = acceptance.run_all(record_monitors=args.record_monitors)
     width = max(len(r.name) for r in results)
     all_pass = True
     for r in results:
@@ -268,7 +275,7 @@ def _cmd_verify_all(args) -> int:
         print(f"[{flag}] {r.name:<{width}}  {r.detail}  ({r.elapsed:.1f} s)")
     if args.out:
         _write_json(args.out, {
-            "meta": _meta("acceptance", tol_scale=args.tol_scale),
+            "meta": _meta("acceptance"),
             "results": [r.as_dict() for r in results],
         })
     print("acceptance:", "ALL PASS" if all_pass else "FAILURES PRESENT")
@@ -290,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table")
     p.add_argument("--X", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", default=0.1)
     p.add_argument("--alpha-grid", required=True)
     p.add_argument("--which", required=True, choices=list("SUTsut"))
-    p.add_argument("--tol", type=float, default=1e-9, help="absolute tol of T")
+    p.add_argument("--tol", default=1e-9, help="absolute tol of T")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_expsum)
 
@@ -301,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--X", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--h", type=float)
-    p.add_argument("--rel-delta", type=float, dest="rel_delta")
-    p.add_argument("--Y", type=float)
+    p.add_argument("--h")
+    p.add_argument("--rel-delta", dest="rel_delta")
+    p.add_argument("--Y")
     p.add_argument("--psi", action="store_true")
     p.add_argument("--rh", action="store_true")
     p.add_argument("--out")
@@ -321,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", required=True)
     p.add_argument("--piece", default="all",
                    choices=["major", "minor", "trivial", "all"])
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", default=1e-3)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_arcs)
 
@@ -344,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exponents)
 
     p = sub.add_parser("verify-all", help="run the acceptance criteria")
-    p.add_argument("--table-limit", default="1050000", dest="table_limit")
-    p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
     p.add_argument("--record-monitors", action="store_true",
                    dest="record_monitors",
                    help="store criterion 8's measured ratio as its frozen "

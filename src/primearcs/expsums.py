@@ -48,11 +48,11 @@ class WindowSpec:
     delta: float = 0.1
 
     def __post_init__(self):
-        if self.X < 2:
+        if not self.X >= 2:
             raise ValidationError(f"WindowSpec: X must be >= 2, got {self.X}")
         if not 0 < self.delta < 1:
             raise ValidationError(f"WindowSpec: delta must be in (0,1), got {self.delta}")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValidationError(f"WindowSpec: k must be positive, got {self.k}")
 
 
@@ -171,7 +171,8 @@ def _legendre_fraction(z: np.ndarray, a: float):
     """C(z) = e^z z^(-a) Gamma(a, z) = 1/(z+1-a- 1(1-a)/(z+3-a- ...)) (DLMF
     8.9.2) by modified Lentz (Gautschi, ACM TOMS 5, 1979) on every z at
     once, each until its step Delta has |Delta - 1| < 1e-15 (at 1e-16 some
-    never stop) or _LENTZ_CAP steps.  Returns (C, last |Delta - 1|, steps)."""
+    never stop) or _LENTZ_CAP steps, where every z left stops, a nan one
+    too.  Returns (C, last |Delta - 1|, steps)."""
     out, last, steps = (np.empty(len(z), dtype=complex), np.ones(len(z)),
                         np.zeros(len(z), dtype=int))
     act, b = np.arange(len(z)), z + (1.0 - a)
@@ -185,7 +186,7 @@ def _legendre_fraction(z: np.ndarray, a: float):
         delta = c * d
         h = h * delta
         dev = np.abs(delta - 1.0)
-        done = dev < (_LENTZ_STOP if i < _LENTZ_CAP else np.inf)
+        done = (dev < _LENTZ_STOP) | (i >= _LENTZ_CAP)
         if done.any():
             j = act[done]
             out[j], last[j], steps[j] = h[done], dev[done], i
@@ -241,10 +242,12 @@ def eval_T_grid(k: float, u_lo: float, u_hi: float, centers: np.ndarray,
     series and each endpoint term (with frac_phase's 2^-54 cycles on
     float64 alpha u), summed, as at k = 1 the endpoint terms cancel.
     ConvergenceError (values as best) when est_error > tol; ValidationError
-    unless 0 < tol < inf."""
+    unless 0 < tol < inf or on a non-finite node."""
     require_tol(tol)
     nodes = np.add.outer(np.asarray(centers, dtype=np.float64),
                          np.asarray(offs, dtype=np.float64))
+    if not np.isfinite(nodes).all():
+        raise ValidationError("T needs finite alpha nodes")
     if u_hi <= u_lo:
         return np.zeros(nodes.shape, dtype=complex), 0.0
     flat = nodes.ravel()

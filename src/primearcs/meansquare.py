@@ -47,9 +47,9 @@ class MeanSquareQuery:
     rh_mode: bool = False
 
     def __post_init__(self):
-        if self.X < 2:
+        if not self.X >= 2:
             raise ValidationError("MeanSquareQuery: X must be >= 2")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValidationError("MeanSquareQuery: k must be positive")
         given = [v is not None for v in (self.h, self.rel_delta, self.Y)]
         if sum(given) != 1:
@@ -170,7 +170,7 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareReport:
     """
     if q.h is None:
         raise ValidationError("selberg_J needs an additive increment h")
-    if q.h < 0:
+    if not q.h >= 0:
         raise ValidationError("h must be nonnegative")
     X, k, h = q.X, q.k, q.h
     rt = 1.0 / k

@@ -201,13 +201,13 @@ def brute_force_solutions(inst: ProblemInstance, table: PrimeTable, X: float,
 
 
 def weighted_solution_sum(inst: ProblemInstance, table: PrimeTable, X: float,
-                          eta: float, window: str = "delta") -> float:
+                          eta: float) -> float:
     """sum over triples of log p1 log p2 log p3 * max(0, eta - |residual|).
 
     This is the exact value the counting integral converges to as its
     truncation grows; the enumeration side of that identity.
     """
-    rep = find_solutions(inst, table, X, eta, cap=1 << 24, window=window)
+    rep = find_solutions(inst, table, X, eta, cap=1 << 24)
     total = 0.0
     for r in rep.records:
         total += (math.log(r.p1) * math.log(r.p2) * math.log(r.p3)

@@ -3,6 +3,8 @@ prints one pass/fail line.  `primearcs verify-all` runs the same checks
 from the command line.
 """
 
+import time
+
 from primearcs import acceptance
 
 
@@ -17,7 +19,11 @@ def test_criterion_01_lp_closed_form():
 
 
 def test_criterion_02_parseval(table_large):
-    report(acceptance.criterion_parseval(table_large))
+    res = acceptance.criterion_parseval(table_large)
+    report(res)
+    # the detail line names the measured number and the fixed gate it met
+    assert "max relative deviation" in res.detail
+    assert "(tol 1e-9)" in res.detail
 
 
 def test_criterion_03_fourier_pair():
@@ -87,9 +93,11 @@ def test_criterion_11_detail_prints_the_row(table_large):
     assert "(first: (" in detail and "Record" not in detail
 
 
-def test_tolerance_override_reports_measured_values(table_large):
-    # tightening the tolerance by 10^12 must flip a criterion to FAIL and
-    # keep the measured-vs-required numbers in the detail line
-    res = acceptance.criterion_parseval(table_large, tol_scale=1e-12)
-    assert not res.passed
-    assert "deviation" in res.detail and "tol" in res.detail
+def test_criterion_past_budget_fails():
+    # a check that passes but runs past its runtime budget is a FAIL, and
+    # its detail keeps the check's own line
+    slow = acceptance._criterion("slow", 0.01)(
+        lambda: (time.sleep(0.05), (True, "checked"))[1])
+    res = slow()
+    assert not res.passed and res.elapsed >= 0.05 and res.budget == 0.01
+    assert res.detail.startswith("checked; RUNTIME")

@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,8 @@ from primearcs.circle import (ExpSumFactor, ProblemInstance, _slice_pairs,
                               major_arc_split, minor_arc_l2, trivial_tails,
                               verify_fourier_pair, window_factors)
 from primearcs.errors import ConvergenceError, ValidationError
-from primearcs.expsums import WindowSpec, s_minus_u_weights, window
+from primearcs.expsums import (WindowSpec, eval_T_grid, s_minus_u_weights,
+                               window)
 from primearcs.numutil import (exp_pair_integral, expand_square, frac_phase,
                                gl_rule, grid_sum, powk_extended)
 from pointwise import factor_values, fejer_K, integrand
@@ -496,6 +498,23 @@ class TestConvergenceStalls:
         assert exc.best + exc.est_error >= full
 
 
+@pytest.mark.parametrize("piece", ["T", "major", "trivial"])
+def test_nan_tol_rejected_at_once(inst, table, w500, piece):
+    # a nan tol never satisfies err <= tol: without require_tol the tail
+    # slicing runs to its cap and no panel count meets a nan bound
+    run = {"T": lambda: eval_T_grid(1.05, 50.0, 500.0, [0.1], [0.0],
+                                    tol=math.nan),
+           "major": lambda: major_arc_split(inst, table, w500, 0.5,
+                                            tol=math.nan),
+           "trivial": lambda: trivial_tails(inst, table, w500, 1e3,
+                                            tol=math.nan)}[piece]
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError,
+                       match="tol must be positive and finite"):
+        run()
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-12])
 def test_gauss_panels_estimate_on_top_frequency(tol):
     # all the mass at f_max, where the remainder bound is attained up to
@@ -670,7 +689,7 @@ class TestBounds:
         assert math.isfinite(ratio) and ratio >= 0
 
     def test_ghosh_small_q(self, table):
-        ratio = bound_ghosh(table, 1e5, 1e-7, 0, 1, eps=0.05)
+        ratio = bound_ghosh(table, 1e5, 1e-7, 0, 1)
         assert 0 < ratio < 1
 
     def test_precondition_violations(self, table):

@@ -119,6 +119,19 @@ class TestSubcommands:
                                        "--segment", segment])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "--tol-scale", "0.1"],
+        ["verify-all", "--table-limit", "1e5"],
+        ["arcs", "--instance", "i.cfg", "--table", "t.bin", "--X", "150",
+         "--eta", "0.5"]])
+    def test_deleted_options_are_refused(self, argv):
+        # --tol-scale could only loosen a gate or fail by construction,
+        # --table-limit below 1.05e6 broke the run, and arcs --eta put two
+        # etas in one JSON; argparse refuses each with exit 2
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("C", ["0", "2.4"])
     def test_meansquare_has_no_C_option(self, table_file, C):
         # --C 0 died with a ZeroDivisionError traceback (exit 1); nothing
@@ -338,8 +351,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("piece", ["T", "all", "trivial"])
     def test_nan_tol_is_2_at_once(self, tmp_path, table_file, piece, capsys):
-        # a nan tol never satisfies err <= tol: the tail slicing would run
-        # to its cap and exit 3, and no panel count meets a nan bound
+        # the CLI refuses a nan tol as it parses it; the library's own
+        # guard is test_circle.py::test_nan_tol_rejected_at_once
         if piece == "T":
             argv = ["expsum", "--X", "1e3", "--k", "1.05", "--alpha-grid",
                     "0:0.1:2", "--which", "T", "--tol", "nan"]
@@ -350,7 +363,7 @@ class TestExitCodes:
         t0 = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert "--tol: not a finite number: 'nan'" in capsys.readouterr().err
 
     def test_stalled_quadrature_is_3(self, capsys):
         # alpha = 0 is exact; at 0.1 T's error bound is above tol 1e-16
@@ -407,8 +420,7 @@ class TestExitCodes:
         ("search", {"--threshold": "abc"}),
         ("arcs", {"--X": "abc"}),
         ("exponents", {"--k": "abc"}),
-        ("exponents", {"--k": "1/0"}),
-        ("verify-all", {"--table-limit": "abc"})])
+        ("exponents", {"--k": "1/0"})])
     def test_malformed_number_is_2(self, tmp_path, table_file, command, flags,
                                    capsys):
         base = {"expsum": {"--X": "100", "--k": "1", "--alpha-grid": "0:1:3",
@@ -418,12 +430,51 @@ class TestExitCodes:
                 "sieve": {"--out": str(tmp_path / "p.bin")},
                 "search": {"--table": table_file, "--X": "150"},
                 "arcs": {"--table": table_file, "--X": "150"},
-                "exponents": {}, "verify-all": {}}[command]
+                "exponents": {}}[command]
         if command in ("search", "arcs"):
             base["--instance"] = write_instance(tmp_path, GOOD_INSTANCE)
         argv = [command] + [a for kv in {**base, **flags}.items() for a in kv]
         assert main(argv) == 2
         assert "not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("meansquare", {"--h": "nan"}),
+        ("meansquare", {"--X": "nan"}),
+        ("meansquare", {"--k": "nan"}),
+        ("meansquare", {"--h": None, "--rel-delta": "inf"}),
+        ("meansquare", {"--h": None, "--Y": "nan"}),
+        ("expsum", {"--X": "nan"}),
+        ("expsum", {"--delta": "nan"}),
+        ("expsum", {"--alpha-grid": "0:nan:3"}),
+        ("expsum", {"--which": "T", "--tol": "inf"}),
+        ("search", {"--X": "nan"}),
+        ("search", {"--threshold": "nan"}),
+        ("search", {"--threshold": "inf"}),
+        ("search", {"varpi": "nan"}),
+        ("search", {"eps": "nan"}),
+        ("arcs", {"varpi": "nan"}),
+        ("arcs", {"--tol": "inf"})])
+    def test_non_finite_number_is_2(self, tmp_path, table_file, command,
+                                    flags, capsys):
+        # nan and inf parsed as floats: some commands printed rows of nan
+        # or count=0 with exit 0, others raised a traceback
+        base = {"expsum": {"--X": "100", "--k": "1", "--alpha-grid": "0:1:3",
+                           "--which": "U"},
+                "meansquare": {"--table": table_file, "--X": "100", "--k": "1",
+                               "--h": "5"},
+                "search": {"--table": table_file, "--X": "150"},
+                "arcs": {"--table": table_file, "--X": "150"}}[command]
+        args = {**base, **flags}
+        if command in ("search", "arcs"):
+            cfg = GOOD_INSTANCE
+            for field in ("varpi", "eps"):
+                if field in args:
+                    cfg = cfg.replace(f"{field} = ", f"{field} = {args.pop(field)}#")
+            args["--instance"] = write_instance(tmp_path, cfg)
+        argv = [command] + [a for kv in args.items() if kv[1] is not None
+                            for a in kv]
+        assert main(argv) == 2
+        assert "not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["varpi", "eps", "delta"])
     def test_malformed_instance_number_is_2(self, tmp_path, table_file, field,

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import time
 import tracemalloc
 
 import mpmath
@@ -351,6 +352,26 @@ class TestT:
                 zz = mpmath.mpc(0, zi.imag)
                 want = complex(mpmath.exp(zz) * zz ** -a * mpmath.gammainc(a, zz))
                 assert abs(ci - want) <= (li + ni * eps) * abs(want), zi
+
+    def test_fraction_stops_nan_at_cap(self):
+        # a nan step never has |Delta - 1| < 1e-15 nor below inf, so the
+        # loop ran forever; at _LENTZ_CAP every z left stops
+        z = np.array([complex(np.nan, np.nan), -1j * np.inf, -40j])
+        with np.errstate(invalid="ignore"):
+            _, last, steps = _legendre_fraction(z, 1.0)
+        assert list(steps[:2]) == [expsums._LENTZ_CAP] * 2 and steps[2] < 45
+        assert np.isnan(last[:2]).all() and last[2] < 1e-15
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_raises_at_once(self, alpha):
+        # inf hung in the fraction, and nan took the alpha = 0 value
+        w = WindowSpec(X=100, k=1.0)
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match="finite alpha"):
+            eval_T(w, alpha)
+        with pytest.raises(ValidationError, match="finite alpha"):
+            eval_T_grid(1.0, 10.0, 100.0, [0.0, 0.5], [0.0, alpha])
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("k", [1.0, 1.05, 33 / 29, 2.0])
     def test_series_against_gammainc(self, k):

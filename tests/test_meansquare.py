@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from primearcs.circle import ExpSumFactor
+from primearcs.circle import ExpSumFactor, ProblemInstance
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, s_minus_u_weights
 from primearcs.meansquare import (C_DENSITY, PIECE_GL, MeanSquareQuery,
@@ -534,4 +534,24 @@ def test_query_validation():
     with pytest.raises(ValidationError):
         MeanSquareQuery(X=100, k=1.0, Y=0.7)
     assert C_DENSITY == pytest.approx(2.4)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: WindowSpec(X=NAN, k=1.0),
+    lambda t: WindowSpec(X=100.0, k=NAN),
+    lambda t: MeanSquareQuery(X=NAN, k=1.0, h=1.0),
+    lambda t: MeanSquareQuery(X=100.0, k=NAN, h=1.0),
+    lambda t: ProblemInstance(1.0, -1.0, 1.0, k=NAN),
+    lambda t: ProblemInstance(1.0, -1.0, 1.0, k=1.05, varpi=NAN),
+    lambda t: ProblemInstance(1.0, -1.0, 1.0, k=1.05, eps=NAN),
+    lambda t: selberg_J(t, MeanSquareQuery(X=100.0, k=1.0, h=NAN))],
+    ids=["window-X", "window-k", "query-X", "query-k", "instance-k",
+         "instance-varpi", "instance-eps", "selberg_J-h"])
+def test_nan_fails_range_checks(table, make):
+    # X < 2 and k <= 0 are False at nan, so nan passed every such check
+    with pytest.raises(ValidationError):
+        make(table)
 
