@@ -3,19 +3,27 @@ with the truncated L2 integral that links them to exponential sums.
 
 Everything here is an integral of (step - smooth)^2 over an x-range,
 mostly [X, 2X], where the step part only changes at k-th powers of primes
-(or prime powers).  Between breakpoints the step part is constant and the
-smooth part analytic off (-inf, 0]; with gaps cut to 1/64 of the range, a
-6-point Gauss rule per piece, run node by node over all pieces, is exact
-to rounding (see _piecewise_square).  The breakpoints come in runs, one
-per end and PrimeTable.jumps table (theta; psi - theta; both for psi), and
-the step on a piece is counted from them: each run's F value after its
-crossings below the midpoint, with no root or search.  Only the q whose
-k-th powers can fall inside the x-range are powered.
+(or prime powers).  Between breakpoints the step part is constant, and a
+piece takes one of two rules (see _piecewise_square).  An affine smooth
+part c0 + c1 x (k = 1 in selberg_J and selberg_J_relative, whose
+substituted form is always at k = 1, and 0 in theta_psi_discrepancy) is
+integrated in closed form.  Any other smooth part is analytic off
+(-inf, 0]; with gaps cut to 1/64 of the range, a 6-point Gauss rule per
+piece, run node by node over all pieces, is exact to rounding.  The
+breakpoints come in runs, one per end and PrimeTable.jumps table (theta;
+psi - theta; both for psi), and the step on a piece is counted from
+them: each run's F value after its crossings below the midpoint, with no
+root or search.  Only the q whose k-th powers can fall inside the
+x-range are powered, in float64 with an exact fallback
+(numutil.powk_float64).
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +31,7 @@ import numpy as np
 from .circle import ExpSumFactor, gauss_panels, gl12_panels
 from .errors import ValidationError
 from .expsums import WindowSpec, s_minus_u_weights
-from .numutil import exp_pair_integral, gl_rule, powk_extended
+from .numutil import exp_pair_integral, gl_rule, powk_float64
 from .primes import PrimeTable
 
 PAIRWISE_CAP = 20_000  # max window size for the O(N^2) exact method
@@ -32,6 +40,7 @@ PIECE_GL, MAX_PIECES_FRAC = 6, 64
 # Huxley's zero-density exponent C: the unconditional comparator holds for
 # X^(1 - 2/(C k)) <= h <= X
 C_DENSITY = 12 / 5
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -74,14 +83,16 @@ class MeanSquareReport:
 
 def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
                  shift: float = 0.0, factor: float = 1.0,
-                 tables: tuple[bool, ...] = (False,)):
+                 tables: tuple[bool, ...] = (False,),
+                 counts: Counter | None = None):
     """Where F(x^(1/k)) (end 0) and F((x*factor + shift)^(1/k)) (end 1)
     jump in (x_lo, x_hi), F the sum of the tables (PrimeTable.jumps, proper
     or not): at x = q^k and (q^k - shift)/factor, from one powering of the
     q from one below the smaller range's lower root up.  Returns them and
     a run (end, F from its crossings at or below x_lo on, the view of the
     breakpoints holding its crossings) per table and end.  Refuses
-    (PrimeTable.require) a table short of the larger upper end.
+    (PrimeTable.require) a table short of the larger upper end.  Adds the
+    q powered and those powk_float64 left to powk_extended to counts.
     """
     ends = (x_lo, x_lo * factor + shift, x_hi, x_hi * factor + shift)
     table.require(k, max(ends[2:]), "mean square")
@@ -90,7 +101,9 @@ def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
     parts, runs = [], []
     for proper in tables:
         qs, F = table.jumps(lo, min(float(table.limit), root + 1), proper)
-        qk = np.asarray(powk_extended(qs, k), dtype=np.float64)
+        qk, exact = powk_float64(qs, k)
+        if counts is not None:
+            counts.update(powered=len(qs), exact=exact)
         for end, x in enumerate((qk, (qk - shift) / factor)):
             c = np.searchsorted(x, x_lo, side="right")
             parts.append(x[c:np.searchsorted(x, x_hi)])
@@ -100,18 +113,24 @@ def _breakpoints(table: PrimeTable, k: float, x_lo: float, x_hi: float,
     return bkpts, [(end, F, xs) for (end, F), xs in zip(runs, views)]
 
 
-def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
+def _piecewise_square(step_fn, smooth, bkpts: np.ndarray,
                       x_lo: float, x_hi: float) -> float:
-    """int_{x_lo}^{x_hi} (step_fn(x) - smooth_fn(x))^2 dx.
+    """int_{x_lo}^{x_hi} (step_fn(x) - smooth(x))^2 dx.
 
-    step_fn must be constant between consecutive breakpoints; both
-    callables are vectorized.  step_fn is called once, on all midpoints,
-    and smooth_fn once per Gauss node, on all pieces.  Gaps longer than
-    1/MAX_PIECES_FRAC of the range are cut, so on [X, 2X] a piece [a, b]
-    has b - a <= a/64; the integrand is analytic off (-inf, 0], so the
-    n-point rule errs by about rho^(-2n) with rho ~ 4a/(b - a) >= 256.
-    6 nodes also hold rounding on ranges that start near 0: on (3, 1000)
-    at k = 1.3, h = 40, 4 nodes err 1.5e-11, 5 nodes 9.6e-14, 6 nodes 6e-16.
+    step_fn must be constant between consecutive breakpoints and is
+    called once, on all midpoints.  Gaps longer than 1/MAX_PIECES_FRAC of
+    the range are cut, so on [X, 2X] a piece [a, b] has b - a <= a/64.
+    smooth is one of two forms, and each takes its own piece rule:
+
+    - a pair (c0, c1), the affine smooth part c0 + c1 x: a piece of width
+      w and midpoint m, where the step is d, integrates in closed form to
+      w ((d - c0 - c1 m)^2 + c1^2 w^2 / 12), with no Gauss node.
+    - a vectorized callable, called once per Gauss node on all pieces: a
+      6-point Gauss rule.  The integrand is analytic off (-inf, 0], so the
+      n-point rule errs by about rho^(-2n) with rho ~ 4a/(b - a) >= 256.
+      6 nodes also hold rounding on ranges that start near 0: on
+      (3, 1000) at k = 1.3, h = 40, 4 nodes err 1.5e-11, 5 nodes 9.6e-14,
+      6 nodes 6e-16.
     """
     edges = np.unique(np.concatenate((bkpts, [x_lo, x_hi])))
     edges = edges[(edges >= x_lo) & (edges <= x_hi)]
@@ -129,9 +148,16 @@ def _piecewise_square(step_fn, smooth_fn, bkpts: np.ndarray,
     half = 0.5 * np.diff(edges)
     mids = edges[:-1] + half
     d = step_fn(mids)
+    if not callable(smooth):
+        c0, c1 = smooth
+        sq = d - c0
+        sq -= c1 * mids
+        sq *= sq
+        sq += (c1 * half) ** 2 / 3.0  # c1^2 w^2 / 12 with w = 2 half
+        return 2.0 * float(np.dot(sq, half))
     acc = np.zeros_like(mids)
     for x_j, w_j in zip(*gl_rule(PIECE_GL)):
-        acc += w_j * (d - smooth_fn(mids + half * x_j)) ** 2
+        acc += w_j * (d - smooth(mids + half * x_j)) ** 2
     return float(np.dot(acc, half))
 
 
@@ -139,18 +165,31 @@ def _increment_square(table: PrimeTable, k: float, smooth, x_lo: float,
                       x_hi: float, shift: float = 0.0, factor: float = 1.0,
                       tables: tuple[bool, ...] = (False,)) -> float:
     """int_{x_lo}^{x_hi} (F((x*factor+shift)^(1/k)) - F(x^(1/k)) - smooth(x))^2 dx
-    for F the sum of the tables (_breakpoints).  On a piece each run's F
-    is the entry at its count of crossings below the midpoint, so the step
-    is constant between breakpoints by construction."""
-    bkpts, runs = _breakpoints(table, k, x_lo, x_hi, shift, factor, tables)
+    for F the sum of the tables (_breakpoints), smooth in either form of
+    _piecewise_square.  On a piece each run's F is the entry at its count
+    of crossings below the midpoint, so the step is constant between
+    breakpoints by construction.  Logs one DEBUG line: the pieces, the
+    piece rule, the q powered, those powered by powk_extended, and the
+    seconds taken."""
+    start = time.perf_counter()
+    counts = Counter()
+    bkpts, runs = _breakpoints(table, k, x_lo, x_hi, shift, factor, tables,
+                               counts)
 
     def step(mids):
+        counts["pieces"] = len(mids)
         d = np.zeros((2, len(mids)))
         for end, F, xs in runs:
             d[end] += F[np.searchsorted(xs, mids)]
         return d[1] - d[0]
 
-    return _piecewise_square(step, smooth, bkpts, x_lo, x_hi)
+    value = _piecewise_square(step, smooth, bkpts, x_lo, x_hi)
+    _log.debug("mean square on [%r, %r]: %d pieces, %s, %d powered, "
+               "%d by powk_extended, %.3g s", x_lo, x_hi, counts["pieces"],
+               f"{PIECE_GL}-point Gauss" if callable(smooth)
+               else "affine closed form", counts["powered"], counts["exact"],
+               time.perf_counter() - start)
+    return value
 
 
 def _report(value, comparator, note="", method="piecewise-exact", **extra):
@@ -178,7 +217,8 @@ def selberg_J(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareReport:
     def smooth(x):
         return (x + h) ** rt - x ** rt
 
-    value = _increment_square(table, k, smooth, X, 2.0 * X, h, 1.0,
+    value = _increment_square(table, k, (h, 0.0) if k == 1.0 else smooth,
+                              X, 2.0 * X, h, 1.0,
                               (False, True) if q.use_psi else (False,))
     return _report(value, *_short_interval_comparator(q))
 
@@ -215,7 +255,7 @@ def theta_psi_discrepancy(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRe
         raise ValidationError("increment must be nonnegative")
     factor = 1.0 + h if relative else 1.0
     shift = 0.0 if relative else h
-    value = _increment_square(table, k, np.zeros_like, X, 2.0 * X,
+    value = _increment_square(table, k, (0.0, 0.0), X, 2.0 * X,
                               shift, factor, (True,))
     comparator = (h * X ** (1.0 / k + 1.0)) if relative else (h * X ** (1.0 / k))
     return _report(value, comparator)
@@ -241,7 +281,9 @@ def selberg_J_relative(table: PrimeTable, q: MeanSquareQuery) -> MeanSquareRepor
         def smooth(x):
             return big_delta * x ** rt
 
-        return _increment_square(table, k, smooth, X, 2.0 * X, 0.0, fac,
+        return _increment_square(table, k,
+                                 (0.0, big_delta) if k == 1.0 else smooth,
+                                 X, 2.0 * X, 0.0, fac,
                                  (False, True) if q.use_psi else (False,))
 
     X, rt = q.X, 1.0 / q.k

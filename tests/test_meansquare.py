@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from primearcs import meansquare
 from primearcs.circle import ExpSumFactor, ProblemInstance
 from primearcs.errors import ValidationError
 from primearcs.expsums import WindowSpec, s_minus_u_weights
@@ -56,28 +57,30 @@ def reference_breakpoints(table, k, x_lo, x_hi, shift=0.0, factor=1.0,
     return x[(x > x_lo) & (x < x_hi)]
 
 
-def mpmath_selberg(table, k, h, x_lo, x_hi, use_psi=False):
-    """int_{x_lo}^{x_hi} (F((x+h)^(1/k)) - F(x^(1/k)) - smooth)^2 dx piece by
-    piece with mpmath.quad at 30 digits: the pieces between the breakpoints
-    of reference_breakpoints, F from the table at their midpoints, and the
-    smooth part (x+h)^r - x^r in 30 digits with r = 1.0/k as selberg_J
-    takes it.  A piece wider than 1/16 of its left end is handed to quad
-    split at a geometric sequence of points."""
-    cuts = [reference_breakpoints(table, k, x_lo, x_hi, s, 1.0, use_psi)
-            for s in (0.0, h)]
+def mpmath_selberg(table, k, h, x_lo, x_hi, use_psi=False, factor=1.0):
+    """int_{x_lo}^{x_hi} (F((x factor + h)^(1/k)) - F(x^(1/k)) - smooth)^2 dx
+    piece by piece with mpmath.quad at 30 digits: the pieces between the
+    breakpoints of reference_breakpoints, F from the table at their
+    midpoints, and the smooth part (x factor + h)^r - x^r in 30 digits
+    with r = 1.0/k as selberg_J takes it (and selberg_J_relative at k = 1,
+    where factor - 1 is exact).  A piece wider than 1/16 of its left end is
+    handed to quad split at a geometric sequence of points."""
+    cuts = [reference_breakpoints(table, k, x_lo, x_hi, s, f, use_psi)
+            for s, f in ((0.0, 1.0), (h, factor))]
     edges = np.unique(np.concatenate(cuts + [[x_lo, x_hi]]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     rt = 1.0 / k
     fn = count_fn(table, use_psi)
-    d = fn((mids + h) ** rt) - fn(mids ** rt)
+    d = fn((mids * factor + h) ** rt) - fn(mids ** rt)
     with mpmath.workdps(30):
         total, r, hh = mpmath.mpf(0), mpmath.mpf(rt), mpmath.mpf(h)
+        ff = mpmath.mpf(factor)
         for a, b, dj in zip(edges[:-1].tolist(), edges[1:].tolist(), d.tolist()):
             n = max(1, math.ceil(16 * math.log(b / a)))
             points = [mpmath.mpf(a) * (mpmath.mpf(b) / a) ** (mpmath.mpf(i) / n)
                       for i in range(n)] + [mpmath.mpf(b)]
             total += mpmath.quad(
-                lambda x: (dj - ((x + hh) ** r - x ** r)) ** 2, points)
+                lambda x: (dj - ((x * ff + hh) ** r - x ** r)) ** 2, points)
         return float(total)
 
 
@@ -126,7 +129,7 @@ class TestPiecewiseMachinery:
 
         cases = [((False,), count_fn(table, False), drift),
                  ((False, True), count_fn(table, True), drift),
-                 ((True,), table.psi_minus_theta_many, np.zeros_like)]
+                 ((True,), table.psi_minus_theta_many, (0.0, 0.0))]
         got = {}
         for tables, fn, smooth in cases:
             bkpts, _ = _breakpoints(table, k, x_lo, x_hi, shift, factor, tables)
@@ -136,12 +139,16 @@ class TestPiecewiseMachinery:
             got[tables] = _increment_square(table, k, smooth, x_lo, x_hi,
                                             shift, factor, tables)
             assert got[tables] == want, tables
-        # the operations integrate the same steps
+        # the operations integrate the same steps; at k = 1 selberg_J takes
+        # its constant drift in closed form, against the Gauss rule here
         if factor == 1.0:
             for tables in ((False,), (False, True)):
                 q = MeanSquareQuery(X=x_lo, k=k, h=shift,
                                     use_psi=len(tables) == 2)
-                assert selberg_J(table, q).value == got[tables]
+                want = got[tables]
+                if k == 1.0:
+                    want = pytest.approx(want, rel=1e-14)
+                assert selberg_J(table, q).value == want
         if factor == 1.0 or shift == 0.0:
             inc = {"h": shift} if factor == 1.0 else {"rel_delta": factor - 1}
             q = MeanSquareQuery(X=x_lo, k=k, **inc)
@@ -201,9 +208,35 @@ class TestPiecewiseMachinery:
             assert np.min(np.abs(np.concatenate(([x_lo], hi)) - b)) <= 1e-12
 
 
-    def test_piecewise_square_memory_and_calls(self):
+    @pytest.mark.parametrize("bkpts", [[], [12.5], [12.5, 12.6, 19.0]])
+    @pytest.mark.parametrize("c0,c1", [(0.0, 1.0), (3.0, -0.5)])
+    def test_piecewise_square_affine_closed_form(self, bkpts, c0, c1):
+        # step 0, smooth c0 + c1 x: each piece integrates to
+        # w ((c0 + c1 m)^2 + c1^2 w^2 / 12) exactly; the midpoint term
+        # alone is off by 1e-6 or more of the value
+        x_lo, x_hi = 10.0, 20.0
+        seen = {}
+
+        def step(x):
+            seen["mids"] = np.array(x)
+            return np.zeros_like(x)
+
+        value = _piecewise_square(step, (c0, c1), np.asarray(bkpts, float),
+                                  x_lo, x_hi)
+        exact = ((c0 + c1 * x_hi) ** 3 - (c0 + c1 * x_lo) ** 3) / (3 * c1)
+        assert value == pytest.approx(exact, rel=1e-13)
+        midpoint_only, a = 0.0, x_lo
+        for m in seen["mids"]:  # the pieces tile [x_lo, x_hi] from x_lo
+            midpoint_only += 2.0 * (m - a) * (c0 + c1 * m) ** 2
+            a = 2.0 * m - a
+        assert a == pytest.approx(x_hi, rel=1e-12)
+        assert abs(midpoint_only - exact) > 1e-6 * exact
+
+    @pytest.mark.parametrize("rule", ["gauss", "affine"])
+    def test_piecewise_square_memory_and_calls(self, rule, monkeypatch):
         # a few arrays of one float per piece: PIECE_GL node passes over
-        # all pieces, no pieces x nodes matrix
+        # all pieces, no pieces x nodes matrix; the affine closed form
+        # takes no Gauss rule and makes no smooth call
         x_lo, x_hi = 1e5, 2e5
         bkpts = np.sort(np.random.default_rng(5).uniform(x_lo, x_hi, 100_000))
         calls = {"step": [], "smooth": []}
@@ -216,6 +249,9 @@ class TestPiecewiseMachinery:
             calls["smooth"].append(len(x))
             return np.sqrt(x)
 
+        if rule == "affine":
+            smooth = (-3.0, 1.0 - 1e-3)
+            monkeypatch.setattr(meansquare, "gl_rule", None)
         tracemalloc.start()
         try:
             value = _piecewise_square(step, smooth, bkpts, x_lo, x_hi)
@@ -224,9 +260,55 @@ class TestPiecewiseMachinery:
             tracemalloc.stop()
         pieces = calls["step"][0]
         assert calls["step"] == [pieces] and pieces >= len(bkpts) + 1
-        assert calls["smooth"] == [pieces] * PIECE_GL
+        assert calls["smooth"] == ([pieces] * PIECE_GL if rule == "gauss"
+                                   else [])
         assert peak <= 128 * pieces
         assert 0 < value < math.inf
+
+    def test_increment_square_logs_rule_and_counts(self, table, caplog,
+                                                   monkeypatch):
+        # one line per _increment_square: its pieces, the rule, the q
+        # powered and those powk_float64 left to powk_extended
+        powered = []
+        real = meansquare.powk_float64
+
+        def recording(n, k):
+            out = real(n, k)
+            powered.append((len(n), out[1]))
+            return out
+
+        monkeypatch.setattr(meansquare, "powk_float64", recording)
+        queries = [(selberg_J, MeanSquareQuery(X=2000.0, k=1.05, h=37.5)),
+                   (selberg_J, MeanSquareQuery(X=2000.0, k=1.0, h=37.5,
+                                               use_psi=True)),
+                   (theta_psi_discrepancy,
+                    MeanSquareQuery(X=2000.0, k=1.05, h=37.5))]
+        with caplog.at_level(logging.DEBUG, logger="primearcs.meansquare"):
+            for op, q in queries:
+                op(table, q)
+        lines = [re.search(r"(\d+) pieces, ([^,]+), (\d+) powered, (\d+) by "
+                           r"powk_extended, (\S+) s", r.getMessage())
+                 for r in caplog.records]
+        assert [m.group(2) for m in lines] == [
+            f"{PIECE_GL}-point Gauss", "affine closed form",
+            "affine closed form"]
+        # one powering per table: theta, then theta and psi - theta
+        calls = [powered[:1], powered[1:3], powered[3:]]
+        for m, (op, q), got in zip(lines, queries, calls):
+            tables = {(False, False): (False,), (True, False): (False, True),
+                      (False, True): (True,)}[
+                q.use_psi, op is theta_psi_discrepancy]
+            bkpts, _ = _breakpoints(table, q.k, q.X, 2 * q.X, q.h, 1.0, tables)
+            pieces = []
+            _piecewise_square(lambda x: pieces.append(len(x)) or x,
+                              (0.0, 0.0), bkpts, q.X, 2 * q.X)
+            assert int(m.group(1)) == pieces[0] > len(bkpts)
+            # each q powered crosses at most once per end
+            n_powered = sum(n for n, _ in got)
+            assert int(m.group(3)) == n_powered >= len(bkpts) / 2
+            assert int(m.group(4)) == sum(e for _, e in got)
+            assert 0 < float(m.group(5)) < 10
+        assert int(lines[0].group(4)) > 0 and int(lines[1].group(4)) == 0
 
 
 class TestSelbergJ:
@@ -252,10 +334,13 @@ class TestSelbergJ:
     @pytest.mark.parametrize("X,k,h,use_psi,x_range", [
         (2000.0, 1.3, 37.5, False, None),
         (2000.0, 1.3, 37.5, True, None),
-        (1000.0, 1.3, 40.0, False, (3.0, 1000.0))])
+        (1000.0, 1.3, 40.0, False, (3.0, 1000.0)),
+        (2000.0, 1.0, 37.5, False, None),
+        (2000.0, 1.0, 37.5, True, None)])
     def test_mpmath_piece_oracle(self, table, X, k, h, use_psi, x_range):
         # the same pieces and step values, the smooth part and the square
-        # integrated in 30 digits: only the piece rule's error is left.
+        # integrated in 30 digits: only the piece rule's error is left, the
+        # Gauss rule's at k = 1.3 and the closed form's at k = 1.
         # selberg_J integrates over [X, 2X]; the range (3, 1000), which
         # starts near 0, goes to _increment_square with its smooth part
         q = MeanSquareQuery(X=X, k=k, h=h, use_psi=use_psi)
@@ -384,6 +469,15 @@ class TestRelative:
         oracle = riemann_oracle(table, 10**4, 0.05, 2.0, 1e-2, relative=True,
                                 use_psi=True)
         assert rep.value == pytest.approx(oracle, rel=1e-3)
+
+    def test_mpmath_piece_oracle_k1(self, table):
+        # test_mpmath_piece_oracle's 30-digit pieces for the relative form
+        # at k = 1, whose drift 0.2 x is affine: the closed form's
+        # c1^2 w^2 / 12 is 4.3e-4 of the value here
+        q = MeanSquareQuery(X=2000.0, k=1.0, rel_delta=0.2, use_psi=True)
+        want = mpmath_selberg(table, 1.0, 0.0, 2000.0, 4000.0, True, 1.2)
+        assert selberg_J_relative(table, q).value == pytest.approx(want,
+                                                                   rel=1e-13)
 
     def test_substituted_form_within_table(self):
         # the k = 1 substituted form needs primes up to 2 X^(1/k) (1 + Delta)

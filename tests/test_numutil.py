@@ -249,3 +249,55 @@ def test_fsum_fast_path_kept(table, monkeypatch):
         expsums.eval_S(table, w, alpha)
     assert len(seen) == 4 * 201
     assert max(seen) <= 8
+
+
+@pytest.fixture(scope="module")
+def primes_to_2_25e6():
+    from primearcs.primes import build_table
+    return build_table(2_250_000).primes_in_range(2, 2_250_000)
+
+
+def _rounded_extended(n, k):
+    return np.asarray(numutil.powk_extended(n, k), np.float64)
+
+
+@pytest.mark.parametrize("k", [0.9, 1.05, 1.3, 4 / 3, 1.0, 2.0, 3.0])
+def test_powk_float64_is_rounded_extended(primes_to_2_25e6, k):
+    # every prime below 2.25e6, and every integer of a range whose n^k
+    # crosses 2^21, where float64's spacing doubles (past 2^63 at k = 3,
+    # so the primes go to powk_extended whole)
+    mid = round(2.0 ** (21 / k))
+    for n in (primes_to_2_25e6, np.arange(max(2, mid - 3000), mid + 3000)):
+        got, exact = numutil.powk_float64(n, k)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _rounded_extended(n, k))
+        if k in (1.0, 2.0):
+            assert exact == 0
+
+
+def test_powk_float64_fallback_share_and_bound(primes_to_2_25e6, monkeypatch):
+    # the docstring's bound on |y1 - powk_extended|, y1 = y0 (1 + delta),
+    # holds on every prime below 2.25e6 at k = 1.05, and leaves at most
+    # 10% of them to powk_extended, which powers exactly those
+    n, k = primes_to_2_25e6, 1.05
+    ld = np.longdouble
+    y0 = np.power(n.astype(np.float64), k).astype(ld)
+    kln = ld(k) * np.log(n.astype(ld))
+    delta = kln - np.log(y0)
+    err = np.abs(y0 + y0 * delta - numutil.powk_extended(n, k))
+    bound = y0 * (ld(2.0 ** -64) * (5 * kln + 4) + delta * delta)
+    ulp = np.spacing(y0.astype(np.float64))
+    # the errors reach about half the bound: it is not loose by orders
+    assert np.all(err < bound) and np.max(err / bound) > 0.25
+    assert np.max(err / ulp) < np.max(bound / ulp) < 0.05
+
+    powered = []
+    real = numutil.powk_extended
+
+    def counting(m, kk):
+        powered.append(np.size(m))
+        return real(m, kk)
+
+    monkeypatch.setattr(numutil, "powk_extended", counting)
+    _, exact = numutil.powk_float64(n, k)
+    assert powered == [exact] and 0 < exact <= 0.1 * len(n)
