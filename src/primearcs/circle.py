@@ -10,7 +10,14 @@ an ExpSumFactor, summed on panel nodes by its eval_panels only.
 
 The bounded arcs are integrated by gauss_panels, one GL12 pass sized by
 the rule's remainder bound on their band-limited spectra, which meansquare's
-truncated-L2 grid and the Fejér-pair check verify_fourier_pair share.
+truncated-L2 grid and the Fejér-pair check verify_fourier_pair share.  Each
+caller passes two frequency bounds.  The spectral bound f_max sizes the
+panels: for the counting integral and the major-arc split it is
+_signed_bound's max |t| + eta over the signed factor ranges, which with
+mixed-sign lambdas lies far inside the box sum_j max |f_j| + |w| + eta.
+The phase bound feeds the rounding floor: it covers every frequency whose
+float64 in-block phases grid_sum forms, and for those two callers it is
+that box.
 """
 
 from __future__ import annotations
@@ -138,8 +145,11 @@ class ExpSumFactor(NamedTuple):
     weights: np.ndarray
 
     @property
-    def max_freq(self) -> float:
-        return float(np.max(np.abs(self.freqs))) if len(self.freqs) else 0.0
+    def freq_range(self) -> tuple[float, float]:
+        """(min f, max f), (0, 0) for an empty factor."""
+        if not len(self.freqs):
+            return 0.0, 0.0
+        return float(np.min(self.freqs)), float(np.max(self.freqs))
 
     @property
     def mass(self) -> float:
@@ -170,15 +180,17 @@ def gl12_panels(a: float, b: float, f_max: float, mass: float,
                 tol: float) -> tuple[int, float]:
     """(n, r): the fewest equal panels of [a, b] on which GL12 errs by at
     most (r/n)^24 = mass (b-a)/2 sqrt(2) C (2 pi f_max hw)^24 <= tol for a
-    spectrum in |s| <= f_max of L1 mass <= mass (C on Re and Im e(s a))."""
+    spectrum in |s| <= f_max of L1 mass <= mass (C on Re and Im e(s a)).
+    f_max is the spectral bound alone: the count falls in proportion to
+    it, and the phase sizes of the evaluation do not enter."""
     r = math.pi * f_max * (b - a) * (
         mass * (b - a) / math.sqrt(2.0) * _GL12_C) ** (1.0 / 24.0)
     n = max(1, math.ceil(r / tol ** (1.0 / 24.0)))
     return n + ((r / n) ** 24 > tol), r
 
 
-def gauss_panels(parts, a: float, b: float, f_max: float, mass: float,
-                 tol: float, max_nodes: float):
+def gauss_panels(parts, a: float, b: float, f_max: float, phase_max: float,
+                 mass: float, tol: float, max_nodes: float):
     """One composite GL12 pass over [a, b] on gl12_panels' count for named
     integrands whose spectra lie in |s| <= f_max with L1 mass <= mass.
 
@@ -187,9 +199,13 @@ def gauss_panels(parts, a: float, b: float, f_max: float, mass: float,
     15% faster, but its peak RSS rose from 39.4 to 44.8 MiB).  est_error
     adds to the bound 0.25 2^-53 int|f| (over all names) times one call's
     phase span in cycles for grid_sum's float64 in-block phases: 13x the
-    largest such error on the closed-form counting integral.  Returns
-    ({name: value}, est_error); ValidationError unless 0 < tol < inf;
-    ConvergenceError past max_nodes nodes, best the pass they allow.
+    largest such error on the closed-form counting integral.  Those phases
+    are f (c - c0) for each frequency f that parts passes to grid_sum, so
+    the span is taken at phase_max >= every such |f|, not at f_max: a
+    product's spectrum can lie far inside the frequencies of its factors.
+    Returns ({name: value}, est_error); ValidationError unless
+    0 < tol < inf; ConvergenceError past max_nodes nodes, best the pass
+    they allow.
     """
     require_tol(tol)
     x12, w12 = gl_rule(12)
@@ -205,10 +221,11 @@ def gauss_panels(parts, a: float, b: float, f_max: float, mass: float,
             absint += float(np.sum(np.abs(vals) @ (w12 * hw)))
     bound = (r / n_panels) ** 24
     err = bound + 0.25 * 2.0 ** -53 * absint * max(
-        1.0, f_max * 2.0 * hw * min(n_panels, chunk))
+        1.0, phase_max * 2.0 * hw * min(n_panels, chunk))
     vals = {name: fsum_complex(p) for name, p in partials.items()}
     _log.debug("gauss panels on [%g, %g]: %d panels, GL12, bound %.3e, "
-               "est error %.3e", a, b, n_panels, bound, err)
+               "est error %.3e (spectral bound %.17g, phase bound %.17g)",
+               a, b, n_panels, bound, err, f_max, phase_max)
     if over:
         raise ConvergenceError(f"panel quadrature needs over {max_nodes:.3g} "
                                f"nodes; {n_panels} panels err by {err:.3e}",
@@ -240,16 +257,25 @@ def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
         return {"K": _kernel_panels(eta, t, centers, offs)}
 
     vals, _ = gauss_panels(parts, 0.0, float(truncation), eta + abs(t),
-                           eta * eta, 1e-15, 1e8)
+                           eta + abs(t), eta * eta, 1e-15, 1e8)
     return abs(2.0 * vals["K"].real - fejer_hat(eta, t))
 
 
 def _product_on_interval(parts, a: float, b: float, f_max: float,
-                         mass: float, tol: float):
+                         mass: float, tol: float, phase_max: float):
     """integrate_I's traced layer: gauss_panels' ("I" value, est_error)."""
-    vals, err = gauss_panels(parts, a, b, f_max, mass, tol,
+    vals, err = gauss_panels(parts, a, b, f_max, phase_max, mass, tol,
                              PRODUCT_NODE_BUDGET)
     return vals["I"], err
+
+
+def _signed_bound(ranges, varpi: float, eta: float) -> float:
+    """max |t| + eta over t = varpi + sum_j t_j with lo_j <= t_j <= hi_j for
+    (lo_j, hi_j) in ranges.  The sum is monotone in each t_j, so t fills
+    [varpi + sum lo_j, varpi + sum hi_j] and |t| peaks at an end, which the
+    per-factor argmins (or argmaxes) attain: the bound is exact."""
+    lows, highs = zip(*ranges)
+    return max(abs(varpi + sum(lows)), abs(varpi + sum(highs))) + eta
 
 
 def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
@@ -259,10 +285,15 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     Negative half-axis pieces are folded onto the positive side through
     the Hermitian symmetry of the integrand, so only alpha >= 0 is ever
     sampled.  The trivial tail (unbounded pieces) is out of scope here;
-    use trivial_tails for its majorant.
+    use trivial_tails for its majorant.  The GL12 pass is sized on the
+    signed spectral bound of the product (_signed_bound); its rounding
+    floor is taken at the largest factor phase, sum_j max |f_j| + |w| + eta.
     """
     factors = window_factors(inst, table, w)
-    f_max = sum(f.max_freq for f in factors) + abs(inst.varpi) + eta
+    ranges = [f.freq_range for f in factors]
+    f_max = _signed_bound(ranges, inst.varpi, eta)
+    phase_max = (sum(max(-lo, hi) for lo, hi in ranges) + abs(inst.varpi)
+                 + eta)
     mass = math.prod(f.mass for f in factors) * eta * eta
 
     def parts(centers, offs):
@@ -288,7 +319,7 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     for kind, a, b in pieces:
         if (a, b) not in done:
             done[(a, b)] = _product_on_interval(parts, a, b, f_max, mass,
-                                                per_piece_tol)
+                                                per_piece_tol, phase_max)
         val, err = done[(a, b)]
         est_error += err
         total += val.conjugate() if kind == "conj" else val
@@ -309,6 +340,11 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     plus the direct integral I_M of S1 S2 Sk K e(w a); the five values
     satisfy J1+J2+J3+J4 = I_M identically up to quadrature rounding.
 
+    Every factor, S_j or T_j, has its spectrum in l_j [delta X, X], so
+    the pass is sized on _signed_bound over those ranges; the rounding
+    floor is taken at sum_j |l_j| X + |w| + eta, the box that holds every
+    grid_sum phase.
+
     Returns dict with J1..J4, I_M, the quadrature's est_error, and
     t_est_error, the largest eval_T_grid bound.
     """
@@ -325,7 +361,10 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
     s = [f.mass for f in factors]
     mass = 2.0 * eta * eta * max(math.prod(s[:j]) * (s[j] + t[j])
                                  * math.prod(t[j + 1:]) for j in range(3))
-    f_max = sum(abs(lam) for lam in inst.lambdas) * hi + abs(inst.varpi) + eta
+    f_max = _signed_bound([sorted((lam * lo, lam * hi))
+                           for lam in inst.lambdas], inst.varpi, eta)
+    phase_max = (sum(abs(lam) for lam in inst.lambdas) * hi + abs(inst.varpi)
+                 + eta)
     t_est = [0.0]  # largest eval_T_grid bound so far
 
     def parts(centers, offs):
@@ -345,7 +384,8 @@ def major_arc_split(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
         # Hermitian symmetry: the full major arc is twice the real part.
         return {name: 2.0 * (vals * kern).real for name, vals in terms.items()}
 
-    vals, err = gauss_panels(parts, 0.0, cut, f_max, mass, tol, 2e8)
+    vals, err = gauss_panels(parts, 0.0, cut, f_max, phase_max, mass, tol,
+                             2e8)
     out = {name: v.real for name, v in vals.items()}
     out["est_error"] = err
     out["t_est_error"] = t_est[0]

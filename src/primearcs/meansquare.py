@@ -331,13 +331,16 @@ def l2_diff(table: PrimeTable, w: WindowSpec, Y: float,
 def _l2_spectrum(factor: ExpSumFactor, Y: float):
     """(f_max, mass, tol) of |S|^2 on [0, Y]: the frequency spread, (sum
     |c|)^2, and 1e-9 of the diagonal (Parseval) term 2Y sum c^2."""
-    return (float(np.ptp(factor.freqs)), factor.mass ** 2,
+    lo, hi = factor.freq_range
+    return (hi - lo, factor.mass ** 2,
             2e-9 * Y * float(np.dot(factor.weights, factor.weights)))
 
 
 def _l2_grid(factor: ExpSumFactor, Y: float) -> tuple[float, float]:
     """2 * int_0^Y |sum c_j e(f_j a)|^2 da by gauss_panels on _l2_spectrum,
-    whose bound fixes the panel count, so no node budget applies.  Returns
+    whose bound fixes the panel count, so no node budget applies.  The
+    rounding floor is taken at max |f_j|, the frequencies whose phases
+    grid_sum forms (about twice the spread on a dyadic window).  Returns
     the value and the driver's error estimate, both doubled."""
     if len(factor.freqs) == 0:
         return 0.0, 0.0
@@ -346,7 +349,9 @@ def _l2_grid(factor: ExpSumFactor, Y: float) -> tuple[float, float]:
         s = factor.eval_panels(centers, offs)
         return {"L2": s.real ** 2 + s.imag ** 2}
 
-    vals, err = gauss_panels(parts, 0.0, Y, *_l2_spectrum(factor, Y),
+    f_max, mass, tol = _l2_spectrum(factor, Y)
+    lo, hi = factor.freq_range
+    vals, err = gauss_panels(parts, 0.0, Y, f_max, max(-lo, hi), mass, tol,
                              math.inf)
     return 2.0 * vals["L2"].real, 2.0 * err
 

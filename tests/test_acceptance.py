@@ -3,9 +3,15 @@ prints one pass/fail line.  `primearcs verify-all` runs the same checks
 from the command line.
 """
 
+import logging
+import math
+import re
 import time
 
-from primearcs import acceptance
+import numpy as np
+import pytest
+
+from primearcs import acceptance, circle
 
 
 def report(result):
@@ -40,6 +46,28 @@ def test_criterion_05_search_oracle(table_large):
 
 def test_criterion_06_counting_identity(table_large):
     report(acceptance.criterion_counting_identity(table_large))
+
+
+def test_criterion_06_panel_count(table_large, caplog):
+    # criterion 6 folds [-2000, 2000] onto one GL12 pass over [0, 2000] at
+    # tol 0.1 (0.2 over its two pieces), sized on the signed spectrum
+    # max |t| + eta, which a triple attains: 810 438 panels, where the box
+    # sum_j max |f_j| + eta of the factor frequencies took 1 280 806
+    with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+        report(acceptance.criterion_counting_identity(table_large))
+    (m,) = [m for m in (re.search(r"on \[0, 2000\]: (\d+) panels, GL12, .* "
+                                  r"\(spectral bound (\S+), phase bound",
+                                  r.getMessage()) for r in caplog.records) if m]
+    n, spectral = int(m.group(1)), float(m.group(2))
+    inst, w, eta = acceptance._criterion6_instance()
+    facs = circle.window_factors(inst, table_large, w)
+    t = np.add.outer(np.add.outer(facs[0].freqs, facs[1].freqs), facs[2].freqs)
+    assert spectral == pytest.approx(np.max(np.abs(t)) + eta, rel=1e-12)
+    mass = math.prod(f.mass for f in facs) * eta ** 2
+    box = sum(float(np.max(np.abs(f.freqs))) for f in facs) + eta
+    assert n == circle.gl12_panels(0.0, 2000.0, spectral, mass, 0.1)[0]
+    assert n <= 0.7 * circle.gl12_panels(0.0, 2000.0, box, mass, 0.1)[0]
+    assert n <= 860_000
 
 
 def test_criterion_07_telescoping(table_large):

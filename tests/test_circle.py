@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import sici
 
@@ -150,7 +151,7 @@ class TestExpSumFactor:
         ld = np.longdouble
         seen = set()
         for fac in (facs[0], facs[2]):
-            hw = 0.37 / fac.max_freq
+            hw = 0.37 / max(map(abs, fac.freq_range))
             for alpha in (100.0, 5000.0):
                 for n in (1, 2, 7, 120, 121):
                     centers = alpha + (2.0 * np.arange(n) + 1.0) * hw
@@ -276,11 +277,19 @@ class TestIntegrateI:
         # one pass on the fewest panels whose bound is within tol, then
         # integrate_I's summary
         (line, summary) = msgs
-        m = re.search(r"(\d+) panels, GL12, bound ([^,]+), est error (\S+)",
-                      line)
+        m = re.search(r"(\d+) panels, GL12, bound ([^,]+), est error (\S+) "
+                      r"\(spectral bound ([^,]+), phase bound ([^)]+)\)", line)
         n, bound, est = int(m.group(1)), float(m.group(2)), float(m.group(3))
         facs = window_factors(inst, table, w500)
-        f_max = sum(f.max_freq for f in facs) + 0.5
+        # the panels on the signed spectrum (varpi = 0 here): the larger of
+        # |sum of the factor minima| and |sum of the maxima|, plus eta; the
+        # rounding floor on the largest phase frequency, the old box
+        f_max = max(abs(sum(float(np.min(f.freqs)) for f in facs)),
+                    abs(sum(float(np.max(f.freqs)) for f in facs))) + 0.5
+        phase_max = sum(float(np.max(np.abs(f.freqs))) for f in facs) + 0.5
+        assert float(m.group(4)) == pytest.approx(f_max, rel=1e-15)
+        assert float(m.group(5)) == pytest.approx(phase_max, rel=1e-15)
+        assert f_max < 0.7 * phase_max
         mass = math.prod(f.mass for f in facs) * 0.25
         want, r = gl12_panels(0.0, 2.0, f_max, mass, 1e-9)
         assert n == want
@@ -448,8 +457,9 @@ class TestClosedFormOracle:
 
     @pytest.mark.parametrize("tol", [0.2, 1e-11])
     def test_estimate_covers_error_criterion6(self, table, caplog, tol):
-        # criterion 6's instance and truncation, A = 2000: 1.3M panels at
-        # tol 0.2, 3.4M at 1e-11
+        # criterion 6's instance and truncation, A = 2000: 810 438 panels
+        # at tol 0.2, 2.18M at 1e-11 (1.28M and 3.44M on the box of the
+        # factor frequencies)
         from primearcs.acceptance import _criterion6_instance
         inst, w, eta = _criterion6_instance()
         assert eta == self.ETA
@@ -473,7 +483,7 @@ class TestConvergenceStalls:
         n, r = gl12_panels(0.0, 3.0, f_max, 1.0, 1e-12)
         assert n == 27
         with pytest.raises(ConvergenceError, match="10 panels") as info:
-            gauss_panels(parts, 0.0, 3.0, f_max, 1.0, 1e-12, 120)
+            gauss_panels(parts, 0.0, 3.0, f_max, f_max, 1.0, 1e-12, 120)
         exc = info.value
         x12, w12 = gl_rule(12)
         hw = 3.0 / 20
@@ -525,24 +535,53 @@ def test_gauss_panels_estimate_on_top_frequency(tol):
     def parts(centers, offs):
         return {"e": np.exp(2j * math.pi * s * (centers[:, None] + offs[None, :]))}
 
-    vals, est = gauss_panels(parts, 0.0, b, s, 1.0, tol, 1e6)
+    vals, est = gauss_panels(parts, 0.0, b, s, s, 1.0, tol, 1e6)
     exact = (cmath.exp(2j * math.pi * s * b) - 1.0) / (2j * math.pi * s)
     assert abs(vals["e"] - exact) <= est <= 1.01 * tol
 
 
+def test_gauss_panels_logs_both_bounds(caplog):
+    # the DEBUG line names the spectral bound, which alone sets the panel
+    # count, and the phase bound, which moves only the rounding floor
+    s, b, tol = 37.3, 2.0, 1e-8
+
+    def parts(centers, offs):
+        return {"e": np.exp(2j * math.pi * s * (centers[:, None] + offs[None, :]))}
+
+    seen = []
+    for phase_max in (s, 1e6):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            _, est = gauss_panels(parts, 0.0, b, s, phase_max, 1.0, tol, 1e6)
+        (line,) = [r.getMessage() for r in caplog.records]
+        m = re.fullmatch(r"gauss panels on \[0, 2\]: (\d+) panels, GL12, bound "
+                         r"(\S+), est error (\S+) \(spectral bound (\S+), "
+                         r"phase bound (\S+)\)", line)
+        assert int(m.group(1)) == gl12_panels(0.0, b, s, 1.0, tol)[0]
+        assert (float(m.group(4)), float(m.group(5))) == (s, phase_max)
+        assert float(m.group(3)) == pytest.approx(est, rel=1e-3)
+        seen.append((int(m.group(1)), float(m.group(2)), est))
+    (n, bound, est), (n_wide, bound_wide, est_wide) = seen
+    assert (n, bound) == (n_wide, bound_wide)
+    assert est < est_wide
+
+
 class TestSpectrumBounds:
-    """Each gauss_panels caller passes an f_max that bounds every frequency
-    of its integrand and a mass at least its spectrum's L1 mass, both
-    computed here from the window arrays, T's density and the tent."""
+    """Each gauss_panels caller passes a spectral bound f_max that every
+    frequency of its integrand stays within (attains, where the bound is
+    signed), a phase bound at least every frequency it hands grid_sum,
+    and a mass at least its spectrum's L1 mass, all computed here from the
+    window arrays, T's density and the tent."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         from primearcs import meansquare
         seen = []
 
-        def spy(parts, a, b, f_max, mass, tol, max_nodes):
-            seen.append((f_max, mass))
-            return gauss_panels(parts, a, b, f_max, mass, tol, max_nodes)
+        def spy(parts, a, b, f_max, phase_max, mass, tol, max_nodes):
+            seen.append((f_max, phase_max, mass))
+            return gauss_panels(parts, a, b, f_max, phase_max, mass, tol,
+                                max_nodes)
 
         monkeypatch.setattr(circle, "gauss_panels", spy)
         monkeypatch.setattr(meansquare, "gauss_panels", spy)
@@ -557,15 +596,27 @@ class TestSpectrumBounds:
                 for lam, win in ((lam, window(kj, lo, hi, table)) for lam, kj in
                                  zip(inst.lambdas, (1.0, 2.0, inst.k)))]
 
+    @staticmethod
+    def triple_freqs(arrays, varpi):
+        """Every frequency l1 p1 + l2 p2^2 + l3 p3^k + varpi of the product."""
+        (f1, _), (f2, _), (f3, _) = arrays
+        return np.add.outer(np.add.outer(f1, f2), f3) + varpi
+
     def test_integrate_I(self, table, calls):
         inst = ProblemInstance(1.0, -math.sqrt(2.0), -1.0, k=1.05, varpi=-0.3)
         w, eta = WindowSpec(X=300.0, k=1.05), 0.5
         integrate_I(inst, table, w, eta, [(0.0, 1.0)], tol=1e-3)
-        (f1, c1), (f2, c2), (f3, c3) = self.arrays(inst, table, w)
-        t = np.add.outer(np.add.outer(f1, f2), f3) + inst.varpi
-        c = np.multiply.outer(np.multiply.outer(c1, c2), c3)
-        ((f_max, mass),) = calls
-        assert f_max >= np.max(np.abs(t)) + eta
+        arrays = self.arrays(inst, table, w)
+        t = self.triple_freqs(arrays, inst.varpi)
+        c = np.multiply.outer(np.multiply.outer(*(c for _, c in arrays[:2])),
+                              arrays[2][1])
+        ((f_max, phase_max, mass),) = calls
+        # the signed bound is attained by a triple, and the phase bound is
+        # the box of the factor frequencies, the kernel's and varpi's
+        assert f_max == pytest.approx(np.max(np.abs(t)) + eta, rel=1e-12)
+        assert phase_max == pytest.approx(
+            sum(np.max(np.abs(f)) for f, _ in arrays) + 0.3 + eta, rel=1e-12)
+        assert f_max < 0.7 * phase_max
         assert mass >= math.fsum(np.abs(c).ravel()) * eta ** 2 * (1 - 1e-12)
 
     def test_major_arc_split(self, table, calls):
@@ -576,16 +627,63 @@ class TestSpectrumBounds:
         # T_j = int_lo^hi (1/k) u^(1/k - 1) e(l_j u a) du
         t_mass = [quad(lambda u: u ** (1 / kj - 1) / kj, lo, hi)[0]
                   for kj in (1.0, 2.0, inst.k)]
-        s_mass = [math.fsum(np.abs(c)) for _, c in self.arrays(inst, table, w)]
-        st = [s + t for s, t in zip(s_mass, t_mass)]
-        factor_masses = [t_mass, [st[0], *t_mass[1:]],
-                         [s_mass[0], st[1], t_mass[2]],
-                         [s_mass[0], s_mass[1], st[2]], s_mass]
-        ((f_max, mass),) = calls
-        assert f_max >= sum(abs(l) * hi for l in inst.lambdas) + 0.2 + eta
+        arrays = self.arrays(inst, table, w)
+        s_mass = [math.fsum(np.abs(c)) for _, c in arrays]
+        s_t = [s + t for s, t in zip(s_mass, t_mass)]
+        factor_masses = [t_mass, [s_t[0], *t_mass[1:]],
+                         [s_mass[0], s_t[1], t_mass[2]],
+                         [s_mass[0], s_mass[1], s_t[2]], s_mass]
+        ((f_max, phase_max, mass),) = calls
+        # every S and T frequency of factor j lies in l_j [lo, hi]; the
+        # largest |t| over that box's corners is attained by T's spectra
+        corners = self.triple_freqs(
+            [(np.array([lam * lo, lam * hi]), None) for lam in inst.lambdas],
+            0.2)
+        assert f_max == pytest.approx(np.max(np.abs(corners)) + eta, rel=1e-12)
+        assert np.max(np.abs(self.triple_freqs(arrays, 0.2))) + eta <= f_max
+        box = sum(abs(l) * hi for l in inst.lambdas) + 0.2 + eta
+        assert phase_max == pytest.approx(box, rel=1e-12)
+        assert f_max <= box
         # twice the real part: twice the mass
         assert mass >= (2 * eta ** 2 * max(map(math.prod, factor_masses))
                         * (1 - 1e-12))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mag=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+           signs=st.tuples(*[st.sampled_from([-1, 1])] * 3),
+           k=st.floats(1.0, 1.3), shift=st.floats(-0.5, 1.5),
+           X=st.sampled_from([20.0, 60.0, 150.0]),
+           delta=st.sampled_from([0.1, 0.5, 0.9]))
+    def test_signed_bound_property(self, table, mag, signs, k, shift, X,
+                                   delta):
+        # one-sign lambdas included; varpi = -(lowest sum) - shift * (its
+        # spread) puts the range of sums astride zero for 0 < shift < 1;
+        # delta = 0.9 (and 0.5 at X = 20) leaves S_2 empty
+        inst = ProblemInstance(*(s * m for s, m in zip(signs, mag)), k=k)
+        w, eta = WindowSpec(X=X, k=k, delta=delta), 0.5
+        arrays = self.arrays(inst, table, w)
+        low = sum(np.min(f) for f, _ in arrays if len(f))
+        high = sum(np.max(f) for f, _ in arrays if len(f))
+        inst = ProblemInstance(*inst.lambdas, k=k,
+                               varpi=-low - shift * (high - low))
+        seen = []
+
+        def spy(parts, a, b, f_max, phase_max, mass, tol, max_nodes):
+            seen.append(f_max)
+            return gauss_panels(parts, a, b, f_max, phase_max, mass, tol,
+                                max_nodes)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circle, "gauss_panels", spy)
+            integrate_I(inst, table, w, eta, [(0.0, 0.01)], tol=1e3)
+        (f_max,) = seen
+        if all(len(f) for f, _ in arrays):
+            t = self.triple_freqs(arrays, inst.varpi)
+            assert f_max == pytest.approx(np.max(np.abs(t)) + eta, rel=1e-12)
+        else:  # an empty factor adds the range (0, 0)
+            assert f_max == pytest.approx(
+                max(abs(low + inst.varpi), abs(high + inst.varpi)) + eta,
+                rel=1e-12)
 
     def test_l2_grid(self, table, calls):
         from primearcs.meansquare import l2_diff
@@ -593,18 +691,20 @@ class TestSpectrumBounds:
         l2_diff(table, w, 0.01, method="grid")
         win, coeffs = s_minus_u_weights(table, w)
         freqs = np.asarray(win.powers[0], dtype=np.float64)
-        # |S|^2 = sum_ij c_i c_j e((f_i - f_j) a)
+        # |S|^2 = sum_ij c_i c_j e((f_i - f_j) a), while grid_sum forms the
+        # phases of the f_i themselves, near twice the spread here
         pairs = np.abs(np.multiply.outer(coeffs, coeffs)).ravel()
-        ((f_max, mass),) = calls
+        ((f_max, phase_max, mass),) = calls
         assert f_max >= np.max(np.subtract.outer(freqs, freqs))
+        assert phase_max >= np.max(np.abs(freqs)) > 1.9 * f_max
         assert mass >= math.fsum(pairs) * (1 - 1e-12)
 
     def test_fourier_pair(self, calls):
         for eta, t in ((0.1, 0.0), (1.0, -0.5)):
             verify_fourier_pair(eta, t, 1e3)
         # K_eta e(t a): the tent of area eta^2 moved to t
-        assert calls[0] == (0.1, 0.1 ** 2)
-        assert calls[1] == (1.5, 1.0)
+        assert calls[0] == (0.1, 0.1, 0.1 ** 2)
+        assert calls[1] == (1.5, 1.5, 1.0)
 
 
 class TestMajorArc:
