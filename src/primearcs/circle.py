@@ -8,13 +8,16 @@ exponential sums in this module run over the window delta*X <= p^k <= X
 verbatim dyadic sums stay in expsums).  A factor sum w_j e(f_j alpha) is
 an ExpSumFactor, summed on panel nodes by its eval_panels only.
 
-The bounded arcs are integrated by gauss_panels, one GL12 pass sized by
-the rule's remainder bound on their band-limited spectra, which meansquare's
-truncated-L2 grid and the Fejér-pair check verify_fourier_pair share.  Each
-caller passes two frequency bounds.  The spectral bound f_max sizes the
-panels: for the counting integral and the major-arc split it is
-_signed_bound's max |t| + eta over the signed factor ranges, which with
-mixed-sign lambdas lies far inside the box sum_j max |f_j| + |w| + eta.
+The counting integral over one symmetric range is a trapezoid whose step
+lies below the Nyquist step of its band-limited spectrum (integrate_I).
+The other bounded arcs are integrated by gauss_panels, one GL12 pass sized
+by the rule's remainder bound on their band-limited spectra, which
+meansquare's truncated-L2 grid and the Fejér-pair check verify_fourier_pair
+share.  Each caller passes two frequency bounds.  The spectral bound f_max
+sizes the steps or panels: for the counting integral and the major-arc
+split it is _signed_bound's max |t| + eta over the signed factor ranges,
+which with mixed-sign lambdas lies far inside the box sum_j max |f_j| +
+|w| + eta.
 The phase bound feeds the rounding floor: it covers every frequency whose
 float64 in-block phases grid_sum forms, and for those two callers it is
 that box.
@@ -269,6 +272,71 @@ def _product_on_interval(parts, a: float, b: float, f_max: float,
     return vals["I"], err
 
 
+# Step factors of the counting integral's trapezoid, h = 1/(c F): the first
+# whose bound meets tol/2 is taken.
+TRAPEZOID_C = (1.05, 1.1, 1.25, 1.5, 2.0)
+
+
+def trapezoid_sup_E(c: float) -> float:
+    """sup |E(w)|, E(w) = coth(w/2)/2 - 1/w, on the closed half-strip
+    Re w >= 0, |Im w| <= Y = 2 pi / c, c > 1 (ValidationError otherwise).
+
+    E's poles 2 pi i k, k != 0, lie outside the strip, and E is bounded
+    there and tends to 1/2 as Re w -> oo, so by Phragmen-Lindelof |E| peaks
+    on the boundary or at infinity.  On the vertical side E(iy) =
+    i (1/y - cot(y/2)/2), odd and increasing on (-2 pi, 2 pi), so |E| peaks
+    at the corners, c/(2 pi) - cot(pi/c)/2.  On the horizontal sides
+    x +- iY, |E| stays between its corner value and 1/2 (tests evaluate
+    it densely there at each TRAPEZOID_C)."""
+    if not c > 1.0:
+        raise ValidationError(f"the trapezoid step needs c > 1, got {c}")
+    return max(0.5, abs(c / (2.0 * math.pi) - 0.5 / math.tan(math.pi / c)))
+
+
+def trapezoid_bound(A: float, f_max: float, mass: float, c: float):
+    """(n, h, bound) of the trapezoid on [-A, A] at n = ceil(A c F) steps
+    h = A/n for an integrand whose spectrum lies in |s| <= F = f_max and
+    whose terms d_s e(s a)/a^2 have sum |d_s| <= mass/pi^2:
+    bound = 2 mass h trapezoid_sup_E(c) / (pi^2 A^2)."""
+    sup = trapezoid_sup_E(c)
+    n = math.ceil(A * c * f_max)
+    h = A / n
+    return n, h, 2.0 * mass * h * sup / (math.pi ** 2 * A * A)
+
+
+def _trapezoid_I(parts, A: float, f_max: float, phase_max: float,
+                 mass: float, c: float, max_nodes: float):
+    """h [g(0) + 2 Re sum_{j=1}^{n-1} g(jh) + Re g(A)] for the Hermitian
+    integrand g of parts (its "I" at offset 0), 2^15 nodes a call, with
+    trapezoid_bound's n and h.  est_error adds to the bound the rounding
+    floor 0.25 2^-53 h sum |g| times one call's phase span in cycles, as
+    gauss_panels does.  Past max_nodes the rule stops at A' = (max_nodes
+    - 1) h, and est_error also holds the dropped 2 mass (1/A' - 1/A)/pi^2;
+    ConvergenceError, best that value."""
+    n_steps, h, bound = trapezoid_bound(A, f_max, mass, c)
+    n = min(n_steps, max(1, int(max_nodes) - 1))
+    a_run = n * h
+    block, partials, absint = 1 << 15, [], 0.0
+    for i in range(0, n + 1, block):
+        j = np.arange(i, min(i + block, n + 1))
+        g = parts(h * j, np.zeros(1))["I"][:, 0]
+        wts = np.where((j == 0) | (j == n), h, 2.0 * h)
+        partials.append(float(g.real @ wts))
+        absint += float(np.abs(g) @ wts)
+    bound = (bound * (A / a_run) ** 2
+             + 2.0 * mass * h * (n_steps - n) / (math.pi ** 2 * A * a_run))
+    err = bound + 0.25 * 2.0 ** -53 * absint * max(1.0, phase_max * h * block)
+    val = complex(fsum_real(partials), 0.0)
+    _log.debug("trapezoid on [-%g, %g]: %d nodes, c = %g, step %.17g, bound "
+               "%.3e, est error %.3e (spectral bound %.17g, phase bound "
+               "%.17g)", A, A, n + 1, c, h, bound, err, f_max, phase_max)
+    if n < n_steps:
+        raise ConvergenceError(f"trapezoid needs {n_steps + 1} nodes, over "
+                               f"{max_nodes:.3g}; {n + 1} err by {err:.3e}",
+                               best=val, est_error=err)
+    return val, err
+
+
 def _signed_bound(ranges, varpi: float, eta: float) -> float:
     """max |t| + eta over t = varpi + sum_j t_j with lo_j <= t_j <= hi_j for
     (lo_j, hi_j) in ranges.  The sum is monotone in each t_j, so t fills
@@ -282,25 +350,29 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
                 eta: float, intervals, tol: float = 1e-6) -> complex:
     """The counting integral over a finite union of bounded intervals.
 
-    Negative half-axis pieces are folded onto the positive side through
-    the Hermitian symmetry of the integrand, so only alpha >= 0 is ever
-    sampled.  The trivial tail (unbounded pieces) is out of scope here;
-    use trivial_tails for its majorant.  The GL12 pass is sized on the
-    signed spectral bound of the product (_signed_bound); its rounding
-    floor is taken at the largest factor phase, sum_j max |f_j| + |w| + eta.
+    The integrand g is Hermitian, so only alpha >= 0 is ever sampled.  Its
+    spectrum lies in [-F, F], F = _signed_bound, and by Poisson summation
+    a trapezoid of step h < 1/F sums g over the whole line exactly
+    (Trefethen & Weideman, "The exponentially convergent trapezoidal
+    rule", SIAM Review 56, 2014).  So one symmetric interval [-A, A] is
+    _trapezoid_I's rule h [g(0) + 2 Re sum_{j<n} g(jh) + Re g(A)] at
+    h = A/n, n = ceil(A c F), for the first c in TRAPEZOID_C whose bound
+    meets tol/2.  Its error is that of the tails |a| > A alone: with
+    a^-2 = int_0^oo u e^(-u a) du, the rule errs on a tail term e(s a)/a^2
+    by int_0^oo u e^((2 pi i s - u) A) h E((u - 2 pi i s) h) du, where
+    E(w) = coth(w/2)/2 - 1/w has no poles in |Im w| <= 2 pi |s| h <= 2 pi/c.
+    K_eta = (1 - cos 2 pi eta a)/(2 pi^2 a^2) makes the terms' weights sum
+    to M/pi^2, M the product of the factor masses, so the error is at most
+    2 M h sup|E| / (pi^2 A^2) (trapezoid_bound, trapezoid_sup_E).
+
+    Any other interval list, or a tol no c meets, takes GL12: negative
+    pieces fold onto the positive side and each distinct piece is one
+    gauss_panels pass sized on F.  On both paths the rounding floor is
+    taken at the largest factor phase, sum_j max |f_j| + |w| + eta, and a
+    summed estimate above tol is logged as a WARNING.  The trivial tail
+    (unbounded pieces) is out of scope here; use trivial_tails for its
+    majorant.
     """
-    factors = window_factors(inst, table, w)
-    ranges = [f.freq_range for f in factors]
-    f_max = _signed_bound(ranges, inst.varpi, eta)
-    phase_max = (sum(max(-lo, hi) for lo, hi in ranges) + abs(inst.varpi)
-                 + eta)
-    mass = math.prod(f.mass for f in factors) * eta * eta
-
-    def parts(centers, offs):
-        prod = math.prod(f.eval_panels(centers, offs) for f in factors)
-        return {"I": prod * _kernel_panels(eta, inst.varpi, centers, offs)}
-
-    pieces = []
     for (a, b) in intervals:
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError(
@@ -308,23 +380,50 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
                 "handled by trivial_tails")
         if a > b:
             raise ValidationError(f"inverted interval ({a}, {b})")
-        if a < 0:
-            pieces.append(("conj", max(-b, 0.0), -a))
-        if b > 0:
-            pieces.append(("plain", max(a, 0.0), b))
-    total = 0j
-    per_piece_tol = tol / max(1, len(pieces))
-    done = {}  # (a, b) -> (value, est_error): a symmetric range is one pass
-    est_error = 0.0
-    for kind, a, b in pieces:
-        if (a, b) not in done:
-            done[(a, b)] = _product_on_interval(parts, a, b, f_max, mass,
-                                                per_piece_tol, phase_max)
-        val, err = done[(a, b)]
-        est_error += err
-        total += val.conjugate() if kind == "conj" else val
-    _log.debug("integrate_I: %d pieces, %d reused by symmetry, summed est "
-               "error %.3e", len(pieces), len(pieces) - len(done), est_error)
+    factors = window_factors(inst, table, w)
+    ranges = [f.freq_range for f in factors]
+    f_max = _signed_bound(ranges, inst.varpi, eta)
+    phase_max = (sum(max(-lo, hi) for lo, hi in ranges) + abs(inst.varpi)
+                 + eta)
+    m_p = math.prod(f.mass for f in factors)
+
+    def parts(centers, offs):
+        prod = math.prod(f.eval_panels(centers, offs) for f in factors)
+        return {"I": prod * _kernel_panels(eta, inst.varpi, centers, offs)}
+
+    A = intervals[0][1] if len(intervals) == 1 else 0.0
+    c = next((c for c in TRAPEZOID_C if A > 0 and intervals[0][0] == -A
+              and trapezoid_bound(A, f_max, m_p, c)[2] <= tol / 2), None)
+    if c is not None:
+        total, est_error = _trapezoid_I(parts, A, f_max, phase_max, m_p, c,
+                                        PRODUCT_NODE_BUDGET)
+        _log.debug("integrate_I: [-%g, %g] by the trapezoid, summed est "
+                   "error %.3e", A, A, est_error)
+    else:
+        pieces = []
+        for (a, b) in intervals:
+            if a < 0:
+                pieces.append(("conj", max(-b, 0.0), -a))
+            if b > 0:
+                pieces.append(("plain", max(a, 0.0), b))
+        total = 0j
+        per_piece_tol = tol / max(1, len(pieces))
+        done = {}  # (a, b) -> (value, est_error): one pass per distinct piece
+        est_error = 0.0
+        for kind, a, b in pieces:
+            if (a, b) not in done:
+                done[(a, b)] = _product_on_interval(
+                    parts, a, b, f_max, m_p * eta * eta, per_piece_tol,
+                    phase_max)
+            val, err = done[(a, b)]
+            est_error += err
+            total += val.conjugate() if kind == "conj" else val
+        _log.debug("integrate_I: %d pieces, %d reused by symmetry, summed "
+                   "est error %.3e", len(pieces), len(pieces) - len(done),
+                   est_error)
+    if est_error > tol:
+        _log.warning("integrate_I: estimated error %.3e exceeds tol %.3g",
+                     est_error, tol)
     return total
 
 

@@ -49,25 +49,29 @@ def test_criterion_06_counting_identity(table_large):
 
 
 def test_criterion_06_panel_count(table_large, caplog):
-    # criterion 6 folds [-2000, 2000] onto one GL12 pass over [0, 2000] at
-    # tol 0.1 (0.2 over its two pieces), sized on the signed spectrum
-    # max |t| + eta, which a triple attains: 810 438 panels, where the box
-    # sum_j max |f_j| + eta of the factor frequencies took 1 280 806
+    # criterion 6 integrates [-2000, 2000] at tol 0.2 by the trapezoid at
+    # step 1/(c F), F the signed spectral bound max |t| + eta, which a
+    # triple attains, and c = 1.05, the first step factor, whose bound
+    # 2.5e-4 meets tol/2: 1 997 292 nodes, where one GL12 pass over
+    # [0, 2000] on the same bound took 810 438 panels of 12 nodes
     with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
         report(acceptance.criterion_counting_identity(table_large))
-    (m,) = [m for m in (re.search(r"on \[0, 2000\]: (\d+) panels, GL12, .* "
-                                  r"\(spectral bound (\S+), phase bound",
+    assert not any("GL12" in r.getMessage() for r in caplog.records)
+    (m,) = [m for m in (re.search(r"trapezoid on \[-2000, 2000\]: (\d+) "
+                                  r"nodes, c = (\S+), .* bound (\S+), .*"
+                                  r"\(spectral bound ([^,]+), phase bound",
                                   r.getMessage()) for r in caplog.records) if m]
-    n, spectral = int(m.group(1)), float(m.group(2))
+    n, c, spectral = int(m.group(1)), float(m.group(2)), float(m.group(4))
     inst, w, eta = acceptance._criterion6_instance()
     facs = circle.window_factors(inst, table_large, w)
     t = np.add.outer(np.add.outer(facs[0].freqs, facs[1].freqs), facs[2].freqs)
     assert spectral == pytest.approx(np.max(np.abs(t)) + eta, rel=1e-12)
+    assert c == circle.TRAPEZOID_C[0] == 1.05
+    assert n == math.ceil(2000.0 * c * spectral) + 1 == 1_997_292
+    assert float(m.group(3)) <= 0.1
     mass = math.prod(f.mass for f in facs) * eta ** 2
-    box = sum(float(np.max(np.abs(f.freqs))) for f in facs) + eta
-    assert n == circle.gl12_panels(0.0, 2000.0, spectral, mass, 0.1)[0]
-    assert n <= 0.7 * circle.gl12_panels(0.0, 2000.0, box, mass, 0.1)[0]
-    assert n <= 860_000
+    gl12 = circle.gl12_panels(0.0, 2000.0, spectral, mass, 0.1)[0]
+    assert gl12 == 810_438 and n < 12 * gl12
 
 
 def test_criterion_07_telescoping(table_large):

@@ -191,14 +191,20 @@ class TestExpSumFactor:
             return original(factor, centers, offs)
 
         monkeypatch.setattr(ExpSumFactor, "eval_panels", spy)
+        trapezoid = circle._trapezoid_I
+        ran = []
+        monkeypatch.setattr(circle, "_trapezoid_I",
+                            lambda *a: ran.append(1) or trapezoid(*a))
         w = WindowSpec(X=300.0, k=1.05)
         for run in (
                 lambda: integrate_I(inst, table, w, 0.5, [(0.0, 1.0)], 1e-3),
+                lambda: integrate_I(inst, table, w, 0.5, [(-50.0, 50.0)], 0.2),
                 lambda: major_arc_split(inst, table, w, 0.5, 1e-2),
                 lambda: l2_diff(table, w, 0.01, method="grid")):
             calls.append(0)
             run()
         assert all(n > 0 for n in calls), calls
+        assert ran == [1]  # the symmetric call took the trapezoid
 
     def test_frequency_blocks_bounded(self):
         # 2^18 frequencies on 20 offsets would make an 84 MB Q at R = 1; in
@@ -273,9 +279,11 @@ class TestIntegrateI:
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=1e-9)
         msgs = [r.getMessage() for r in caplog.records
-                if not r.getMessage().startswith("grid sum:")]
+                if r.levelno == logging.DEBUG
+                and not r.getMessage().startswith("grid sum:")]
         # one pass on the fewest panels whose bound is within tol, then
-        # integrate_I's summary
+        # integrate_I's summary (the rounding floor lifts the estimate over
+        # tol, which test_estimate_over_tol_warns reads)
         (line, summary) = msgs
         m = re.search(r"(\d+) panels, GL12, bound ([^,]+), est error (\S+) "
                       r"\(spectral bound ([^,]+), phase bound ([^)]+)\)", line)
@@ -332,6 +340,64 @@ class TestIntegrateI:
         assert float(m.group(3)) == pytest.approx(
             2 * passes[0][2] + passes[1][2], rel=1e-3)
         assert float(m.group(3)) <= tol
+
+    def test_estimate_over_tol_warns(self, inst, table, w500, caplog):
+        # on [0, 2] at tol 1e-9 the bound is 9.9e-10 and the rounding floor
+        # lifts the estimate to 1.12e-9: a WARNING says so; at 1e-6 none
+        with caplog.at_level(logging.WARNING, logger="primearcs.circle"):
+            integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=1e-9)
+        (rec,) = caplog.records
+        assert (rec.levelno, rec.name) == (logging.WARNING, "primearcs.circle")
+        m = re.fullmatch(r"integrate_I: estimated error (\S+) exceeds tol "
+                         r"1e-09", rec.getMessage())
+        assert 1e-9 < float(m.group(1)) == pytest.approx(1.117e-9, rel=1e-3)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="primearcs.circle"):
+            integrate_I(inst, table, w500, 0.5, [(0.0, 2.0)], tol=1e-6)
+            integrate_I(inst, table, w500, 0.5, [(-50.0, 50.0)], tol=0.2)
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("intervals, tol, want", [
+        ([(-1.0, 2.0)], 1e-6, 293.6011325461516 - 23.66677551755322j),
+        ([(-1.0, 1.0), (1.0, 2.0)], 1e-6,
+         293.6011325461492 - 23.666775517557742j),
+        ([(-2.0, 2.0)], 1e-8, 291.2447113381803 + 0j),
+        ([(-50.0, 50.0)], 1e-8, 298.03127745043224 + 0j)])
+    def test_gl12_paths_keep_values(self, inst, table, w500, caplog,
+                                    intervals, tol, want):
+        # asymmetric, multi-interval and symmetric calls whose tol no
+        # trapezoid step meets run GL12 alone, with the values GL12 gave
+        # before the trapezoid path was added
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            val = integrate_I(inst, table, w500, 0.5, intervals, tol=tol)
+        msgs = [r.getMessage() for r in caplog.records]
+        assert not any("trapezoid" in m for m in msgs)
+        assert any("panels, GL12" in m for m in msgs)
+        assert val == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_symmetric_range_takes_trapezoid(self, inst, table, w500, caplog):
+        # |alpha| <= 50 at tol 0.2, as the arcs benchmark runs it: no GL12
+        # pass, and the first step factor whose bound meets tol/2
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
+            val = integrate_I(inst, table, w500, 0.5, [(-50.0, 50.0)],
+                              tol=0.2)
+        msgs = [r.getMessage() for r in caplog.records]
+        assert not any("GL12" in m for m in msgs)
+        (m,) = [m for m in (re.search(
+            r"trapezoid on \[-50, 50\]: (\d+) nodes, c = (\S+), step (\S+), "
+            r"bound (\S+), est error (\S+) \(spectral bound ([^,]+)", msg)
+            for msg in msgs) if m]
+        n, c, h = int(m.group(1)), float(m.group(2)), float(m.group(3))
+        f_max = float(m.group(6))
+        mass = math.prod(f.mass for f in window_factors(inst, table, w500))
+        bounds = [circle.trapezoid_bound(50.0, f_max, mass, cc)[2]
+                  for cc in circle.TRAPEZOID_C]
+        first = next(i for i, b in enumerate(bounds) if b <= 0.1)
+        assert c == circle.TRAPEZOID_C[first] and first > 0
+        assert n == math.ceil(50.0 * c * f_max) + 1 and h * f_max < 1 / c
+        assert float(m.group(4)) == pytest.approx(bounds[first], rel=1e-3)
+        assert val.imag == 0.0
+        assert val.real == pytest.approx(298.03127745043224, abs=0.1)
 
     def test_unbounded_interval_rejected(self, inst, table, w500):
         with pytest.raises(ValidationError):
@@ -468,6 +534,99 @@ class TestClosedFormOracle:
         assert abs(val.real - self.closed_form(setup, 2000.0)) <= est
 
 
+    @pytest.mark.parametrize("A", [50.0, 2000.0])
+    @pytest.mark.parametrize("c", circle.TRAPEZOID_C)
+    def test_trapezoid_bound_covers_error(self, table, setup, caplog,
+                                          monkeypatch, A, c):
+        # the rule at each step factor alone, at a tol every factor meets
+        # (its bound is 0.41 at A = 50 and c = 1.05): the logged bound
+        # covers the error against the closed form, and the estimate adds
+        # only the rounding floor to it
+        monkeypatch.setattr(circle, "TRAPEZOID_C", (c,))
+        val, est = self.value_and_estimate(table, setup, A, 1.0, caplog)
+        (m,) = [m for m in (re.search(
+            r"nodes, c = (\S+), step \S+, bound (\S+), est error (\S+)",
+            r.getMessage()) for r in caplog.records) if m]
+        assert float(m.group(1)) == c
+        bound = float(m.group(2))
+        assert float(m.group(3)) == pytest.approx(est, rel=1e-3)
+        assert abs(val.real - self.closed_form(setup, A)) <= bound <= est
+
+
+class TestTrapezoidBound:
+    """sup |E| on the strip the trapezoid's step confines the tail terms
+    to, and the refusal of any step at or past the Nyquist rate."""
+
+    @staticmethod
+    def E(w):
+        return 0.5 / np.tanh(w / 2.0) - 1.0 / w
+
+    @pytest.mark.parametrize("c", [*circle.TRAPEZOID_C, 1.01, 3.0, 10.0])
+    def test_sup_E_covers_boundary(self, c):
+        # the vertical side and both horizontal sides, x to 200 (where
+        # |E - 1/2| < 1e-2): the helper is at least every value there, and
+        # attains the corner value or the limit 1/2
+        Y = 2.0 * math.pi / c
+        ys = np.linspace(-Y, Y, 200_001)
+        ys = ys[ys != 0.0]
+        xs = np.concatenate([np.linspace(0.0, 20.0, 200_001),
+                             np.geomspace(20.0, 200.0, 20_001)])
+        side = np.abs(self.E(1j * ys))
+        top = np.abs(self.E(xs + 1j * Y))
+        bottom = np.abs(self.E(xs - 1j * Y))
+        dense = max(side.max(), top.max(), bottom.max())
+        sup = circle.trapezoid_sup_E(c)
+        assert sup >= dense * (1.0 + 1e-12) or sup == pytest.approx(dense,
+                                                                   rel=1e-12)
+        corner = abs(self.E(1j * Y))
+        assert sup == pytest.approx(max(0.5, corner), rel=1e-12)
+        assert sup >= 0.5 > abs(self.E(200.0 + 1j * Y)) - 1e-2
+
+    def test_sup_E_interior(self):
+        # a grid inside the half-strip stays below the boundary's sup
+        for c in circle.TRAPEZOID_C:
+            Y = 2.0 * math.pi / c
+            x, y = np.meshgrid(np.linspace(1e-6, 30.0, 601),
+                               np.linspace(-Y, Y, 601))
+            inside = np.max(np.abs(self.E(x + 1j * y)))
+            assert inside <= circle.trapezoid_sup_E(c)
+
+    @pytest.mark.parametrize("c", [1.0, 0.99, 0.5, math.nan])
+    def test_step_at_nyquist_refused(self, inst, table, w500, monkeypatch, c):
+        # hF >= 1 aliases the spectrum's ends onto the rule: the helper, and
+        # so integrate_I, refuse any c <= 1 (at c = 1.0001 criterion 6's
+        # value already moves by about 1e-6)
+        with pytest.raises(ValidationError, match="c > 1"):
+            circle.trapezoid_sup_E(c)
+        monkeypatch.setattr(circle, "TRAPEZOID_C", (c,))
+        with pytest.raises(ValidationError, match="c > 1"):
+            integrate_I(inst, table, w500, 0.5, [(-50.0, 50.0)], tol=0.2)
+
+    def test_step_factors(self):
+        cs = circle.TRAPEZOID_C
+        assert list(cs) == sorted(set(cs)) and cs[0] > 1.0
+        # the bound falls as c rises: a larger c meets any tol a smaller did
+        bounds = [circle.trapezoid_bound(50.0, 951.0, 1.6e6, c)[2] for c in cs]
+        assert bounds == sorted(bounds, reverse=True)
+
+    def test_rule_exact_on_band_limited(self):
+        # an integrand with all its mass at the band's edge, s = F:
+        # g = K_eta(a) e((F - eta) a) on [-A, A] against its closed form;
+        # the bound (mass 1) covers the error at each step factor
+        eta, F, A = 0.5, 10.0, 20.0
+        t = F - eta
+
+        def parts(centers, offs):
+            a = centers[:, None] + offs[None, :]
+            return {"I": fejer_K(eta, a) * np.exp(2j * math.pi * t * a)}
+
+        want = _truncated_kernel_integral([t], eta, A)[0]
+        for c in circle.TRAPEZOID_C:
+            val, est = circle._trapezoid_I(parts, A, F, F, 1.0, c, 1e6)
+            bound = circle.trapezoid_bound(A, F, 1.0, c)[2]
+            assert abs(val.real - want) <= bound <= est
+
+
 class TestConvergenceStalls:
     """Each adaptive quadrature raises ConvergenceError with its best value and
     a finite error estimate when it runs out of budget (exit code 3)."""
@@ -493,6 +652,21 @@ class TestConvergenceStalls:
         bound = (r / 10) ** 24
         assert bound <= exc.est_error <= bound * (1.0 + 1e-9)
         assert abs(exc.best["f"] - math.sin(300.0) / 100.0) <= exc.est_error
+
+    def test_trapezoid(self, inst, table, w500, monkeypatch):
+        # |alpha| <= 50 needs 59 437 nodes at tol 0.2; a budget of 20 000
+        # stops the rule at A' = 19 999 h.  best is that rule's value, and
+        # the estimate holds its bound and the dropped |alpha| in (A', 50),
+        # so it covers the gap to the closed form
+        monkeypatch.setattr(circle, "PRODUCT_NODE_BUDGET", 20_000)
+        with pytest.raises(ConvergenceError, match="trapezoid needs") as info:
+            integrate_I(inst, table, w500, 0.5, [(-50.0, 50.0)], tol=0.2)
+        exc = info.value
+        assert math.isfinite(exc.est_error) and exc.best.imag == 0.0
+        setup = TestClosedFormOracle.triples(table, inst, w500)
+        want = math.fsum(setup[3] * _truncated_kernel_integral(setup[2], 0.5,
+                                                               50.0))
+        assert abs(exc.best.real - want) <= exc.est_error
 
     def test_tail_slicing(self, inst, table, w500, monkeypatch):
         # one 4096-slice block of tail A, then the budget: best is that
