@@ -8,16 +8,18 @@ exponential sums in this module run over the window delta*X <= p^k <= X
 verbatim dyadic sums stay in expsums).  A factor sum w_j e(f_j alpha) is
 an ExpSumFactor, summed on panel nodes by its eval_panels only.
 
-The counting integral over one symmetric range is a trapezoid whose step
-lies below the Nyquist step of its band-limited spectrum (integrate_I).
-The other bounded arcs are integrated by gauss_panels, one GL12 pass sized
-by the rule's remainder bound on their band-limited spectra, which
-meansquare's truncated-L2 grid and the Fejér-pair check verify_fourier_pair
-share.  Each caller passes two frequency bounds.  The spectral bound f_max
-sizes the steps or panels: for the counting integral and the major-arc
-split it is _signed_bound's max |t| + eta over the signed factor ranges,
-which with mixed-sign lambdas lies far inside the box sum_j max |f_j| +
-|w| + eta.
+Every bounded arc is integrated by one panel driver, _panel_pass: a
+composite Gauss-Legendre rule whose panels are sized a priori on a
+band-limited spectrum.  gauss_panels runs it as GL12 on the rule's
+remainder bound, for the major-arc split, meansquare's truncated-L2 grid,
+the Fejér-pair check verify_fourier_pair and the counting integral's
+pieces.  A counting-integral piece [0, A] mirrored on [-A, 0] runs it as
+GL1, the midpoint rule, whose step lies below the Nyquist step of the
+spectrum (integrate_I).  Each caller passes two frequency bounds.  The
+spectral bound f_max sizes the panels: for the counting integral and the
+major-arc split it is _signed_bound's max |t| + eta over the signed factor
+ranges, which with mixed-sign lambdas lies far inside the box
+sum_j max |f_j| + |w| + eta.
 The phase bound feeds the rounding floor: it covers every frequency whose
 float64 in-block phases grid_sum forms, and for those two callers it is
 that box.
@@ -192,48 +194,92 @@ def gl12_panels(a: float, b: float, f_max: float, mass: float,
     return n + ((r / n) ** 24 > tol), r
 
 
+def _panel_pass(parts, a: float, b: float, order: int, n_panels: int,
+                bound: float, f_max: float, phase_max: float):
+    """The composite GL<order> rule on n_panels equal panels of [a, b], the
+    one loop over panel chunks: ({name: value}, est_error).
+
+    parts(centers, offs) returns {name: values} on the nodes
+    centers[:, None] + offs[None, :], 2^15 nodes a call (2 730 GL12 panels;
+    8192 GL12 panels a call ran arcs 15% faster, but its peak RSS rose from
+    39.4 to 44.8 MiB).  est_error adds to the rule's bound 0.25 2^-53
+    int|f| (over all names) times one call's phase span in cycles for
+    grid_sum's float64 in-block phases: 13x the largest such error on the
+    closed-form counting integral.  Those phases are f (c - c0) for each
+    frequency f that parts passes to grid_sum, so the span is taken at
+    phase_max >= every such |f|, not at the spectral bound f_max: a
+    product's spectrum can lie far inside the frequencies of its factors.
+    """
+    x, wts = gl_rule(order)
+    hw = (b - a) / (2.0 * n_panels)
+    chunk, partials, absint = (1 << 15) // order, {}, 0.0
+    for i in range(0, n_panels, chunk):
+        centers = a + (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
+        for name, vals in parts(centers, x * hw).items():
+            partials.setdefault(name, []).append(np.sum(vals @ (wts * hw)))
+            absint += float(np.sum(np.abs(vals) @ (wts * hw)))
+    err = bound + 0.25 * 2.0 ** -53 * absint * max(
+        1.0, phase_max * 2.0 * hw * min(n_panels, chunk))
+    _log.debug("gauss panels on [%g, %g]: %d panels, GL%d, bound %.3e, "
+               "est error %.3e (spectral bound %.17g, phase bound %.17g)",
+               a, b, n_panels, order, bound, err, f_max, phase_max)
+    return {name: fsum_complex(p) for name, p in partials.items()}, err
+
+
 def gauss_panels(parts, a: float, b: float, f_max: float, phase_max: float,
                  mass: float, tol: float, max_nodes: float):
     """One composite GL12 pass over [a, b] on gl12_panels' count for named
-    integrands whose spectra lie in |s| <= f_max with L1 mass <= mass.
-
-    parts(centers, offs) returns {name: values} on the nodes
-    centers[:, None] + offs[None, :], 2048 panels a call (8192 ran arcs
-    15% faster, but its peak RSS rose from 39.4 to 44.8 MiB).  est_error
-    adds to the bound 0.25 2^-53 int|f| (over all names) times one call's
-    phase span in cycles for grid_sum's float64 in-block phases: 13x the
-    largest such error on the closed-form counting integral.  Those phases
-    are f (c - c0) for each frequency f that parts passes to grid_sum, so
-    the span is taken at phase_max >= every such |f|, not at f_max: a
-    product's spectrum can lie far inside the frequencies of its factors.
+    integrands whose spectra lie in |s| <= f_max with L1 mass <= mass, run
+    by _panel_pass, which describes parts and the rounding floor.
     Returns ({name: value}, est_error); ValidationError unless
     0 < tol < inf; ConvergenceError past max_nodes nodes, best the pass
     they allow.
     """
     require_tol(tol)
-    x12, w12 = gl_rule(12)
     n_panels, r = gl12_panels(a, b, f_max, mass, tol)
     over = 12 * n_panels > max_nodes
     n_panels = max(1, int(max_nodes // 12)) if over else n_panels
-    hw = (b - a) / (2.0 * n_panels)
-    chunk, partials, absint = 2048, {}, 0.0
-    for i in range(0, n_panels, chunk):
-        centers = a + (2.0 * np.arange(i, min(i + chunk, n_panels)) + 1.0) * hw
-        for name, vals in parts(centers, x12 * hw).items():
-            partials.setdefault(name, []).append(np.sum(vals @ (w12 * hw)))
-            absint += float(np.sum(np.abs(vals) @ (w12 * hw)))
-    bound = (r / n_panels) ** 24
-    err = bound + 0.25 * 2.0 ** -53 * absint * max(
-        1.0, phase_max * 2.0 * hw * min(n_panels, chunk))
-    vals = {name: fsum_complex(p) for name, p in partials.items()}
-    _log.debug("gauss panels on [%g, %g]: %d panels, GL12, bound %.3e, "
-               "est error %.3e (spectral bound %.17g, phase bound %.17g)",
-               a, b, n_panels, bound, err, f_max, phase_max)
+    vals, err = _panel_pass(parts, a, b, 12, n_panels, (r / n_panels) ** 24,
+                            f_max, phase_max)
     if over:
         raise ConvergenceError(f"panel quadrature needs over {max_nodes:.3g} "
                                f"nodes; {n_panels} panels err by {err:.3e}",
                                best=vals, est_error=err)
     return vals, err
+
+
+# Step factors of the counting integral's midpoint rule, h = 1/(c F): the
+# first whose bound meets half a mirrored piece's tol is taken.
+MIDPOINT_C = (1.05, 1.1, 1.25, 1.5, 2.0)
+
+
+def midpoint_sup_E(c: float) -> float:
+    """sup |E(w)|, E(w) = 1/(2 sinh(w/2)) - 1/w, on the closed half-strip
+    Re w >= 0, |Im w| <= Y = 2 pi / c, 1 < c <= 2 (ValidationError
+    otherwise).
+
+    E's poles 2 pi i k, k != 0, lie outside the strip, and E is bounded
+    there and tends to 0 as Re w -> oo, so by Phragmen-Lindelof |E| peaks
+    on the boundary.  On the vertical side E(iy) = -i (1/(2 sin(y/2)) -
+    1/y), whose modulus rises with |y| on (-2 pi, 2 pi), so |E| peaks at
+    the corners, 1/(2 sin(pi/c)) - c/(2 pi).  On the horizontal sides
+    x +- iY, |E| stays below that corner value for c <= 2 (tests evaluate
+    it densely there); past c near 2.1 it does not."""
+    if not 1.0 < c <= 2.0:
+        raise ValidationError(f"the midpoint step needs 1 < c <= 2, got {c}")
+    return 0.5 / math.sin(math.pi / c) - c / (2.0 * math.pi)
+
+
+def midpoint_bound(A: float, f_max: float, mass: float,
+                   c: float) -> tuple[int, float]:
+    """(n, bound) of the midpoint rule on [0, A] at n = ceil(A c F) panels
+    of width h = A/n for an integrand whose spectrum lies in |s| <= F =
+    f_max and whose terms d_s e(s a)/a^2 have sum |d_s| <= mass/pi^2:
+    bound = mass h midpoint_sup_E(c) / (pi^2 A^2) covers the tail a > A,
+    so the rule with its mirror on [-A, 0] errs by at most twice it."""
+    sup = midpoint_sup_E(c)
+    n = math.ceil(A * c * f_max)
+    return n, mass * (A / n) * sup / (math.pi ** 2 * A * A)
 
 
 def _kernel_panels(eta: float, varpi: float, centers: np.ndarray,
@@ -245,96 +291,52 @@ def _kernel_panels(eta: float, varpi: float, centers: np.ndarray,
             * grid_sum([varpi], [1.0], centers, offs))
 
 
-def verify_fourier_pair(eta: float, t: float, truncation: float) -> float:
-    """|int_{-A}^{A} K_eta(a) e(t a) da  -  max(0, eta - |t|)|.
+def verify_fourier_pair(eta: float, t: float,
+                        truncation: float) -> tuple[float, float]:
+    """(|int_{-A}^{A} K_eta(a) e(t a) da  -  max(0, eta - |t|)|, est_error).
 
     K_eta is even, so the integral is twice the real part of one
-    gauss_panels pass over [0, A] of _kernel_panels (absolute tol 1e-15).
-    The truncation tail is at most 2/(pi^2 A) since K_eta(a) <= 1/(pi a)^2,
-    so the returned discrepancy is bounded by that plus quadrature error.
+    gauss_panels pass over [0, A] of _kernel_panels (absolute tol 1e-15),
+    and est_error, twice that pass's estimate, bounds the quadrature's
+    share of the discrepancy.  The truncation tail is at most 2/(pi^2 A)
+    since K_eta(a) <= 1/(pi a)^2, so the discrepancy is bounded by that
+    plus est_error.  ValidationError unless 0 < eta < inf, t is finite and
+    10/eta <= A < inf.
     """
-    if truncation < 10.0 / eta:
-        raise ValidationError("truncation must be at least 10/eta")
+    if not (0.0 < eta < math.inf and math.isfinite(t)):
+        raise ValidationError(f"verify_fourier_pair needs 0 < eta < inf and "
+                              f"a finite t, got eta={eta}, t={t}")
+    if not 10.0 / eta <= truncation < math.inf:
+        raise ValidationError("truncation must be finite and at least 10/eta")
 
     def parts(centers, offs):
         return {"K": _kernel_panels(eta, t, centers, offs)}
 
-    vals, _ = gauss_panels(parts, 0.0, float(truncation), eta + abs(t),
-                           eta + abs(t), eta * eta, 1e-15, 1e8)
-    return abs(2.0 * vals["K"].real - fejer_hat(eta, t))
+    vals, err = gauss_panels(parts, 0.0, float(truncation), eta + abs(t),
+                             eta + abs(t), eta * eta, 1e-15, 1e8)
+    return abs(2.0 * vals["K"].real - fejer_hat(eta, t)), 2.0 * err
 
 
 def _product_on_interval(parts, a: float, b: float, f_max: float,
-                         mass: float, tol: float, phase_max: float):
-    """integrate_I's traced layer: gauss_panels' ("I" value, est_error)."""
-    vals, err = gauss_panels(parts, a, b, f_max, phase_max, mass, tol,
-                             PRODUCT_NODE_BUDGET)
+                         phase_max: float, m_p: float, eta: float,
+                         tol: float, mirrored: bool):
+    """integrate_I's traced layer: the ("I" value, est_error) of one piece.
+
+    A mirrored piece [0, A], one whose conjugate integrate_I adds for
+    [-A, 0] as often as the piece itself, takes the midpoint rule (GL1) on midpoint_bound's panels for
+    the first c in MIDPOINT_C whose bound meets tol/2 within
+    PRODUCT_NODE_BUDGET nodes.  Any other piece, or one no c serves, takes
+    one gauss_panels pass on the spectral mass m_p eta^2."""
+    if mirrored:
+        for c in MIDPOINT_C:
+            n, bound = midpoint_bound(b, f_max, m_p, c)
+            if bound <= tol / 2 and n <= PRODUCT_NODE_BUDGET:
+                vals, err = _panel_pass(parts, 0.0, b, 1, n, bound, f_max,
+                                        phase_max)
+                return vals["I"], err
+    vals, err = gauss_panels(parts, a, b, f_max, phase_max, m_p * eta * eta,
+                             tol, PRODUCT_NODE_BUDGET)
     return vals["I"], err
-
-
-# Step factors of the counting integral's trapezoid, h = 1/(c F): the first
-# whose bound meets tol/2 is taken.
-TRAPEZOID_C = (1.05, 1.1, 1.25, 1.5, 2.0)
-
-
-def trapezoid_sup_E(c: float) -> float:
-    """sup |E(w)|, E(w) = coth(w/2)/2 - 1/w, on the closed half-strip
-    Re w >= 0, |Im w| <= Y = 2 pi / c, c > 1 (ValidationError otherwise).
-
-    E's poles 2 pi i k, k != 0, lie outside the strip, and E is bounded
-    there and tends to 1/2 as Re w -> oo, so by Phragmen-Lindelof |E| peaks
-    on the boundary or at infinity.  On the vertical side E(iy) =
-    i (1/y - cot(y/2)/2), odd and increasing on (-2 pi, 2 pi), so |E| peaks
-    at the corners, c/(2 pi) - cot(pi/c)/2.  On the horizontal sides
-    x +- iY, |E| stays between its corner value and 1/2 (tests evaluate
-    it densely there at each TRAPEZOID_C)."""
-    if not c > 1.0:
-        raise ValidationError(f"the trapezoid step needs c > 1, got {c}")
-    return max(0.5, abs(c / (2.0 * math.pi) - 0.5 / math.tan(math.pi / c)))
-
-
-def trapezoid_bound(A: float, f_max: float, mass: float, c: float):
-    """(n, h, bound) of the trapezoid on [-A, A] at n = ceil(A c F) steps
-    h = A/n for an integrand whose spectrum lies in |s| <= F = f_max and
-    whose terms d_s e(s a)/a^2 have sum |d_s| <= mass/pi^2:
-    bound = 2 mass h trapezoid_sup_E(c) / (pi^2 A^2)."""
-    sup = trapezoid_sup_E(c)
-    n = math.ceil(A * c * f_max)
-    h = A / n
-    return n, h, 2.0 * mass * h * sup / (math.pi ** 2 * A * A)
-
-
-def _trapezoid_I(parts, A: float, f_max: float, phase_max: float,
-                 mass: float, c: float, max_nodes: float):
-    """h [g(0) + 2 Re sum_{j=1}^{n-1} g(jh) + Re g(A)] for the Hermitian
-    integrand g of parts (its "I" at offset 0), 2^15 nodes a call, with
-    trapezoid_bound's n and h.  est_error adds to the bound the rounding
-    floor 0.25 2^-53 h sum |g| times one call's phase span in cycles, as
-    gauss_panels does.  Past max_nodes the rule stops at A' = (max_nodes
-    - 1) h, and est_error also holds the dropped 2 mass (1/A' - 1/A)/pi^2;
-    ConvergenceError, best that value."""
-    n_steps, h, bound = trapezoid_bound(A, f_max, mass, c)
-    n = min(n_steps, max(1, int(max_nodes) - 1))
-    a_run = n * h
-    block, partials, absint = 1 << 15, [], 0.0
-    for i in range(0, n + 1, block):
-        j = np.arange(i, min(i + block, n + 1))
-        g = parts(h * j, np.zeros(1))["I"][:, 0]
-        wts = np.where((j == 0) | (j == n), h, 2.0 * h)
-        partials.append(float(g.real @ wts))
-        absint += float(np.abs(g) @ wts)
-    bound = (bound * (A / a_run) ** 2
-             + 2.0 * mass * h * (n_steps - n) / (math.pi ** 2 * A * a_run))
-    err = bound + 0.25 * 2.0 ** -53 * absint * max(1.0, phase_max * h * block)
-    val = complex(fsum_real(partials), 0.0)
-    _log.debug("trapezoid on [-%g, %g]: %d nodes, c = %g, step %.17g, bound "
-               "%.3e, est error %.3e (spectral bound %.17g, phase bound "
-               "%.17g)", A, A, n + 1, c, h, bound, err, f_max, phase_max)
-    if n < n_steps:
-        raise ConvergenceError(f"trapezoid needs {n_steps + 1} nodes, over "
-                               f"{max_nodes:.3g}; {n + 1} err by {err:.3e}",
-                               best=val, est_error=err)
-    return val, err
 
 
 def _signed_bound(ranges, varpi: float, eta: float) -> float:
@@ -350,29 +352,32 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
                 eta: float, intervals, tol: float = 1e-6) -> complex:
     """The counting integral over a finite union of bounded intervals.
 
-    The integrand g is Hermitian, so only alpha >= 0 is ever sampled.  Its
-    spectrum lies in [-F, F], F = _signed_bound, and by Poisson summation
-    a trapezoid of step h < 1/F sums g over the whole line exactly
-    (Trefethen & Weideman, "The exponentially convergent trapezoidal
-    rule", SIAM Review 56, 2014).  So one symmetric interval [-A, A] is
-    _trapezoid_I's rule h [g(0) + 2 Re sum_{j<n} g(jh) + Re g(A)] at
-    h = A/n, n = ceil(A c F), for the first c in TRAPEZOID_C whose bound
-    meets tol/2.  Its error is that of the tails |a| > A alone: with
-    a^-2 = int_0^oo u e^(-u a) du, the rule errs on a tail term e(s a)/a^2
-    by int_0^oo u e^((2 pi i s - u) A) h E((u - 2 pi i s) h) du, where
-    E(w) = coth(w/2)/2 - 1/w has no poles in |Im w| <= 2 pi |s| h <= 2 pi/c.
-    K_eta = (1 - cos 2 pi eta a)/(2 pi^2 a^2) makes the terms' weights sum
-    to M/pi^2, M the product of the factor masses, so the error is at most
-    2 M h sup|E| / (pi^2 A^2) (trapezoid_bound, trapezoid_sup_E).
-
-    Any other interval list, or a tol no c meets, takes GL12: negative
-    pieces fold onto the positive side and each distinct piece is one
-    gauss_panels pass sized on F.  On both paths the rounding floor is
-    taken at the largest factor phase, sum_j max |f_j| + |w| + eta, and a
-    summed estimate above tol is logged as a WARNING.  The trivial tail
-    (unbounded pieces) is out of scope here; use trivial_tails for its
-    majorant.
+    The integrand g is Hermitian, so only alpha >= 0 is ever sampled:
+    negative pieces fold onto the positive side as conjugates, and each
+    distinct piece is one _product_on_interval pass, its tol an equal
+    share of tol.  The spectrum of g lies in [-F, F], F = _signed_bound,
+    and by Poisson summation the midpoint rule of step h < 1/F, at any
+    shift, sums g over the whole line exactly (Trefethen & Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  So
+    a piece [0, A] that is also folded from [-A, 0] is the midpoint rule
+    at h = A/n, n = ceil(A c F), which with its conjugate errs only on the
+    tails |a| > A: with a^-2 = int_0^oo u e^(-u a) du, the rule errs on a
+    tail term e(s a)/a^2 by int_0^oo u e^((2 pi i s - u) A) h
+    E((u - 2 pi i s) h) du, where E(w) = 1/(2 sinh(w/2)) - 1/w has no
+    poles in |Im w| <= 2 pi |s| h <= 2 pi/c.  K_eta = (1 - cos 2 pi eta
+    a)/(2 pi^2 a^2) makes the terms' weights sum to M/pi^2, M the product
+    of the factor masses, so each tail errs by at most M h sup|E| /
+    (pi^2 A^2) (midpoint_bound, midpoint_sup_E).  Every other piece is a
+    GL12 pass sized on F.  The rounding floor is taken at the largest
+    factor phase, sum_j max |f_j| + |w| + eta, and a summed estimate above
+    tol is logged as a WARNING.  ValidationError unless 0 < eta < inf and
+    0 < tol < inf.  The trivial tail (unbounded pieces) is out of scope
+    here; use trivial_tails for its majorant.
     """
+    if not 0.0 < eta < math.inf:
+        raise ValidationError(f"eta must be positive and finite, got {eta}")
+    require_tol(tol)
+    pieces = []
     for (a, b) in intervals:
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError(
@@ -380,6 +385,10 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
                 "handled by trivial_tails")
         if a > b:
             raise ValidationError(f"inverted interval ({a}, {b})")
+        if a < 0:
+            pieces.append(("conj", max(-b, 0.0), -a))
+        if b > 0:
+            pieces.append(("plain", max(a, 0.0), b))
     factors = window_factors(inst, table, w)
     ranges = [f.freq_range for f in factors]
     f_max = _signed_bound(ranges, inst.varpi, eta)
@@ -391,36 +400,24 @@ def integrate_I(inst: ProblemInstance, table: PrimeTable, w: WindowSpec,
         prod = math.prod(f.eval_panels(centers, offs) for f in factors)
         return {"I": prod * _kernel_panels(eta, inst.varpi, centers, offs)}
 
-    A = intervals[0][1] if len(intervals) == 1 else 0.0
-    c = next((c for c in TRAPEZOID_C if A > 0 and intervals[0][0] == -A
-              and trapezoid_bound(A, f_max, m_p, c)[2] <= tol / 2), None)
-    if c is not None:
-        total, est_error = _trapezoid_I(parts, A, f_max, phase_max, m_p, c,
-                                        PRODUCT_NODE_BUDGET)
-        _log.debug("integrate_I: [-%g, %g] by the trapezoid, summed est "
-                   "error %.3e", A, A, est_error)
-    else:
-        pieces = []
-        for (a, b) in intervals:
-            if a < 0:
-                pieces.append(("conj", max(-b, 0.0), -a))
-            if b > 0:
-                pieces.append(("plain", max(a, 0.0), b))
-        total = 0j
-        per_piece_tol = tol / max(1, len(pieces))
-        done = {}  # (a, b) -> (value, est_error): one pass per distinct piece
-        est_error = 0.0
-        for kind, a, b in pieces:
-            if (a, b) not in done:
-                done[(a, b)] = _product_on_interval(
-                    parts, a, b, f_max, m_p * eta * eta, per_piece_tol,
-                    phase_max)
-            val, err = done[(a, b)]
-            est_error += err
-            total += val.conjugate() if kind == "conj" else val
-        _log.debug("integrate_I: %d pieces, %d reused by symmetry, summed "
-                   "est error %.3e", len(pieces), len(pieces) - len(done),
-                   est_error)
+    total = 0j
+    per_piece_tol = tol / max(1, len(pieces))
+    done = {}  # (a, b) -> (value, est_error): one pass per distinct piece
+    est_error = 0.0
+    for kind, a, b in pieces:
+        if (a, b) not in done:
+            # the midpoint's error bound holds for conj + plain pairs only
+            mirrored = a == 0.0 and (pieces.count(("conj", a, b))
+                                     == pieces.count(("plain", a, b)))
+            done[(a, b)] = _product_on_interval(
+                parts, a, b, f_max, phase_max, m_p, eta, per_piece_tol,
+                mirrored)
+        val, err = done[(a, b)]
+        est_error += err
+        total += val.conjugate() if kind == "conj" else val
+    _log.debug("integrate_I: %d pieces, %d reused by symmetry, summed "
+               "est error %.3e", len(pieces), len(pieces) - len(done),
+               est_error)
     if est_error > tol:
         _log.warning("integrate_I: estimated error %.3e exceeds tol %.3g",
                      est_error, tol)

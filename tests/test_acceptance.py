@@ -36,6 +36,15 @@ def test_criterion_03_fourier_pair():
     report(acceptance.criterion_fourier_pair())
 
 
+def test_criterion_03_reports_estimate():
+    # the detail carries the largest quadrature estimate of the six pairs
+    res = acceptance.criterion_fourier_pair()
+    m = re.search(r"largest quadrature estimate (\S+)$", res.detail)
+    ests = [circle.verify_fourier_pair(eta, t, 1e4)[1]
+            for eta in (0.1, 1.0) for t in (0.0, eta / 2.0, 2.0 * eta)]
+    assert m.group(1) == f"{max(ests):.2e}" and 0.0 < max(ests) < 1e-12
+
+
 def test_criterion_04_meansquare_oracle(table_large):
     report(acceptance.criterion_meansquare_oracle(table_large))
 
@@ -49,28 +58,32 @@ def test_criterion_06_counting_identity(table_large):
 
 
 def test_criterion_06_panel_count(table_large, caplog):
-    # criterion 6 integrates [-2000, 2000] at tol 0.2 by the trapezoid at
-    # step 1/(c F), F the signed spectral bound max |t| + eta, which a
-    # triple attains, and c = 1.05, the first step factor, whose bound
-    # 2.5e-4 meets tol/2: 1 997 292 nodes, where one GL12 pass over
-    # [0, 2000] on the same bound took 810 438 panels of 12 nodes
+    # criterion 6 integrates [-2000, 2000] at tol 0.2 as one midpoint pass
+    # over [0, 2000], used twice, at step 1/(c F), F the signed spectral
+    # bound max |t| + eta, which a triple attains, and c = 1.05, the first
+    # step factor, whose one-sided bound 1.2e-4 meets half the piece's tol:
+    # 1 997 291 nodes, where one GL12 pass over [0, 2000] on the same bound
+    # took 810 438 panels of 12 nodes
     with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
         report(acceptance.criterion_counting_identity(table_large))
     assert not any("GL12" in r.getMessage() for r in caplog.records)
-    (m,) = [m for m in (re.search(r"trapezoid on \[-2000, 2000\]: (\d+) "
-                                  r"nodes, c = (\S+), .* bound (\S+), .*"
+    (m,) = [m for m in (re.search(r"gauss panels on \[0, 2000\]: (\d+) "
+                                  r"panels, GL1, bound (\S+), .*"
                                   r"\(spectral bound ([^,]+), phase bound",
                                   r.getMessage()) for r in caplog.records) if m]
-    n, c, spectral = int(m.group(1)), float(m.group(2)), float(m.group(4))
+    n, spectral = int(m.group(1)), float(m.group(3))
     inst, w, eta = acceptance._criterion6_instance()
     facs = circle.window_factors(inst, table_large, w)
     t = np.add.outer(np.add.outer(facs[0].freqs, facs[1].freqs), facs[2].freqs)
     assert spectral == pytest.approx(np.max(np.abs(t)) + eta, rel=1e-12)
-    assert c == circle.TRAPEZOID_C[0] == 1.05
-    assert n == math.ceil(2000.0 * c * spectral) + 1 == 1_997_292
-    assert float(m.group(3)) <= 0.1
-    mass = math.prod(f.mass for f in facs) * eta ** 2
-    gl12 = circle.gl12_panels(0.0, 2000.0, spectral, mass, 0.1)[0]
+    c = circle.MIDPOINT_C[0]
+    assert c == 1.05
+    assert n == math.ceil(2000.0 * c * spectral) == 1_997_291
+    m_p = math.prod(f.mass for f in facs)
+    assert float(m.group(2)) == pytest.approx(
+        circle.midpoint_bound(2000.0, spectral, m_p, c)[1], rel=1e-3)
+    assert float(m.group(2)) <= 0.05
+    gl12 = circle.gl12_panels(0.0, 2000.0, spectral, m_p * eta ** 2, 0.1)[0]
     assert gl12 == 810_438 and n < 12 * gl12
 
 

@@ -181,20 +181,26 @@ class TestExpSumFactor:
                                                   monkeypatch):
         # the benchmark's layer trace times and counts factor sums by
         # wrapping ExpSumFactor.eval_panels, so every panel caller must
-        # evaluate its factors there
+        # evaluate its factors there; it times the counting integral by
+        # wrapping circle._product_on_interval, so both integrate_I calls,
+        # the asymmetric one on GL12 and the symmetric one on the
+        # midpoint, must pass through it
         from primearcs.meansquare import l2_diff
-        calls = []
+        calls, offsets, pieces = [], [], []
         original = ExpSumFactor.eval_panels
+        layer = circle._product_on_interval
 
         def spy(factor, centers, offs):
             calls[-1] += 1
+            offsets[-1].add(len(offs))
             return original(factor, centers, offs)
 
+        def piece_spy(*args):
+            pieces[-1].append(args[-1])  # mirrored
+            return layer(*args)
+
         monkeypatch.setattr(ExpSumFactor, "eval_panels", spy)
-        trapezoid = circle._trapezoid_I
-        ran = []
-        monkeypatch.setattr(circle, "_trapezoid_I",
-                            lambda *a: ran.append(1) or trapezoid(*a))
+        monkeypatch.setattr(circle, "_product_on_interval", piece_spy)
         w = WindowSpec(X=300.0, k=1.05)
         for run in (
                 lambda: integrate_I(inst, table, w, 0.5, [(0.0, 1.0)], 1e-3),
@@ -202,9 +208,14 @@ class TestExpSumFactor:
                 lambda: major_arc_split(inst, table, w, 0.5, 1e-2),
                 lambda: l2_diff(table, w, 0.01, method="grid")):
             calls.append(0)
+            offsets.append(set())
+            pieces.append([])
             run()
         assert all(n > 0 for n in calls), calls
-        assert ran == [1]  # the symmetric call took the trapezoid
+        assert pieces == [[False], [True], [], []]
+        # GL12 on the asymmetric piece, the midpoint (one node a panel) on
+        # the symmetric one
+        assert offsets[:2] == [{12}, {1}]
 
     def test_frequency_blocks_bounded(self):
         # 2^18 frequencies on 20 offsets would make an 84 MB Q at R = 1; in
@@ -366,42 +377,81 @@ class TestIntegrateI:
     def test_gl12_paths_keep_values(self, inst, table, w500, caplog,
                                     intervals, tol, want):
         # asymmetric, multi-interval and symmetric calls whose tol no
-        # trapezoid step meets run GL12 alone, with the values GL12 gave
-        # before the trapezoid path was added
+        # midpoint step meets run GL12 alone, with the values GL12 gave
+        # before the Nyquist rule was added
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             val = integrate_I(inst, table, w500, 0.5, intervals, tol=tol)
         msgs = [r.getMessage() for r in caplog.records]
-        assert not any("trapezoid" in m for m in msgs)
+        assert not any(", GL1," in m for m in msgs)
         assert any("panels, GL12" in m for m in msgs)
         assert val == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_symmetric_range_takes_trapezoid(self, inst, table, w500, caplog):
-        # |alpha| <= 50 at tol 0.2, as the arcs benchmark runs it: no GL12
-        # pass, and the first step factor whose bound meets tol/2
+    def test_symmetric_range_takes_midpoint(self, inst, table, w500, caplog):
+        # |alpha| <= 50 at tol 0.2, as the arcs benchmark runs it: one
+        # midpoint pass over [0, 50], used twice, at the first step factor
+        # whose one-sided bound meets half the piece's tol 0.1
         with caplog.at_level(logging.DEBUG, logger="primearcs.circle"):
             val = integrate_I(inst, table, w500, 0.5, [(-50.0, 50.0)],
                               tol=0.2)
         msgs = [r.getMessage() for r in caplog.records]
         assert not any("GL12" in m for m in msgs)
+        assert any("2 pieces, 1 reused by symmetry" in m for m in msgs)
         (m,) = [m for m in (re.search(
-            r"trapezoid on \[-50, 50\]: (\d+) nodes, c = (\S+), step (\S+), "
-            r"bound (\S+), est error (\S+) \(spectral bound ([^,]+)", msg)
+            r"gauss panels on \[0, 50\]: (\d+) panels, GL1, bound (\S+), "
+            r"est error (\S+) \(spectral bound ([^,]+)", msg)
             for msg in msgs) if m]
-        n, c, h = int(m.group(1)), float(m.group(2)), float(m.group(3))
-        f_max = float(m.group(6))
+        n, f_max = int(m.group(1)), float(m.group(4))
         mass = math.prod(f.mass for f in window_factors(inst, table, w500))
-        bounds = [circle.trapezoid_bound(50.0, f_max, mass, cc)[2]
-                  for cc in circle.TRAPEZOID_C]
-        first = next(i for i, b in enumerate(bounds) if b <= 0.1)
-        assert c == circle.TRAPEZOID_C[first] and first > 0
-        assert n == math.ceil(50.0 * c * f_max) + 1 and h * f_max < 1 / c
-        assert float(m.group(4)) == pytest.approx(bounds[first], rel=1e-3)
+        sized = [circle.midpoint_bound(50.0, f_max, mass, cc)
+                 for cc in circle.MIDPOINT_C]
+        first = next(i for i, (_, b) in enumerate(sized) if b <= 0.05)
+        c = circle.MIDPOINT_C[first]
+        assert c == 1.25 and n == sized[first][0]
+        assert n == math.ceil(50.0 * c * f_max) and (50.0 / n) * f_max < 1 / c
+        assert float(m.group(2)) == pytest.approx(sized[first][1], rel=1e-3)
         assert val.imag == 0.0
         assert val.real == pytest.approx(298.03127745043224, abs=0.1)
+
+    def test_mirrored_pieces_pair_up(self, inst, table, w500, monkeypatch):
+        # the midpoint's bound holds for a piece and its conjugate together,
+        # so a piece [0, A] is mirrored only when [-A, 0] folds onto it as
+        # often as [0, A] itself appears
+        seen = []
+        monkeypatch.setattr(circle, "_product_on_interval",
+                            lambda parts, a, b, *rest:
+                            seen.append((a, b, rest[-1])) or (0j, 0.0))
+        for intervals in ([(-50.0, 50.0)], [(-50.0, 50.0), (0.0, 50.0)],
+                          [(-50.0, -10.0), (10.0, 50.0)],
+                          [(-1.0, 1.0), (1.0, 2.0)]):
+            integrate_I(inst, table, w500, 0.5, intervals, 0.2)
+        assert seen == [(0.0, 50.0, True), (0.0, 50.0, False),
+                        (10.0, 50.0, False), (0.0, 1.0, True),
+                        (1.0, 2.0, False)]
 
     def test_unbounded_interval_rejected(self, inst, table, w500):
         with pytest.raises(ValidationError):
             integrate_I(inst, table, w500, 0.5, [(0.0, math.inf)])
+
+    @pytest.mark.parametrize("func, args", [
+        ("integrate_I", (math.nan,)), ("integrate_I", (math.inf,)),
+        ("integrate_I", (0.0,)), ("integrate_I", (-0.5,)),
+        ("verify_fourier_pair", (0.0, 0.0, 1e4)),
+        ("verify_fourier_pair", (math.nan, 0.0, 1e4)),
+        ("verify_fourier_pair", (math.inf, 0.0, 1e4)),
+        ("verify_fourier_pair", (0.1, math.nan, 1e4)),
+        ("verify_fourier_pair", (0.1, math.inf, 1e4)),
+        ("verify_fourier_pair", (0.1, 0.0, math.nan)),
+        ("verify_fourier_pair", (0.1, 0.0, math.inf))])
+    def test_bad_eta_t_truncation_rejected(self, inst, table, w500, func,
+                                           args):
+        # a zero, nan or infinite eta, t or truncation is a ValidationError
+        # (exit code 2) up front, not a ZeroDivisionError, ValueError or
+        # OverflowError from deep in the quadrature
+        with pytest.raises(ValidationError):
+            if func == "integrate_I":
+                integrate_I(inst, table, w500, args[0], [(-1.0, 1.0)], 1e-3)
+            else:
+                verify_fourier_pair(*args)
 
     def test_small_counting_identity(self, inst, table):
         # scaled-down version of the full acceptance check
@@ -535,84 +585,96 @@ class TestClosedFormOracle:
 
 
     @pytest.mark.parametrize("A", [50.0, 2000.0])
-    @pytest.mark.parametrize("c", circle.TRAPEZOID_C)
-    def test_trapezoid_bound_covers_error(self, table, setup, caplog,
-                                          monkeypatch, A, c):
+    @pytest.mark.parametrize("c", circle.MIDPOINT_C)
+    def test_midpoint_bound_covers_error(self, table, setup, caplog,
+                                         monkeypatch, A, c):
         # the rule at each step factor alone, at a tol every factor meets
-        # (its bound is 0.41 at A = 50 and c = 1.05): the logged bound
-        # covers the error against the closed form, and the estimate adds
-        # only the rounding floor to it
-        monkeypatch.setattr(circle, "TRAPEZOID_C", (c,))
+        # (its one-sided bound is 0.19 at A = 50 and c = 1.05): twice the
+        # logged bound, one per tail, covers the error against the closed
+        # form, and the summed estimate adds only the rounding floor to it
+        monkeypatch.setattr(circle, "MIDPOINT_C", (c,))
         val, est = self.value_and_estimate(table, setup, A, 1.0, caplog)
         (m,) = [m for m in (re.search(
-            r"nodes, c = (\S+), step \S+, bound (\S+), est error (\S+)",
-            r.getMessage()) for r in caplog.records) if m]
-        assert float(m.group(1)) == c
-        bound = float(m.group(2))
-        assert float(m.group(3)) == pytest.approx(est, rel=1e-3)
-        assert abs(val.real - self.closed_form(setup, A)) <= bound <= est
+            r": (\d+) panels, GL1, bound (\S+), est error (\S+) "
+            r"\(spectral bound ([^,]+)", r.getMessage())
+            for r in caplog.records) if m]
+        assert int(m.group(1)) == math.ceil(A * c * float(m.group(4)))
+        bound, piece_est = float(m.group(2)), float(m.group(3))
+        assert 2.0 * piece_est == pytest.approx(est, rel=1e-3)
+        assert bound <= piece_est
+        assert abs(val.real - self.closed_form(setup, A)) <= 2.0 * bound
 
 
-class TestTrapezoidBound:
-    """sup |E| on the strip the trapezoid's step confines the tail terms
-    to, and the refusal of any step at or past the Nyquist rate."""
+class TestMidpointBound:
+    """sup |E| on the strip the midpoint's step confines the tail terms
+    to, and the refusal of any step at or past the Nyquist rate, or so
+    fine that the corner form fails."""
 
     @staticmethod
     def E(w):
-        return 0.5 / np.tanh(w / 2.0) - 1.0 / w
+        return 0.5 / np.sinh(w / 2.0) - 1.0 / w
 
-    @pytest.mark.parametrize("c", [*circle.TRAPEZOID_C, 1.01, 3.0, 10.0])
-    def test_sup_E_covers_boundary(self, c):
+    def boundary(self, c):
         # the vertical side and both horizontal sides, x to 200 (where
-        # |E - 1/2| < 1e-2): the helper is at least every value there, and
-        # attains the corner value or the limit 1/2
+        # |E| < 1e-2)
         Y = 2.0 * math.pi / c
         ys = np.linspace(-Y, Y, 200_001)
         ys = ys[ys != 0.0]
         xs = np.concatenate([np.linspace(0.0, 20.0, 200_001),
                              np.geomspace(20.0, 200.0, 20_001)])
-        side = np.abs(self.E(1j * ys))
-        top = np.abs(self.E(xs + 1j * Y))
-        bottom = np.abs(self.E(xs - 1j * Y))
+        return (np.abs(self.E(1j * ys)), np.abs(self.E(xs + 1j * Y)),
+                np.abs(self.E(xs - 1j * Y)))
+
+    @pytest.mark.parametrize("c", [*circle.MIDPOINT_C, 1.01])
+    def test_sup_E_covers_boundary(self, c):
+        # the helper is at least every value there, and attains the corner
+        side, top, bottom = self.boundary(c)
         dense = max(side.max(), top.max(), bottom.max())
-        sup = circle.trapezoid_sup_E(c)
+        sup = circle.midpoint_sup_E(c)
         assert sup >= dense * (1.0 + 1e-12) or sup == pytest.approx(dense,
                                                                    rel=1e-12)
-        corner = abs(self.E(1j * Y))
-        assert sup == pytest.approx(max(0.5, corner), rel=1e-12)
-        assert sup >= 0.5 > abs(self.E(200.0 + 1j * Y)) - 1e-2
+        assert sup == pytest.approx(abs(self.E(2j * math.pi / c)), rel=1e-12)
+        assert abs(self.E(200.0 + 2j * math.pi / c)) < 1e-2
 
-    def test_sup_E_interior(self):
+    @pytest.mark.parametrize("c", [2.2, 3.0])
+    def test_corner_fails_past_two(self, c):
+        # past c = 2 the horizontal sides rise above the corner (0.1566
+        # against 0.1550 at c = 2.2), so the helper refuses such c
+        _, top, _ = self.boundary(c)
+        assert top.max() > abs(self.E(2j * math.pi / c)) * (1.0 + 1e-3)
+
+    @pytest.mark.parametrize("c", [*circle.MIDPOINT_C, 1.01])
+    def test_sup_E_interior(self, c):
         # a grid inside the half-strip stays below the boundary's sup
-        for c in circle.TRAPEZOID_C:
-            Y = 2.0 * math.pi / c
-            x, y = np.meshgrid(np.linspace(1e-6, 30.0, 601),
-                               np.linspace(-Y, Y, 601))
-            inside = np.max(np.abs(self.E(x + 1j * y)))
-            assert inside <= circle.trapezoid_sup_E(c)
+        Y = 2.0 * math.pi / c
+        x, y = np.meshgrid(np.linspace(1e-6, 30.0, 601),
+                           np.linspace(-Y, Y, 601))
+        assert np.max(np.abs(self.E(x + 1j * y))) <= circle.midpoint_sup_E(c)
 
-    @pytest.mark.parametrize("c", [1.0, 0.99, 0.5, math.nan])
-    def test_step_at_nyquist_refused(self, inst, table, w500, monkeypatch, c):
-        # hF >= 1 aliases the spectrum's ends onto the rule: the helper, and
-        # so integrate_I, refuse any c <= 1 (at c = 1.0001 criterion 6's
-        # value already moves by about 1e-6)
-        with pytest.raises(ValidationError, match="c > 1"):
-            circle.trapezoid_sup_E(c)
-        monkeypatch.setattr(circle, "TRAPEZOID_C", (c,))
-        with pytest.raises(ValidationError, match="c > 1"):
+    @pytest.mark.parametrize("c", [1.0, 0.99, 0.5, math.nan, 2.2, 3.0])
+    def test_step_refused(self, inst, table, w500, monkeypatch, c):
+        # hF >= 1 aliases the spectrum's ends onto the rule, and past c = 2
+        # the corner is no longer the sup: the helper, and so integrate_I,
+        # refuse any c outside (1, 2] (at c = 1.0001 criterion 6's value
+        # already moves by about 1e-6)
+        with pytest.raises(ValidationError, match="1 < c <= 2"):
+            circle.midpoint_sup_E(c)
+        monkeypatch.setattr(circle, "MIDPOINT_C", (c,))
+        with pytest.raises(ValidationError, match="1 < c <= 2"):
             integrate_I(inst, table, w500, 0.5, [(-50.0, 50.0)], tol=0.2)
 
     def test_step_factors(self):
-        cs = circle.TRAPEZOID_C
-        assert list(cs) == sorted(set(cs)) and cs[0] > 1.0
+        cs = circle.MIDPOINT_C
+        assert list(cs) == sorted(set(cs)) and 1.0 < cs[0] and cs[-1] <= 2.0
         # the bound falls as c rises: a larger c meets any tol a smaller did
-        bounds = [circle.trapezoid_bound(50.0, 951.0, 1.6e6, c)[2] for c in cs]
+        bounds = [circle.midpoint_bound(50.0, 951.0, 1.6e6, c)[1] for c in cs]
         assert bounds == sorted(bounds, reverse=True)
 
     def test_rule_exact_on_band_limited(self):
         # an integrand with all its mass at the band's edge, s = F:
-        # g = K_eta(a) e((F - eta) a) on [-A, A] against its closed form;
-        # the bound (mass 1) covers the error at each step factor
+        # g = K_eta(a) e((F - eta) a) on [-A, A], as 2 Re of the midpoint
+        # pass over [0, A], against its closed form; twice the bound
+        # (mass 1) covers the error at each step factor
         eta, F, A = 0.5, 10.0, 20.0
         t = F - eta
 
@@ -621,10 +683,10 @@ class TestTrapezoidBound:
             return {"I": fejer_K(eta, a) * np.exp(2j * math.pi * t * a)}
 
         want = _truncated_kernel_integral([t], eta, A)[0]
-        for c in circle.TRAPEZOID_C:
-            val, est = circle._trapezoid_I(parts, A, F, F, 1.0, c, 1e6)
-            bound = circle.trapezoid_bound(A, F, 1.0, c)[2]
-            assert abs(val.real - want) <= bound <= est
+        for c in circle.MIDPOINT_C:
+            n, bound = circle.midpoint_bound(A, F, 1.0, c)
+            vals, est = circle._panel_pass(parts, 0.0, A, 1, n, bound, F, F)
+            assert abs(2.0 * vals["I"].real - want) <= 2.0 * bound <= 2.0 * est
 
 
 class TestConvergenceStalls:
@@ -653,20 +715,20 @@ class TestConvergenceStalls:
         assert bound <= exc.est_error <= bound * (1.0 + 1e-9)
         assert abs(exc.best["f"] - math.sin(300.0) / 100.0) <= exc.est_error
 
-    def test_trapezoid(self, inst, table, w500, monkeypatch):
-        # |alpha| <= 50 needs 59 437 nodes at tol 0.2; a budget of 20 000
-        # stops the rule at A' = 19 999 h.  best is that rule's value, and
-        # the estimate holds its bound and the dropped |alpha| in (A', 50),
-        # so it covers the gap to the closed form
+    def test_midpoint_over_budget(self, inst, table, w500, monkeypatch,
+                                  caplog):
+        # |alpha| <= 50 needs 59 436 midpoint nodes at tol 0.2; under a
+        # budget of 20 000 no step factor serves, so [0, 50] takes GL12,
+        # whose budget path runs 1 666 panels and raises with their value
         monkeypatch.setattr(circle, "PRODUCT_NODE_BUDGET", 20_000)
-        with pytest.raises(ConvergenceError, match="trapezoid needs") as info:
+        with caplog.at_level(logging.DEBUG, logger="primearcs.circle"), \
+                pytest.raises(ConvergenceError,
+                              match="over 2e.04 nodes; 1666 panels") as info:
             integrate_I(inst, table, w500, 0.5, [(-50.0, 50.0)], tol=0.2)
+        assert not any(", GL1," in r.getMessage() for r in caplog.records)
         exc = info.value
-        assert math.isfinite(exc.est_error) and exc.best.imag == 0.0
-        setup = TestClosedFormOracle.triples(table, inst, w500)
-        want = math.fsum(setup[3] * _truncated_kernel_integral(setup[2], 0.5,
-                                                               50.0))
-        assert abs(exc.best.real - want) <= exc.est_error
+        assert math.isfinite(exc.est_error) and exc.est_error > 0.1
+        assert cmath.isfinite(exc.best["I"])
 
     def test_tail_slicing(self, inst, table, w500, monkeypatch):
         # one 4096-slice block of tail A, then the budget: best is that

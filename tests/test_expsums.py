@@ -466,9 +466,9 @@ class TestFejer:
         assert fejer_hat(1.0, 0.5) == 0.5
 
     def test_fourier_pair(self):
-        assert verify_fourier_pair(0.1, 0.0, 1e4) <= 3e-5
-        assert verify_fourier_pair(0.1, 0.2, 1e4) <= 3e-5
-        assert verify_fourier_pair(1.0, 0.5, 1e4) <= 3e-5
+        assert verify_fourier_pair(0.1, 0.0, 1e4)[0] <= 3e-5
+        assert verify_fourier_pair(0.1, 0.2, 1e4)[0] <= 3e-5
+        assert verify_fourier_pair(1.0, 0.5, 1e4)[0] <= 3e-5
 
     @pytest.mark.parametrize("eta", [0.1, 0.37, 1.0])
     @pytest.mark.parametrize("A", [1e3, 2500.3, 1e4])
@@ -478,8 +478,10 @@ class TestFejer:
         si, _ = sici(2.0 * math.pi * eta * A)
         tail = 2.0 / math.pi ** 2 * (math.sin(math.pi * eta * A) ** 2 / A
                                      + math.pi * eta * (math.pi / 2.0 - si))
-        assert verify_fourier_pair(eta, 0.0, A) == pytest.approx(tail, rel=0,
-                                                                 abs=1e-14)
+        disc, est = verify_fourier_pair(eta, 0.0, A)
+        assert disc == pytest.approx(tail, rel=0, abs=1e-14)
+        # the returned estimate covers the quadrature's share of it
+        assert 0.0 < est < 1e-12 and abs(disc - tail) <= est
 
     def test_fourier_pair_precondition(self):
         with pytest.raises(ValidationError):
